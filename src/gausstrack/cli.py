@@ -11,11 +11,9 @@ the produced artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
 
 from .errors import NumericalAbort, ValidationError
 from . import gauss, metrics, motion, optim, phantom, volgrid
@@ -39,8 +37,7 @@ def _write_manifest(out_dir, kind, artifacts, extra=None):
     manifest = {"kind": kind, "artifacts": artifacts}
     if extra:
         manifest.update(extra)
-    (Path(out_dir) / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=1), encoding="utf-8")
+    volgrid._write_json(Path(out_dir) / "run_manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +64,6 @@ def _load_fit_inputs(args):
     config = optim.FitConfig.load(args.config) if args.config else optim.FitConfig()
     if args.seed is not None:
         config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
-    config.deterministic = not args.non_deterministic
     sequence = volgrid.load_sequence(args.sequence)
     mask = volgrid.load_volume(args.mask)
     if not isinstance(mask, volgrid.LabelVolume):
@@ -105,28 +99,38 @@ def cmd_fit(args):
     return EXIT_OK
 
 
+# query settings a fit manifest may leave out
+_QUERY_DEFAULTS = {"k_neighbors": 4, "cutoff_multiplier": 3.0, "occupancy_floor": 0.5}
+
+
 def _load_fitted(fitted_dir):
+    """The fitted state, its grid and its manifest (query settings filled
+    in); a missing or mistyped manifest entry is a validation failure."""
     fitted = Path(fitted_dir)
     manifest_path = fitted / "run_manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"{fitted}: no run_manifest.json (not a fit output?)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("kind") != "gausstrack-fit":
-        raise ValidationError(f"{fitted}: manifest kind is not gausstrack-fit")
-    g = gauss.load_gaussians(fitted / manifest["artifacts"]["gaussians"])
-    nodes = motion.load_nodes(fitted / manifest["artifacts"]["nodes"])
-    net = motion.load_network(fitted / manifest["artifacts"]["network"])
-    return g, nodes, net, manifest
+    manifest = {**_QUERY_DEFAULTS, **volgrid._read_json(manifest_path, "run manifest")}
+    volgrid._check_keys(manifest_path, manifest, {
+        "kind": ["gausstrack-fit"], "artifacts": "object", "grid": "object",
+        "k_neighbors": "int", "cutoff_multiplier": "float", "occupancy_floor": "float"})
+    artifacts, grid = manifest["artifacts"], manifest["grid"]
+    volgrid._check_keys(manifest_path, artifacts,
+                        {"gaussians": "str", "nodes": "str", "network": "str"})
+    dims, spacing = volgrid._check_geometry(grid.get("dims"), grid.get("spacing"))
+    g = gauss.load_gaussians(fitted / artifacts["gaussians"])
+    nodes = motion.load_nodes(fitted / artifacts["nodes"])
+    net = motion.load_network(fitted / artifacts["network"])
+    return g, nodes, net, SimpleNamespace(dims=dims, spacing=spacing), manifest
 
 
-class _Grid:
-    def __init__(self, dims, spacing):
-        self.dims = tuple(int(d) for d in dims)
-        self.spacing = tuple(float(s) for s in spacing)
+def _check_time(t):
+    if not 0.0 <= t <= 1.0:
+        raise ValidationError(f"--time must be a finite normalized time in [0, 1], got {t}")
 
 
 def cmd_eval(args):
-    g, nodes, net, manifest = _load_fitted(args.fitted)
+    g, nodes, net, _, manifest = _load_fitted(args.fitted)
     sequence = volgrid.load_sequence(args.sequence)
     truth = volgrid.load_volume(args.truth)
     if not isinstance(truth, volgrid.LabelVolume):
@@ -135,30 +139,28 @@ def cmd_eval(args):
         raise ValidationError(
             f"truth dims {truth.dims} do not match sequence dims {sequence.dims}")
     report = metrics.evaluate_run(
-        g, nodes, net, sequence, truth,
-        k=manifest.get("k_neighbors", 4),
-        cutoff_multiplier=manifest.get("cutoff_multiplier", 3.0),
-        occupancy_floor=manifest.get("occupancy_floor", 0.5))
+        g, nodes, net, sequence, truth, k=manifest["k_neighbors"],
+        cutoff_multiplier=manifest["cutoff_multiplier"],
+        occupancy_floor=manifest["occupancy_floor"])
     Path(args.out).write_text(report.to_json(), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_render(args):
-    g, nodes, net, manifest = _load_fitted(args.fitted)
-    grid = _Grid(**manifest["grid"])
-    idx = motion.knn_indices(g.centers, nodes.positions,
-                             manifest.get("k_neighbors", 4))
+    _check_time(args.time)
+    g, nodes, net, grid, manifest = _load_fitted(args.fitted)
+    idx = motion.knn_indices(g.centers, nodes.positions, manifest["k_neighbors"])
     deformed, _ = motion.apply_motion(g, nodes, net, args.time, idx)
-    vol = gauss.render_volume(deformed, grid, manifest.get("cutoff_multiplier", 3.0))
+    vol = gauss.render_volume(deformed, grid, manifest["cutoff_multiplier"])
     volgrid.save_volume(vol, args.out)
     return EXIT_OK
 
 
 def cmd_export_field(args):
-    g, nodes, net, manifest = _load_fitted(args.fitted)
-    grid = _Grid(**manifest["grid"])
+    _check_time(args.time)
+    g, nodes, net, grid, manifest = _load_fitted(args.fitted)
     field = metrics.dense_field_on_grid(g, nodes, net, args.time, grid,
-                                        k=manifest.get("k_neighbors", 4))
+                                        k=manifest["k_neighbors"])
     out = Path(args.out)
     names = {}
     for i, comp in enumerate(("ux", "uy", "uz")):
@@ -167,9 +169,7 @@ def cmd_export_field(args):
         names[comp] = f"{out.name}_{comp}.vjson"
     index = {"kind": "gausstrack-field", "t": float(args.time),
              "units": "normalized", "components": names}
-    out.parent.mkdir(parents=True, exist_ok=True)
-    (out.parent / f"{out.name}.json").write_text(json.dumps(index, indent=1),
-                                                 encoding="utf-8")
+    volgrid._write_json(out.parent / f"{out.name}.json", index)
     return EXIT_OK
 
 
@@ -195,9 +195,6 @@ def build_parser():
     p.add_argument("--config", help="run-config JSON (defaults when omitted)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int, help="cap renderer parallelism")
-    p.add_argument("--non-deterministic", action="store_true",
-                   help="allow run-to-run variance")
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=cmd_fit)
 
@@ -210,13 +207,13 @@ def build_parser():
 
     p = sub.add_parser("render", help="render the deformed volume at a time")
     p.add_argument("--fitted", required=True)
-    p.add_argument("--time", type=float, required=True, help="normalized time")
+    p.add_argument("--time", type=float, required=True, help="normalized time in [0, 1]")
     p.add_argument("--out", required=True, help="output volume path (.vjson)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("export-field", help="export the dense displacement field")
     p.add_argument("--fitted", required=True)
-    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--time", type=float, required=True, help="normalized time in [0, 1]")
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_export_field)
     return parser

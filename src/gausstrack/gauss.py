@@ -14,14 +14,12 @@ inside every covariance build; gradients chain through that normalization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .volgrid import VoxelVolume, _axis_denoms
+from .volgrid import VoxelVolume, _axis_denoms, _read_container, _write_container
 
 # Memory cap for the vectorized renderer: Gaussians are processed in chunks
 # so that (chunk x support) scratch arrays stay small.
@@ -93,13 +91,6 @@ class RenderGradients:
     rotations: np.ndarray
     log_scales: np.ndarray
     intensities: np.ndarray
-
-    def __iadd__(self, other):
-        self.centers += other.centers
-        self.rotations += other.rotations
-        self.log_scales += other.log_scales
-        self.intensities += other.intensities
-        return self
 
     @classmethod
     def zeros(cls, n):
@@ -312,11 +303,6 @@ def render_values_bruteforce(gaussians, dims):
     return out.reshape(dims)
 
 
-def render_volume_bruteforce(gaussians, grid):
-    return VoxelVolume(grid.dims, grid.spacing,
-                       render_values_bruteforce(gaussians, grid.dims))
-
-
 def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None):
     """Analytic adjoint of render_values.
 
@@ -464,52 +450,30 @@ def densify_and_prune(gaussians, grad_mean, config):
 # Serialization (.gjson manifest + raw payload)
 # ---------------------------------------------------------------------------
 
-_FIELDS = ("centers", "rotations", "log_scales", "intensities")
+_FIELDS = ["centers", "rotations", "log_scales", "intensities"]
 
 
 def save_gaussians(gaussians, path):
     """Write the set as f32le arrays concatenated in field order, labels (u8)
     last.  Round trips are bit-exact at f32 precision."""
-    path = Path(path)
-    if path.suffix == ".gjson":
-        path = path.with_suffix("")
-    blobs = [np.ascontiguousarray(getattr(gaussians, f), dtype="<f4").tobytes()
-             for f in _FIELDS]
-    has_labels = gaussians.labels is not None
-    if has_labels:
-        blobs.append(gaussians.labels.astype("u1").tobytes())
-    raw_name = path.name + ".raw"
-    manifest = {
-        "count": int(gaussians.count),
-        "fields": list(_FIELDS) + (["labels"] if has_labels else []),
-        "dtype": "f32le",
-        "payload": raw_name,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    (path.parent / raw_name).write_bytes(b"".join(blobs))
-    path.with_suffix(".gjson").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    arrays = [getattr(gaussians, f).astype("<f4") for f in _FIELDS]
+    fields = list(_FIELDS)
+    if gaussians.labels is not None:
+        arrays.append(gaussians.labels.astype("u1"))
+        fields.append("labels")
+    manifest = {"count": int(gaussians.count), "fields": fields, "dtype": "f32le"}
+    _write_container(path, ".gjson", manifest, arrays)
+
+
+def _parse_gaussians(manifest, payload):
+    n, fields = manifest["count"], manifest["fields"]
+    if fields not in (_FIELDS, _FIELDS + ["labels"]):
+        raise ValidationError(f"fields must be {_FIELDS}, optionally + labels; got {fields!r}")
+    arrays = [payload.take("<f4", shape) for shape in ((n, 3), (n, 4), (n, 3), (n,))]
+    labels = payload.take("u1", (n,)).copy() if "labels" in fields else None
+    return GaussianSet(*arrays, labels)
 
 
 def load_gaussians(path):
-    path = Path(path)
-    if path.suffix != ".gjson":
-        path = path.with_suffix(".gjson")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    n = int(manifest["count"])
-    raw = (path.parent / manifest["payload"]).read_bytes()
-    widths = {"centers": 3, "rotations": 4, "log_scales": 3, "intensities": 1}
-    arrays = {}
-    offset = 0
-    for f in manifest["fields"]:
-        if f == "labels":
-            arrays[f] = np.frombuffer(raw, dtype="u1", count=n, offset=offset).copy()
-            offset += n
-        else:
-            cnt = n * widths[f]
-            arrays[f] = np.frombuffer(raw, dtype="<f4", count=cnt, offset=offset)
-            arrays[f] = arrays[f].astype(np.float64).reshape(n, widths[f]).copy()
-            offset += cnt * 4
-    if offset != len(raw):
-        raise ValidationError(f"{path}: payload size does not match manifest")
-    return GaussianSet(arrays["centers"], arrays["rotations"], arrays["log_scales"],
-                       arrays["intensities"].ravel(), arrays.get("labels"))
+    required = {"count": "int", "fields": "list", "dtype": ["f32le"]}
+    return _read_container(path, ".gjson", required, _parse_gaussians)

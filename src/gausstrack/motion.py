@@ -17,14 +17,13 @@ Two gradient rules from the model definition are honored throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalAbort, ValidationError
 from .gauss import GaussianSet, RenderGradients
+from .volgrid import _read_container, _write_container
 
 _KNN_CHUNK = 4096
 
@@ -261,7 +260,8 @@ def deform_gaussians(gaussians, delta, alpha):
     alpha = np.asarray(alpha, dtype=np.float64)
     if delta.shape != (gaussians.count, 3) or alpha.shape != (gaussians.count, 3):
         raise ValidationError("blended transforms misaligned with Gaussian order")
-    assert np.all(alpha > 0), "blended scale factors must stay positive"
+    if not np.all(alpha > 0):
+        raise NumericalAbort("blended scale factors must stay positive and finite")
     return GaussianSet(
         gaussians.centers + delta,
         gaussians.rotations.copy(),
@@ -405,74 +405,45 @@ def init_control_nodes(gaussian_centers, budget, seed):
 
 
 def save_nodes(nodes, path):
-    """Same container idiom as GaussianSet: json manifest + f32le payload."""
-    path = Path(path)
-    if path.suffix == ".njson":
-        path = path.with_suffix("")
-    raw_name = path.name + ".raw"
+    """Same container as GaussianSet: json manifest + f32le payload."""
     manifest = {"count": int(nodes.count), "fields": ["positions", "log_radii"],
-                "dtype": "f32le", "payload": raw_name}
-    blob = (np.ascontiguousarray(nodes.positions, dtype="<f4").tobytes()
-            + np.ascontiguousarray(nodes.log_radii, dtype="<f4").tobytes())
-    path.parent.mkdir(parents=True, exist_ok=True)
-    (path.parent / raw_name).write_bytes(blob)
-    path.with_suffix(".njson").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+                "dtype": "f32le"}
+    _write_container(path, ".njson", manifest,
+                     [nodes.positions.astype("<f4"), nodes.log_radii.astype("<f4")])
+
+
+def _parse_nodes(manifest, payload):
+    n = manifest["count"]
+    return ControlNodeSet(payload.take("<f4", (n, 3)), payload.take("<f4", (n,)))
 
 
 def load_nodes(path):
-    path = Path(path)
-    if path.suffix != ".njson":
-        path = path.with_suffix(".njson")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    n = int(manifest["count"])
-    raw = (path.parent / manifest["payload"]).read_bytes()
-    if len(raw) != n * 16:
-        raise ValidationError(f"{path}: payload size does not match manifest")
-    pos = np.frombuffer(raw, dtype="<f4", count=n * 3).astype(np.float64).reshape(n, 3)
-    rad = np.frombuffer(raw, dtype="<f4", count=n, offset=n * 12).astype(np.float64)
-    return ControlNodeSet(pos, rad)
+    required = {"count": "int", "fields": [["positions", "log_radii"]], "dtype": ["f32le"]}
+    return _read_container(path, ".njson", required, _parse_nodes)
 
 
 def save_network(net, path):
     """Checkpoint: manifest with the architecture/encoding config plus a raw
     f32le payload, layer-ordered, each layer as row-major weights then bias."""
-    path = Path(path)
-    if path.suffix == ".njson" or path.suffix == ".wjson":
-        path = path.with_suffix("")
-    raw_name = path.name + ".raw"
     manifest = {
         "l_space": net.l_space,
         "l_time": net.l_time,
         "layer_sizes": [int(w.shape[0]) for w in net.weights] + [6],
         "dtype": "f32le",
-        "payload": raw_name,
     }
-    blob = b"".join(
-        np.ascontiguousarray(w, dtype="<f4").tobytes()
-        + np.ascontiguousarray(b, dtype="<f4").tobytes()
-        for w, b in zip(net.weights, net.biases))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    (path.parent / raw_name).write_bytes(blob)
-    path.with_suffix(".wjson").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    arrays = [a.astype("<f4") for w, b in zip(net.weights, net.biases) for a in (w, b)]
+    _write_container(path, ".wjson", manifest, arrays)
+
+
+def _parse_network(manifest, payload):
+    sizes = manifest["layer_sizes"]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(payload.take("<f4", (fan_in, fan_out)))
+        biases.append(payload.take("<f4", (fan_out,)))
+    return DeformNet(weights, biases, manifest["l_space"], manifest["l_time"])
 
 
 def load_network(path):
-    path = Path(path)
-    if path.suffix != ".wjson":
-        path = path.with_suffix(".wjson")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    sizes = manifest["layer_sizes"]
-    raw = (path.parent / manifest["payload"]).read_bytes()
-    weights, biases = [], []
-    offset = 0
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        w = np.frombuffer(raw, dtype="<f4", count=fan_in * fan_out, offset=offset)
-        offset += fan_in * fan_out * 4
-        b = np.frombuffer(raw, dtype="<f4", count=fan_out, offset=offset)
-        offset += fan_out * 4
-        weights.append(w.astype(np.float64).reshape(fan_in, fan_out))
-        biases.append(b.astype(np.float64))
-    if offset != len(raw):
-        raise ValidationError(f"{path}: payload size does not match manifest")
-    return DeformNet(weights, biases, manifest["l_space"], manifest["l_time"])
+    required = {"l_space": "int", "l_time": "int", "layer_sizes": "list", "dtype": ["f32le"]}
+    return _read_container(path, ".wjson", required, _parse_network)

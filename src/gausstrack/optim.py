@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from . import gauss
 from .gauss import DensifyConfig, GaussianSet, densify_and_prune
 from . import motion as motion_mod
 from .motion import DeformNet, apply_motion, init_control_nodes, knn_indices
+from .volgrid import _from_dict, _read_json, _write_json
 
 
 def l1_loss(rendered, target):
@@ -184,14 +184,6 @@ class NetworkConfig:
     hidden_depth: int = 6
 
 
-def _from_dict(cls, data, where):
-    known = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
-    return cls(**data)
-
-
 @dataclass
 class FitConfig:
     """Everything a fit run needs; serializable to/from the run-config file.
@@ -207,37 +199,24 @@ class FitConfig:
     cutoff_multiplier: float = 3.0
     occupancy_floor: float = 0.5
     seed: int = 0
-    deterministic: bool = True
-    workers: int = 1
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        if "schedule" in data:
-            data["schedule"] = _from_dict(FitSchedule, data["schedule"], "schedule")
-        if "densify" in data:
-            data["densify"] = _from_dict(DensifyConfig, data["densify"], "densify")
-        if "network" in data:
-            data["network"] = _from_dict(NetworkConfig, data["network"], "network")
-        return cls(**data)
+        """Build from parsed JSON; unknown keys, values of the wrong type and
+        unknown learning-rate groups raise ValidationError."""
+        config = _from_dict(cls, data, "config")
+        parameter_groups(config.schedule, config.learning_rates)
+        return config
 
     @classmethod
     def load(cls, path):
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: malformed config: {e}") from e
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config"))
 
     def save(self, path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1), encoding="utf-8")
+        _write_json(path, self.to_dict())
 
 
 # ---------------------------------------------------------------------------

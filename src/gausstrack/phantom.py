@@ -25,15 +25,14 @@ mutually consistent by construction.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ValidationError
-from .volgrid import LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, Sequence4D, VoxelVolume
+from .volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, Sequence4D, VoxelVolume,
+                      _from_dict, _read_json, _write_json)
 
 _BASE_INTENSITY = {LABEL_LV: 0.85, LABEL_MYO: 0.5, LABEL_RV: 0.75}
 
@@ -100,19 +99,11 @@ class PhantomSpec:
         return self.peak_contraction * np.sin(np.pi * t) ** 2
 
     def save(self, path):
-        Path(path).write_text(json.dumps(asdict(self), indent=1), encoding="utf-8")
+        _write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path):
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown phantom spec keys: {sorted(unknown)}")
-        for key in ("dims", "spacing", "rv_angle_deg"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return _from_dict(cls, _read_json(path, "phantom spec"), "phantom spec")
 
 
 def _smoothstep(u):

@@ -17,7 +17,8 @@ round trips are bit-exact and testable without a DICOM/NIfTI stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +37,18 @@ _DTYPE_TAGS = {"f32le": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
 def _check_geometry(dims, spacing):
-    dims = tuple(int(d) for d in dims)
-    spacing = tuple(float(s) for s in spacing)
+    try:
+        dims = tuple(int(d) for d in dims)
+        spacing = tuple(float(s) for s in spacing)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"dims/spacing must be numeric, got {dims!r}, {spacing!r}") from None
     if len(dims) != 3 or len(spacing) != 3:
         raise ValidationError(f"dims/spacing must be 3-vectors, got {dims}, {spacing}")
     if any(d < 1 for d in dims):
         raise ValidationError(f"dims components must be >= 1, got {dims}")
-    if any(s <= 0 for s in spacing):
-        raise ValidationError(f"spacing components must be > 0, got {spacing}")
+    if not all(0 < s < np.inf for s in spacing):
+        raise ValidationError(f"spacing components must be finite and > 0, got {spacing}")
     return dims, spacing
 
 
@@ -146,8 +151,132 @@ class Sequence4D:
 
 
 # ---------------------------------------------------------------------------
-# File container
+# File container: a JSON manifest plus a raw payload, shared by volumes,
+# Gaussian sets, control nodes and deformation networks
 # ---------------------------------------------------------------------------
+
+def _write_json(path, data):
+    Path(path).write_text(json.dumps(data, indent=1), encoding="utf-8")
+
+
+def _read_json(path, what):
+    """Parse a JSON object from ``path``.  A missing file raises the OSError
+    (an I/O failure); malformed text or a non-object raises ValidationError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ValidationError(f"{path}: malformed {what}: {e}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    return data
+
+
+# value checks by name: JSON kinds, and the dataclass field annotations of the
+# run config and the phantom spec ("dict" is a map of learning rates)
+_KINDS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "str": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "tuple": lambda v: isinstance(v, list) and all(map(_KINDS["float"], v)),
+    "dict": lambda v: isinstance(v, dict) and all(map(_KINDS["float"], v.values())),
+}
+
+
+def _check_keys(where, data, spec):
+    """Require every key of ``spec`` in ``data``, holding a value of the
+    named kind (see _KINDS) or, where the spec is a list, one of its items."""
+    for key, want in spec.items():
+        if key not in data:
+            raise ValidationError(f"{where}: missing key '{key}'")
+        value = data[key]
+        if not (value in want if isinstance(want, list) else _KINDS[want](value)):
+            raise ValidationError(f"{where}: '{key}' must be {want}, got {value!r}")
+
+
+def _from_dict(cls, data, where):
+    """Build dataclass ``cls`` from a parsed JSON object: unknown keys are
+    rejected, each value must be of the kind its field is annotated with, and
+    fields whose default is a dataclass are built from nested objects."""
+    fields = cls.__dataclass_fields__
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+    values = dict(data)
+    for key, value in data.items():
+        nested = fields[key].default_factory
+        _check_keys(where, data, {key: "object" if is_dataclass(nested) else fields[key].type})
+        if is_dataclass(nested):
+            values[key] = _from_dict(nested, value, key)
+        elif fields[key].type == "tuple":
+            values[key] = tuple(value)
+    return cls(**values)
+
+
+class _Payload:
+    """Raw payload bytes, taken as arrays front to back."""
+
+    def __init__(self, raw):
+        self.raw = memoryview(raw)
+        self.offset = 0
+
+    def take(self, dtype, shape, order="C"):
+        """Next array of ``shape`` as a read-only view of the payload (the
+        object constructors copy it); float data must be finite."""
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValidationError(f"bad array shape {list(shape)}")
+        dtype = np.dtype(dtype)
+        end = self.offset + dtype.itemsize * math.prod(shape)
+        if end > len(self.raw):
+            raise ValidationError(
+                f"payload is {len(self.raw)} bytes, the manifest needs at least {end}")
+        flat = np.frombuffer(self.raw[self.offset:end], dtype=dtype)
+        self.offset = end
+        if dtype.kind == "f" and not np.all(np.isfinite(flat)):
+            raise ValidationError("payload contains non-finite values")
+        return flat.reshape(shape, order=order)
+
+
+def _write_container(path, suffix, manifest, arrays):
+    """Write ``<name><suffix>`` (``manifest`` plus the payload name) and
+    ``<name>.raw`` (the bytes of ``arrays``, C order, back to back)."""
+    path = Path(path)
+    if path.suffix == suffix:
+        path = path.with_suffix("")
+    raw_name = path.name + ".raw"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    (path.parent / raw_name).write_bytes(b"".join(a.tobytes() for a in arrays))
+    _write_json(path.with_suffix(suffix), {**manifest, "payload": raw_name})
+
+
+def _read_container(path, suffix, required, parse):
+    """Read a ``<name><suffix>`` manifest, which must hold exactly the keys
+    of ``required`` (see _check_keys) plus ``payload``, and build the object
+    with ``parse(manifest, payload)``, which must take every payload byte.  A
+    missing manifest raises the OSError, every other fault ValidationError."""
+    path = Path(path)
+    if path.suffix != suffix:
+        path = path.with_suffix(suffix)
+    manifest = _read_json(path, "manifest")
+    required = {**required, "payload": "str"}
+    _check_keys(path, manifest, required)
+    unknown = set(manifest) - set(required)
+    if unknown:
+        raise ValidationError(f"{path}: unknown manifest keys {sorted(unknown)}")
+    raw_path = path.parent / manifest["payload"]
+    if not raw_path.is_file():
+        raise ValidationError(f"{path}: missing raw payload {raw_path.name}")
+    payload = _Payload(raw_path.read_bytes())
+    try:
+        obj = parse(manifest, payload)
+        if payload.offset != len(payload.raw):
+            raise ValidationError(f"payload is {len(payload.raw)} bytes, "
+                                  f"the manifest accounts for {payload.offset}")
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+    return obj
+
 
 def save_volume(volume, path):
     """Write ``<path>.vjson`` manifest plus ``<path>.raw`` payload.
@@ -155,26 +284,24 @@ def save_volume(volume, path):
     VoxelVolume is stored as f32le, LabelVolume as u8; both round-trip
     bit-exactly through load_volume.
     """
-    path = Path(path)
-    if path.suffix == ".vjson":
-        path = path.with_suffix("")
     if isinstance(volume, LabelVolume):
         tag, data = "u8", volume.labels.astype("u1")
     elif isinstance(volume, VoxelVolume):
         tag, data = "f32le", volume.values.astype("<f4")
     else:
         raise ValidationError(f"cannot save object of type {type(volume).__name__}")
-    raw_name = path.name + ".raw"
-    manifest = {
-        "dims": list(volume.dims),
-        "spacing_mm": list(volume.spacing),
-        "dtype": tag,
-        "order": "x-fastest",
-        "payload": raw_name,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    (path.parent / raw_name).write_bytes(data.ravel(order="F").tobytes())
-    path.with_suffix(".vjson").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    manifest = {"dims": list(volume.dims), "spacing_mm": list(volume.spacing),
+                "dtype": tag, "order": "x-fastest"}
+    _write_container(path, ".vjson", manifest, [data.ravel(order="F")])
+
+
+def _parse_volume(manifest, payload):
+    dims, spacing = _check_geometry(manifest["dims"], manifest["spacing_mm"])
+    tag = manifest["dtype"]
+    data = payload.take(_DTYPE_TAGS[tag], dims, order="F")
+    if tag == "u8":
+        return LabelVolume(dims, spacing, data)
+    return VoxelVolume(dims, spacing, data)
 
 
 def load_volume(path):
@@ -184,41 +311,9 @@ def load_volume(path):
     missing payloads, size mismatches, unknown dtype tags and non-finite
     float data.
     """
-    path = Path(path)
-    if path.suffix != ".vjson":
-        path = path.with_suffix(".vjson")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: malformed manifest: {e}") from e
-    for key in ("dims", "spacing_mm", "dtype", "order", "payload"):
-        if key not in manifest:
-            raise ValidationError(f"{path}: manifest missing key '{key}'")
-    if manifest["order"] != "x-fastest":
-        raise ValidationError(f"{path}: unsupported order {manifest['order']!r}")
-    tag = manifest["dtype"]
-    if tag not in _DTYPE_TAGS:
-        raise ValidationError(f"{path}: unknown dtype tag {tag!r}")
-    dims, spacing = _check_geometry(manifest["dims"], manifest["spacing_mm"])
-    raw_path = path.parent / manifest["payload"]
-    if not raw_path.exists():
-        raise ValidationError(f"{path}: missing raw payload {raw_path.name}")
-    raw = raw_path.read_bytes()
-    dtype = _DTYPE_TAGS[tag]
-    expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
-    if len(raw) != expected:
-        raise ValidationError(
-            f"{path}: payload is {len(raw)} bytes, dims {dims} require {expected}"
-        )
-    flat = np.frombuffer(raw, dtype=dtype)
-    data = flat.reshape(dims, order="F")
-    if tag == "u8":
-        return LabelVolume(dims, spacing, data)
-    if not np.all(np.isfinite(flat)):
-        raise ValidationError(f"{path}: payload contains non-finite values")
-    return VoxelVolume(dims, spacing, data)
+    required = {"dims": "list", "spacing_mm": "list", "dtype": list(_DTYPE_TAGS),
+                "order": ["x-fastest"]}
+    return _read_container(path, ".vjson", required, _parse_volume)
 
 
 def save_sequence(sequence, dirpath):
@@ -231,13 +326,12 @@ def save_sequence(sequence, dirpath):
         name = f"frame_{i:03d}"
         save_volume(frame, dirpath / name)
         names.append(name + ".vjson")
-    index = {
+    _write_json(dirpath / "sequence.vjson", {
         "frames": names,
         "times": [float(t) for t in sequence.times],
         "ed_index": int(sequence.ed_index),
         "es_index": int(sequence.es_index),
-    }
-    (dirpath / "sequence.vjson").write_text(json.dumps(index, indent=1), encoding="utf-8")
+    })
 
 
 def load_sequence(dirpath):
@@ -245,10 +339,11 @@ def load_sequence(dirpath):
     index_path = dirpath / "sequence.vjson"
     if not index_path.exists():
         raise ValidationError(f"{dirpath}: no sequence.vjson found")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
-    for key in ("frames", "times", "ed_index", "es_index"):
-        if key not in index:
-            raise ValidationError(f"{index_path}: missing key '{key}'")
+    index = _read_json(index_path, "sequence index")
+    _check_keys(index_path, index, {"frames": "list", "times": "tuple",
+                                    "ed_index": "int", "es_index": "int"})
+    if not all(isinstance(name, str) for name in index["frames"]):
+        raise ValidationError(f"{index_path}: frame names must be strings")
     frames = []
     for name in index["frames"]:
         vol = load_volume(dirpath / name)

@@ -207,3 +207,145 @@ def test_untrained_render_matches_canonical_and_field_is_zero(tmp_path):
     for comp in ("ux", "uy", "uz"):
         vol = volgrid.load_volume(tmp_path / "f0" / f"u0_{comp}")
         assert np.all(vol.values == 0.0)
+
+
+# --- error contract: every bad input exits 2 (validation) or 4 (I/O) with one
+# line on stderr, and makes no output directory -----------------------------------
+
+def _damage_state(state, what):
+    """Break one file of a fit directory the way ``what`` names."""
+    if what == "truncated gaussians.raw":
+        raw = state / "gaussians.raw"
+        raw.write_bytes(raw.read_bytes()[:-5])
+    elif what == "nodes.njson without count":
+        manifest = json.loads((state / "nodes.njson").read_text())
+        del manifest["count"]
+        (state / "nodes.njson").write_text(json.dumps(manifest))
+    elif what == "malformed network.wjson":
+        (state / "network.wjson").write_text('{"l_space": 2,')
+    elif what == "nan in nodes.raw":
+        raw = state / "nodes.raw"
+        raw.write_bytes(np.array([np.nan], dtype="<f4").tobytes() + raw.read_bytes()[4:])
+    elif what == "missing nodes.raw":
+        (state / "nodes.raw").unlink()
+    else:
+        manifest = json.loads((state / "run_manifest.json").read_text())
+        if what == "malformed run_manifest.json":
+            text = json.dumps(manifest)[:-1]
+        elif what.startswith("run manifest without "):
+            del manifest[what.rsplit(" ", 1)[1]]
+            text = json.dumps(manifest)
+        elif what == "run manifest with a bad grid":
+            manifest["grid"] = {"dims": [10, 10], "spacing": [2.0, 2.0, 2.0]}
+            text = json.dumps(manifest)
+        elif what == "run manifest with a string k_neighbors":
+            manifest["k_neighbors"] = "4"
+            text = json.dumps(manifest)
+        (state / "run_manifest.json").write_text(text)
+
+
+STATE_DAMAGE = ["truncated gaussians.raw", "nodes.njson without count",
+                "malformed network.wjson", "nan in nodes.raw", "missing nodes.raw",
+                "malformed run_manifest.json", "run manifest without kind",
+                "run manifest without artifacts", "run manifest without grid",
+                "run manifest with a bad grid", "run manifest with a string k_neighbors"]
+
+
+def _one_line_failure(capsys, argv, code=2):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("what", STATE_DAMAGE)
+@pytest.mark.parametrize("command", ["render", "export-field"])
+def test_damaged_fit_directory_exits_2(tmp_path, capsys, what, command):
+    state = untrained_state_dir(tmp_path)
+    _damage_state(state, what)
+    _one_line_failure(capsys, [command, "--fitted", str(state), "--time", "0.5",
+                               "--out", str(tmp_path / "out" / "q")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_artifact_manifest_exits_4(tmp_path, capsys):
+    state = untrained_state_dir(tmp_path)
+    (state / "gaussians.gjson").unlink()
+    _one_line_failure(capsys, ["render", "--fitted", str(state), "--time", "0.5",
+                               "--out", str(tmp_path / "out" / "q")], code=4)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-0.1", "1.5"])
+@pytest.mark.parametrize("command", ["render", "export-field"])
+def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
+    state = untrained_state_dir(tmp_path)
+    err = _one_line_failure(capsys, [command, "--fitted", str(state), "--time", time,
+                                     "--out", str(tmp_path / "out" / "q")])
+    assert "--time" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"n_init": "many"},
+    {"n_init": 48.0},
+    {"seed": True},
+    {"cutoff_multiplier": "3"},
+    {"schedule": {"total_iters": "40"}},
+    {"schedule": 40},
+    {"densify": {"grad_threshold": None}},
+    {"network": {"hidden_width": 8.5}},
+    {"learning_rates": {"network": "fast"}},
+    {"learning_rates": {"everything": 1e-3}},
+    {"workers": 2},
+    {"deterministic": False},
+])
+def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, config):
+    ph = tmp_path / "ph"
+    main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps(config))
+    _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
+                               "--mask", str(ph / "ed_labels.vjson"),
+                               "--config", str(bad_cfg), "--out", str(tmp_path / "fitbad")])
+    assert not (tmp_path / "fitbad").exists()
+
+
+@pytest.mark.parametrize("what", ["missing frame raw", "malformed sequence.vjson",
+                                  "frame names not strings", "malformed config"])
+def test_bad_fit_input_exits_2(tmp_path, capsys, what):
+    ph = tmp_path / "ph"
+    main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
+    cfg = tiny_fit_config(tmp_path)
+    index = ph / "sequence" / "sequence.vjson"
+    if what == "missing frame raw":
+        (ph / "sequence" / "frame_001.raw").unlink()
+    elif what == "malformed sequence.vjson":
+        index.write_text(index.read_text()[:-3])
+    elif what == "frame names not strings":
+        index.write_text(json.dumps({**json.loads(index.read_text()), "frames": [0, 1, 2]}))
+    else:
+        cfg.write_text(cfg.read_text()[:-1])
+    _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
+                               "--mask", str(ph / "ed_labels.vjson"),
+                               "--config", str(cfg), "--out", str(tmp_path / "fit")])
+    assert not (tmp_path / "fit").exists()
+
+
+def test_bad_phantom_spec_exits_2(tmp_path, capsys):
+    for spec in ('{"frames": "eight"}', '{"dims": [64, 64]', '{"dims": "big"}'):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        _one_line_failure(capsys, ["phantom", "--spec", str(path),
+                                   "--out", str(tmp_path / "ph")])
+        assert not (tmp_path / "ph").exists()
+
+
+def test_removed_fit_flags_are_unknown(tmp_path, capsys):
+    for flag in (["--workers", "2"], ["--non-deterministic"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--sequence", "s", "--mask", "m", "--out", "o"] + flag)
+        assert exc.value.code == 2
+    capsys.readouterr()

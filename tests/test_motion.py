@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gausstrack.errors import ValidationError
+from gausstrack.errors import NumericalAbort, ValidationError
 from gausstrack.gauss import GaussianSet, render_backward, render_values
 from gausstrack.motion import (
     ControlNodeSet,
@@ -246,6 +246,15 @@ def test_deform_shift_x_only():
     out = deform_gaussians(g, delta, np.ones((g.count, 3)))
     assert np.allclose(out.centers[:, 0], g.centers[:, 0] + 0.1)
     assert np.array_equal(out.centers[:, 1:], g.centers[:, 1:])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_deform_rejects_scale_factors_that_are_not_positive(bad):
+    # an explicit check rather than an assert, so it holds under python -O too
+    g = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]],
+                    np.log([[0.06, 0.06, 0.06]]), [1.0])
+    with pytest.raises(NumericalAbort, match="scale factors"):
+        deform_gaussians(g, np.zeros((1, 3)), np.array([[1.0, bad, 1.0]]))
 
 
 def test_deform_scale_widens_render_along_x():
