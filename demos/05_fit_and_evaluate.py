@@ -1,6 +1,6 @@
 """End to end at toy scale: generate a phantom, fit the representation to
 it, and score the tracking.  Takes a minute or two on a laptop; the
-acceptance suite runs the full-size version of the same pipeline.
+benchmark's fit-densify-32 workload runs a shorter fit of the same phantom.
 
 Run:  python3 demos/05_fit_and_evaluate.py
 """

@@ -34,9 +34,7 @@ def _require_empty_dir(path, overwrite):
 
 
 def _write_manifest(out_dir, kind, artifacts, extra=None):
-    manifest = {"kind": kind, "artifacts": artifacts}
-    if extra:
-        manifest.update(extra)
+    manifest = {"kind": kind, "artifacts": artifacts, **(extra or {})}
     volgrid._write_json(Path(out_dir) / "run_manifest.json", manifest)
 
 

@@ -90,16 +90,21 @@ def warp_labels(gaussians, nodes, net, t, grid, k=4, cutoff_multiplier=3.0,
     half-maximum crossing — the surface of a uniformly filled body —
     whether the set has one Gaussian per voxel or one per ten.
     """
-    if gaussians.labels is None:
-        raise ValidationError("label warping needs a label per Gaussian")
     idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
     deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t, idx)
+    return _rasterize_labels(deformed, grid, cutoff_multiplier, occupancy_floor)
+
+
+def _rasterize_labels(deformed, grid, cutoff_multiplier, occupancy_floor):
+    """Label map of an already deformed, labeled set (see warp_labels)."""
+    if deformed.labels is None:
+        raise ValidationError("label warping needs a label per Gaussian")
     denoms = np.array([max(d - 1, 1) for d in grid.dims], dtype=np.float64)
     nearest = np.clip(np.rint(deformed.centers * denoms).astype(np.int64), 0,
                       np.asarray(grid.dims) - 1)
     occ = np.zeros((len(_STRUCTURES),) + tuple(grid.dims))
     for i, lab in enumerate(_STRUCTURES):
-        sel = np.flatnonzero(gaussians.labels == lab)
+        sel = np.flatnonzero(deformed.labels == lab)
         if sel.size == 0:
             continue
         part = gauss_mod.GaussianSet(
@@ -259,23 +264,22 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k=4,
                  cutoff_multiplier=3.0, occupancy_floor=0.5):
     """Score a fitted state at the ES frame.
 
-    Warps labels to ES for per-structure Dice, renders the deformed set for
-    PSNR/SSIM against the ES frame, computes the mean Hausdorff distance
-    over the structures, and runs the Jacobian diagnostics on the dense
-    displacement field at the ES time.
+    Deforms the Gaussians to ES once: their label map gives per-structure
+    Dice and the mean Hausdorff distance, their render PSNR/SSIM against
+    the ES frame.  The Jacobian diagnostics run on the dense displacement
+    field at the ES time.
     """
     if truth_es.dims != sequence.dims:
         raise ValidationError("truth mask geometry differs from the sequence")
     t_es = float(sequence.times[sequence.es_index])
     es_frame = sequence.frames[sequence.es_index]
-    warped = warp_labels(gaussians, nodes, net, t_es, sequence.frames[0],
-                         k=k, cutoff_multiplier=cutoff_multiplier,
-                         occupancy_floor=occupancy_floor)
+    idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
+    deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t_es, idx)
+    warped = _rasterize_labels(deformed, sequence.frames[0], cutoff_multiplier,
+                               occupancy_floor)
     d_rv = dice(warped, truth_es, LABEL_RV)
     d_myo = dice(warped, truth_es, LABEL_MYO)
     d_lv = dice(warped, truth_es, LABEL_LV)
-    idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
-    deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t_es, idx)
     rendered = gauss_mod.render_values(deformed, sequence.dims, cutoff_multiplier)
     psnr_db = psnr(rendered, es_frame)
     ssim_val = ssim3d(rendered, es_frame)

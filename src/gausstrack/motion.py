@@ -20,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import NumericalAbort, ValidationError
 from .gauss import GaussianSet, RenderGradients
 from .volgrid import _read_container, _write_container
 
 _KNN_CHUNK = 4096
+_KNN_SLACK = 2  # tree candidates per query beyond k
 
 
 @dataclass
@@ -187,34 +189,34 @@ def forward_deform(net, nodes, t):
 def knn_indices(queries, node_positions, k):
     """Exact k nearest nodes per query, ties broken by lower node index.
 
-    Brute force over chunks; an argpartition fast path falls back to a
-    stable full sort whenever ties straddle the selection boundary.
+    KD-tree candidates are re-sorted by (exact squared distance, index).  A
+    row is settled once its k-th distance is inside the farthest candidate's
+    by a 1e-9 relative margin, so no other node can reach or tie it; other
+    rows retry with twice the candidates, up to all nodes.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     pos = np.asarray(node_positions, dtype=np.float64)
     m = pos.shape[0]
     if not 1 <= k <= m:
         raise ValidationError(f"k={k} outside [1, {m}]")
+    if not (np.all(np.isfinite(queries)) and np.all(np.isfinite(pos))):
+        raise NumericalAbort("KNN needs finite queries and node positions")
+    tree = cKDTree(pos)
     out = np.empty((queries.shape[0], k), dtype=np.int64)
     for start in range(0, queries.shape[0], _KNN_CHUNK):
         q = queries[start:start + _KNN_CHUNK]
-        d2 = ((q[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-        if k == m:
-            sel = np.argsort(d2, axis=1, kind="stable")
-        else:
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            pv = np.take_along_axis(d2, part, axis=1)
-            ambiguous = (d2 <= pv.max(axis=1)[:, None]).sum(axis=1) != k
-            # order the unambiguous candidate sets by (distance, index)
-            by_idx = np.argsort(part, axis=1)
-            part = np.take_along_axis(part, by_idx, axis=1)
-            pv = np.take_along_axis(pv, by_idx, axis=1)
-            by_val = np.argsort(pv, axis=1, kind="stable")
-            sel = np.take_along_axis(part, by_val, axis=1)
-            if np.any(ambiguous):
-                sel[ambiguous] = np.argsort(
-                    d2[ambiguous], axis=1, kind="stable")[:, :k]
-        out[start:start + q.shape[0]] = sel[:, :k]
+        rows = np.arange(q.shape[0])
+        c = min(k + _KNN_SLACK, m)
+        while rows.size:
+            dist, cand = tree.query(q[rows], k=c)
+            cand = cand.reshape(rows.size, c)
+            d2 = ((q[rows, None, :] - pos[cand]) ** 2).sum(axis=-1)
+            order = np.lexsort((cand, d2), axis=-1)[:, :k]
+            kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+            done = (kth < dist.reshape(rows.size, c)[:, -1] ** 2 * (1 - 1e-9)) | (c == m)
+            out[start + rows[done]] = np.take_along_axis(cand, order, axis=1)[done]
+            rows = rows[~done]
+            c = min(2 * c, m)
     return out
 
 

@@ -32,7 +32,7 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, Sequence4D, VoxelVolume,
-                      _from_dict, _read_json, _write_json)
+                      _check_geometry, _from_dict, _read_json, _write_json)
 
 _BASE_INTENSITY = {LABEL_LV: 0.85, LABEL_MYO: 0.5, LABEL_RV: 0.75}
 
@@ -58,8 +58,7 @@ class PhantomSpec:
     texture_amplitude: float = 0.15
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.dims, self.spacing = _check_geometry(self.dims, self.spacing)
         if not 0 < self.inner_radius_mm < self.outer_radius_mm < self.support_radius_mm:
             raise ValidationError("need 0 < inner < outer < support radius")
         if not 0 < self.plateau_margin_mm < self.inner_radius_mm:
@@ -192,12 +191,6 @@ class PhantomField:
     evaluation code can query displacements in normalized coordinates."""
 
     spec: PhantomSpec
-
-    def displacement_mm(self, points_mm, t):
-        return analytic_displacement(points_mm, t, self.spec)
-
-    def inverse_mm(self, points_mm, t):
-        return analytic_inverse(points_mm, t, self.spec)
 
     def displacement_normalized(self, points_norm, t):
         extent = np.array([(d - 1) * s for d, s in

@@ -38,11 +38,14 @@ _DTYPE_TAGS = {"f32le": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 def _check_geometry(dims, spacing):
     try:
-        dims = tuple(int(d) for d in dims)
+        dims, whole = tuple(dims), tuple(int(d) for d in dims)
         spacing = tuple(float(s) for s in spacing)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"dims/spacing must be numeric, got {dims!r}, {spacing!r}") from None
+    if whole != dims:
+        raise ValidationError(f"dims must be whole numbers, got {list(dims)}")
+    dims = whole
     if len(dims) != 3 or len(spacing) != 3:
         raise ValidationError(f"dims/spacing must be 3-vectors, got {dims}, {spacing}")
     if any(d < 1 for d in dims):
@@ -247,7 +250,7 @@ def _write_container(path, suffix, manifest, arrays):
     raw_name = path.name + ".raw"
     path.parent.mkdir(parents=True, exist_ok=True)
     (path.parent / raw_name).write_bytes(b"".join(a.tobytes() for a in arrays))
-    _write_json(path.with_suffix(suffix), {**manifest, "payload": raw_name})
+    _write_json(path.with_name(path.name + suffix), {**manifest, "payload": raw_name})
 
 
 def _read_container(path, suffix, required, parse):
@@ -257,7 +260,7 @@ def _read_container(path, suffix, required, parse):
     missing manifest raises the OSError, every other fault ValidationError."""
     path = Path(path)
     if path.suffix != suffix:
-        path = path.with_suffix(suffix)
+        path = path.with_name(path.name + suffix)
     manifest = _read_json(path, "manifest")
     required = {**required, "payload": "str"}
     _check_keys(path, manifest, required)

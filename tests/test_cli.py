@@ -238,6 +238,9 @@ def _damage_state(state, what):
         elif what == "run manifest with a bad grid":
             manifest["grid"] = {"dims": [10, 10], "spacing": [2.0, 2.0, 2.0]}
             text = json.dumps(manifest)
+        elif what == "run manifest with a fractional grid":
+            manifest["grid"] = {"dims": [10.5, 10, 10], "spacing": [2.0, 2.0, 2.0]}
+            text = json.dumps(manifest)
         elif what == "run manifest with a string k_neighbors":
             manifest["k_neighbors"] = "4"
             text = json.dumps(manifest)
@@ -248,7 +251,8 @@ STATE_DAMAGE = ["truncated gaussians.raw", "nodes.njson without count",
                 "malformed network.wjson", "nan in nodes.raw", "missing nodes.raw",
                 "malformed run_manifest.json", "run manifest without kind",
                 "run manifest without artifacts", "run manifest without grid",
-                "run manifest with a bad grid", "run manifest with a string k_neighbors"]
+                "run manifest with a bad grid", "run manifest with a fractional grid",
+                "run manifest with a string k_neighbors"]
 
 
 def _one_line_failure(capsys, argv, code=2):
@@ -314,7 +318,8 @@ def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, confi
 
 
 @pytest.mark.parametrize("what", ["missing frame raw", "malformed sequence.vjson",
-                                  "frame names not strings", "malformed config"])
+                                  "frame names not strings", "malformed config",
+                                  "fractional mask dims"])
 def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     ph = tmp_path / "ph"
     main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
@@ -326,6 +331,9 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
         index.write_text(index.read_text()[:-3])
     elif what == "frame names not strings":
         index.write_text(json.dumps({**json.loads(index.read_text()), "frames": [0, 1, 2]}))
+    elif what == "fractional mask dims":
+        mask = ph / "ed_labels.vjson"
+        mask.write_text(json.dumps({**json.loads(mask.read_text()), "dims": [20.5, 20, 16]}))
     else:
         cfg.write_text(cfg.read_text()[:-1])
     _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
@@ -335,7 +343,8 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
 
 
 def test_bad_phantom_spec_exits_2(tmp_path, capsys):
-    for spec in ('{"frames": "eight"}', '{"dims": [64, 64]', '{"dims": "big"}'):
+    for spec in ('{"frames": "eight"}', '{"dims": [64, 64]', '{"dims": "big"}',
+                 '{"dims": [64.5, 64, 64]}'):
         path = tmp_path / "spec.json"
         path.write_text(spec)
         _one_line_failure(capsys, ["phantom", "--spec", str(path),

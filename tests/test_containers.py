@@ -123,6 +123,8 @@ def test_dropped_or_mistyped_manifest_key_is_a_validation_error(tmp_path, kind):
     ("network", "layer_sizes", []),
     ("volume", "dims", [3, 2]),
     ("volume", "dims", [3, "x", 4]),
+    ("volume", "dims", [3.9, 2, 4]),
+    ("volume", "dims", [3, 2, float("inf")]),
     ("volume", "spacing_mm", [1.5, 0, 0.5]),
 ])
 def test_inconsistent_manifest_value_is_a_validation_error(tmp_path, kind, key, value):
@@ -136,3 +138,15 @@ def test_missing_manifest_is_an_os_error(tmp_path):
     for kind, (_, _, load, _) in sample_objects().items():
         with pytest.raises(FileNotFoundError):
             load(tmp_path / kind)
+
+
+@pytest.mark.parametrize("kind", ["volume", "labels", "gaussians", "nodes", "network"])
+def test_dotted_name_keeps_its_whole_name(tmp_path, kind):
+    obj, save, load, suffix = sample_objects()[kind]
+    save(obj, tmp_path / f"{kind}_t0.5")
+    assert {p.name for p in tmp_path.iterdir()} == {f"{kind}_t0.5.raw",
+                                                    f"{kind}_t0.5{suffix}"}
+    for path in (tmp_path / f"{kind}_t0.5", tmp_path / f"{kind}_t0.5{suffix}"):
+        save(load(path), tmp_path / "again" / kind)
+        assert (tmp_path / "again" / f"{kind}.raw").read_bytes() == \
+            (tmp_path / f"{kind}_t0.5.raw").read_bytes()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gausstrack import motion
 from gausstrack.errors import NumericalAbort, ValidationError
 from gausstrack.gauss import GaussianSet, render_backward, render_values
 from gausstrack.motion import (
@@ -142,6 +145,56 @@ def test_knn_on_grid_points_matches_bruteforce():
     d2 = ((q[:, None, :] - pos[None]) ** 2).sum(axis=2)
     want = np.argsort(d2, axis=1, kind="stable")[:, :3]
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       n=st.sampled_from([1, 37, motion._KNN_CHUNK + 3]), lattice=st.integers(0, 3),
+       duplicates=st.booleans(), on_nodes=st.booleans())
+def test_knn_equals_full_sort_reference(seed, m, n, lattice, duplicates, on_nodes):
+    """Every row, for every k, equals a full sort by (squared distance, index)."""
+    rng = np.random.default_rng(seed)
+    pos = rng.random((m, 3))
+    q = rng.random((n, 3))
+    if lattice:  # nodes on a small lattice, queries on its half steps: exact ties
+        pos = np.rint(pos * lattice) / lattice
+        q = np.rint(q * 2 * lattice) / (2 * lattice)
+    if duplicates:
+        pos = pos[rng.integers(0, m, m)]
+    if on_nodes:
+        q[:min(n, m)] = pos[:min(n, m)]
+    d2 = ((q[:, None, :] - pos[None]) ** 2).sum(axis=-1)
+    want = np.lexsort((np.broadcast_to(np.arange(m), d2.shape), d2), axis=-1)
+    for k in range(1, m + 1):
+        assert np.array_equal(knn_indices(q, pos, k), want[:, :k])
+
+
+def test_knn_tie_block_beyond_the_candidates_is_queried_again(monkeypatch):
+    # the centre of a lattice cube is equally far from its eight corners, more
+    # than the first candidate list holds; listing every node twice makes a
+    # tie block of sixteen, which takes a second doubling
+    calls = []
+
+    class CountingTree(motion.cKDTree):
+        def query(self, x, k):
+            calls.append(k)
+            return super().query(x, k=k)
+
+    monkeypatch.setattr(motion, "cKDTree", CountingTree)
+    xs = np.array([0.0, 0.5, 1.0])
+    pos = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    centre = [[0.25, 0.25, 0.25]]
+    assert knn_indices(centre, pos, k=4).tolist() == [[0, 1, 3, 4]]
+    assert len(calls) == 2
+    calls.clear()
+    assert knn_indices(centre, np.repeat(pos, 2, axis=0), k=4).tolist() == [[0, 1, 2, 3]]
+    assert len(calls) == 3
+
+
+def test_knn_rejects_non_finite_input():
+    pos = np.random.default_rng(0).random((4, 3))
+    with pytest.raises(NumericalAbort):
+        knn_indices([[np.nan, 0.5, 0.5]], pos, k=2)
 
 
 def test_knn_k_too_large():
