@@ -1,5 +1,6 @@
 """Anisotropic Gaussians: covariance factorization, rendering, exact
-gradients.
+gradients.  Exits non-zero if the uncut render departs from the all-pairs
+oracle or the intensity partial from its finite difference.
 
 Run:  python3 demos/02_gaussian_rendering.py
 """
@@ -34,6 +35,9 @@ dims = (24, 24, 24)
 fast = render_values(scene, dims, cutoff_multiplier=3.0)
 exact = render_values_bruteforce(scene, dims)
 print("max |cutoff render - bruteforce|:", float(np.abs(fast - exact).max()))
+uncut = render_values(scene, dims, cutoff_multiplier=None)
+print("max |uncut render - bruteforce|:", float(np.abs(uncut - exact).max()))
+assert np.abs(uncut - exact).max() < 1e-12
 
 # The analytic backward pass gives partials for every parameter group.
 upstream = np.sign(fast - exact + 0.1)  # any per-voxel loss gradient
@@ -56,3 +60,4 @@ dn = loss(scene)
 scene.intensities[i] += h
 fd = (up - dn) / (2 * h)
 print(f"dL/dI[{i}]: analytic {grads.intensities[i]:.6f} vs fd {fd:.6f}")
+assert abs(grads.intensities[i] - fd) <= 1e-6 * abs(fd)

@@ -11,9 +11,14 @@ the produced artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import shutil
 import sys
+import uuid
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import NumericalAbort, ValidationError
 from . import gauss, metrics, motion, optim, phantom, volgrid
@@ -24,13 +29,31 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _require_empty_dir(path, overwrite):
+@contextlib.contextmanager
+def _run_dir(path, overwrite):
+    """Check that ``path`` may take a run, then yield a sibling temp dir.
+    Only if the block succeeds does the temp dir become ``path``, or, when
+    ``path`` exists, do its entries replace their namesakes there; an abort
+    leaves ``path`` as it was."""
     path = Path(path)
     if path.exists() and any(path.iterdir()) and not overwrite:
         raise ValidationError(
             f"output directory {path} is not empty (pass --overwrite to reuse)")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}"
+    tmp.mkdir()
+    try:
+        yield tmp
+        if not path.exists():
+            tmp.rename(path)
+        else:
+            for entry in tmp.iterdir():
+                target = path / entry.name
+                if target.is_dir() and not target.is_symlink():
+                    shutil.rmtree(target)
+                entry.replace(target)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _write_manifest(out_dir, kind, artifacts, extra=None):
@@ -44,17 +67,17 @@ def _write_manifest(out_dir, kind, artifacts, extra=None):
 
 def cmd_phantom(args):
     spec = phantom.PhantomSpec.load(args.spec) if args.spec else phantom.PhantomSpec()
-    out = _require_empty_dir(args.out, args.overwrite)
-    seq, ed_labels, _ = phantom.generate_phantom(spec)
-    volgrid.save_sequence(seq, out / "sequence")
-    volgrid.save_volume(ed_labels, out / "ed_labels")
-    spec.save(out / "phantom_spec.json")
-    artifacts = {
-        "sequence": "sequence",
-        "ed_labels": "ed_labels.vjson",
-        "spec_echo": "phantom_spec.json",
-    }
-    _write_manifest(out, "gausstrack-phantom", artifacts)
+    with _run_dir(args.out, args.overwrite) as out:
+        seq, ed_labels, _ = phantom.generate_phantom(spec)
+        volgrid.save_sequence(seq, out / "sequence")
+        volgrid.save_volume(ed_labels, out / "ed_labels")
+        spec.save(out / "phantom_spec.json")
+        artifacts = {
+            "sequence": "sequence",
+            "ed_labels": "ed_labels.vjson",
+            "spec_echo": "phantom_spec.json",
+        }
+        _write_manifest(out, "gausstrack-phantom", artifacts)
     return EXIT_OK
 
 
@@ -74,26 +97,26 @@ def _load_fit_inputs(args):
 
 def cmd_fit(args):
     config, sequence, mask = _load_fit_inputs(args)
-    out = _require_empty_dir(args.out, args.overwrite)
-    result = optim.fit(sequence, mask, config)
-    gauss.save_gaussians(result.gaussians, out / "gaussians")
-    motion.save_nodes(result.nodes, out / "nodes")
-    motion.save_network(result.net, out / "network")
-    (out / "report.json").write_text(result.report.to_json(), encoding="utf-8")
-    config.save(out / "config.json")
-    artifacts = {
-        "gaussians": "gaussians.gjson",
-        "nodes": "nodes.njson",
-        "network": "network.wjson",
-        "report": "report.json",
-        "config": "config.json",
-    }
-    _write_manifest(out, "gausstrack-fit", artifacts, extra={
-        "grid": {"dims": list(sequence.dims), "spacing": list(sequence.spacing)},
-        "k_neighbors": config.k_neighbors,
-        "cutoff_multiplier": config.cutoff_multiplier,
-        "occupancy_floor": config.occupancy_floor,
-    })
+    with _run_dir(args.out, args.overwrite) as out:
+        result = optim.fit(sequence, mask, config)
+        gauss.save_gaussians(result.gaussians, out / "gaussians")
+        motion.save_nodes(result.nodes, out / "nodes")
+        motion.save_network(result.net, out / "network")
+        (out / "report.json").write_text(result.report.to_json(), encoding="utf-8")
+        config.save(out / "config.json")
+        artifacts = {
+            "gaussians": "gaussians.gjson",
+            "nodes": "nodes.njson",
+            "network": "network.wjson",
+            "report": "report.json",
+            "config": "config.json",
+        }
+        _write_manifest(out, "gausstrack-fit", artifacts, extra={
+            "grid": {"dims": list(sequence.dims), "spacing": list(sequence.spacing)},
+            "k_neighbors": config.k_neighbors,
+            "cutoff_multiplier": config.cutoff_multiplier,
+            "occupancy_floor": config.occupancy_floor,
+        })
     return EXIT_OK
 
 
@@ -221,7 +244,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # failures surface as an exit code and one stderr line, so numpy's
+        # floating-point warnings (overflow on the way to a NumericalAbort)
+        # are not printed
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValidationError as e:
         print(f"gausstrack: validation: {e}", file=sys.stderr)
         return EXIT_VALIDATION

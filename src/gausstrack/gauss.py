@@ -8,6 +8,12 @@ can take unconstrained steps.  Rendering sums each Gaussian's density over
 the voxels inside its cutoff radius; the backward pass returns exact
 analytic partials for all four parameter groups.
 
+Gaussians of one support-box shape share its offsets o from the box middle:
+with b the middle minus the center, q = (b + o)^T P (b + o) is the product of
+[b^T P b, 2 P b, upper P with doubled off-diagonals] with the offset moments
+[1, o, o_i o_j].  The backward pass sums dL/dV against the same moments, so
+the forward cache holds only exp(-q/2) per Gaussian-voxel pair.
+
 Quaternions are stored unconstrained and canonicalized (unit norm, w >= 0)
 inside every covariance build; gradients chain through that normalization.
 """
@@ -24,6 +30,10 @@ from .volgrid import VoxelVolume, _axis_denoms, _read_container, _write_containe
 # Memory cap for the vectorized renderer: Gaussians are processed in chunks
 # so that (chunk x support) scratch arrays stay small.
 _CHUNK_ELEMS = 4_000_000
+_FIELDS = ["centers", "rotations", "log_scales", "intensities"]
+# upper-triangle pairs (i <= j) and the offset-moment column of each (i, j)
+_IU = np.triu_indices(3)
+_SYM = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])
 
 
 @dataclass
@@ -45,10 +55,8 @@ class GaussianSet:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.float64)
-        self.rotations = np.asarray(self.rotations, dtype=np.float64)
-        self.log_scales = np.asarray(self.log_scales, dtype=np.float64)
-        self.intensities = np.asarray(self.intensities, dtype=np.float64)
+        for f in _FIELDS:
+            setattr(self, f, np.asarray(getattr(self, f), dtype=np.float64))
         n = self.centers.shape[0]
         if n < 1:
             raise ValidationError("a GaussianSet needs at least one Gaussian")
@@ -67,11 +75,8 @@ class GaussianSet:
         return self.centers.shape[0]
 
     def copy(self):
-        return GaussianSet(
-            self.centers.copy(), self.rotations.copy(), self.log_scales.copy(),
-            self.intensities.copy(),
-            None if self.labels is None else self.labels.copy(),
-        )
+        return GaussianSet(*(getattr(self, f).copy() for f in _FIELDS),
+                           None if self.labels is None else self.labels.copy())
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def _covariance_batch(gaussians, cutoff_multiplier):
     q_hat, _, _ = canonicalize_quaternions(gaussians.rotations)
     R = quaternions_to_matrices(q_hat)
     s = np.exp(gaussians.log_scales)
-    inv = np.einsum("nik,nk,njk->nij", R, 1.0 / (s * s), R)
+    inv = np.matmul(R / (s * s)[:, None, :], R.transpose(0, 2, 1))
     if cutoff_multiplier is None:
         radii = np.full(gaussians.count, np.inf)
     else:
@@ -203,28 +208,20 @@ def _support_boxes(centers, radii, dims):
 
 
 def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
-    """Group Gaussians by support-box shape and yield vectorized chunks.
-
-    Yields (sel, flat, delta, mask, inv, R, s) where ``sel`` indexes into
-    the GaussianSet, ``flat`` is (G, B) flattened voxel indices, ``delta``
-    the offsets from the centers in normalized coordinates, and ``mask``
-    the in-sphere test shared by forward and backward passes.
-    """
+    """Group Gaussians by support-box shape; yield the forward cache chunk by
+    chunk: (sel, flat, base, feats, e, inv, R, s) with (G, B) voxel indices
+    ``flat``, (G, 3) box middles minus centers ``base``, (B, 10) offset
+    moments ``feats`` and (G, B) exponentials ``e``, zero off the sphere."""
     denoms = _axis_denoms(dims)
     R, s, inv, radii = _covariance_batch(gaussians, cutoff_multiplier)
     lo, hi = _support_boxes(gaussians.centers, radii, dims)
     shape = hi - lo + 1
-    nonempty = np.all(shape > 0, axis=1)
-    order = np.flatnonzero(nonempty)
+    order = np.flatnonzero(np.all(shape > 0, axis=1))
     if order.size == 0:
         return
-    keys = shape[order]
     # stable grouping by box shape keeps accumulation order deterministic
-    group_order = np.lexsort((order, keys[:, 2], keys[:, 1], keys[:, 0]))
-    order = order[group_order]
-    keys = shape[order]
-    boundaries = np.flatnonzero(np.any(np.diff(keys, axis=0) != 0, axis=1)) + 1
-    radii2 = radii * radii
+    order = order[np.lexsort((order, *shape[order].T[::-1]))]
+    boundaries = np.flatnonzero(np.any(np.diff(shape[order], axis=0) != 0, axis=1)) + 1
     flat_lo_all = (lo[:, 0] * dims[1] + lo[:, 1]) * dims[2] + lo[:, 2]
     for grp in np.split(order, boundaries):
         bshape = shape[grp[0]]
@@ -232,37 +229,42 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
         offs = np.stack(np.meshgrid(*[np.arange(n) for n in bshape],
                                     indexing="ij"), axis=-1).reshape(-1, 3)
         flat_off = (offs[:, 0] * dims[1] + offs[:, 1]) * dims[2] + offs[:, 2]
-        offs_norm = offs / denoms
-        step = max(1, _CHUNK_ELEMS // max(B, 1))
+        mid = (bshape - 1) / 2 / denoms
+        o = offs / denoms - mid
+        feats = np.concatenate([np.ones((B, 1)), o, o[:, _IU[0]] * o[:, _IU[1]]], axis=1)
+        step = max(1, _CHUNK_ELEMS // B)
         for start in range(0, grp.size, step):
             sel = grp[start:start + step]
             flat = flat_lo_all[sel][:, None] + flat_off[None, :]
-            base = lo[sel] / denoms - gaussians.centers[sel]
-            delta = base[:, None, :] + offs_norm[None, :, :]
-            r2 = np.einsum("gbi,gbi->gb", delta, delta)
-            mask = r2 <= radii2[sel][:, None]
-            yield sel, flat, delta, mask, inv[sel], R[sel], s[sel]
+            corner = lo[sel] / denoms - gaussians.centers[sel]
+            # exact r^2 from per-axis squares summed (x + y) + z, so voxels
+            # on the cutoff sphere fall on the same side in every render
+            x, y, z = ((corner[:, i, None] + np.arange(bshape[i]) / denoms[i]) ** 2
+                       for i in range(3))
+            r2 = (x[:, :, None, None] + y[:, None, :, None]) + z[:, None, None, :]
+            mask = (r2 <= radii[sel, None, None, None] ** 2).reshape(sel.size, B)
+            base, P = corner + mid, inv[sel]
+            Pb = np.einsum("gij,gj->gi", P, base)
+            # coef . feats = -q/2 (see the module docstring); halving is exact
+            coef = np.concatenate([-0.5 * np.einsum("gi,gi->g", base, Pb)[:, None], -Pb,
+                                   P[:, _IU[0], _IU[1]] * [-.5, -1, -1, -.5, -1, -.5]], 1)
+            e = np.matmul(coef, feats.T, out=r2.reshape(sel.size, B))
+            np.exp(e, out=e)
+            e *= mask
+            yield sel, flat, base, feats, e, P, R[sel], s[sel]
 
 
 def render_with_cache(gaussians, dims, cutoff_multiplier=3.0):
     """Forward render plus the per-chunk intermediates the backward pass
-    needs (support sets, offsets, masked exponentials).  Sharing the cache
-    guarantees forward and backward use the identical cutoff set."""
+    needs (see _iter_support_chunks).  Sharing the cache guarantees forward
+    and backward use the identical cutoff set."""
     dims = tuple(int(d) for d in dims)
     nvox = dims[0] * dims[1] * dims[2]
     out = np.zeros(nvox)
-    chunks = []
-    for sel, flat, delta, mask, inv, R, s in _iter_support_chunks(
-            gaussians, dims, cutoff_multiplier):
-        # qf = delta^T P delta via batched matmul (P symmetric)
-        pd = np.matmul(delta, inv)
-        qf = np.einsum("gbi,gbi->gb", pd, delta)
-        e = np.exp(-0.5 * qf)
-        e[~mask] = 0.0
+    chunks = list(_iter_support_chunks(gaussians, dims, cutoff_multiplier))
+    for sel, flat, _, _, e, _, _, _ in chunks:
         vals = gaussians.intensities[sel][:, None] * e
-        m = mask.ravel()
-        out += np.bincount(flat.ravel()[m], weights=vals.ravel()[m], minlength=nvox)
-        chunks.append((sel, flat, delta, pd, e, inv, R, s))
+        out += np.bincount(flat.ravel(), weights=vals.ravel(), minlength=nvox)
     return out.reshape(dims), chunks
 
 
@@ -317,24 +319,24 @@ def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None
         raise ValidationError("upstream gradient shape must match the grid")
     if cache is None:
         _, cache = render_with_cache(gaussians, dims, cutoff_multiplier)
-    n = gaussians.count
-    grads = RenderGradients.zeros(n)
+    grads = RenderGradients.zeros(gaussians.count)
     q_hat, q_norm, q_sign = canonicalize_quaternions(gaussians.rotations)
-    u_flat = upstream.ravel()
-    for sel, flat, delta, pd, e, inv, R, s in cache:
-        ue = u_flat[flat] * e                               # dL/dV * exp term
-        grads.intensities[sel] += ue.sum(axis=1)
-        common = ue * gaussians.intensities[sel][:, None]   # dL/dV * G value
-        grads.centers[sel] += np.einsum("gb,gbi->gi", common, pd)
+    for sel, flat, base, feats, e, inv, R, s in cache:
+        # moments of dL/dV * exp term against [1, o, o_i o_j]
+        m = (upstream.ravel()[flat] * e) @ feats
+        grads.intensities[sel] += m[:, 0]
+        m *= gaussians.intensities[sel][:, None]            # now of dL/dV * G value
+        s0, s1, s2 = m[:, 0], m[:, 1:4], m[:, _SYM]
+        # sum of w (b + o) and of w (b + o)(b + o)^T, w = dL/dV * G value
+        wd = base * s0[:, None] + s1
+        grads.centers[sel] += np.einsum("gij,gj->gi", inv, wd)
+        gP = -0.5 * (base[:, :, None] * wd[:, None, :]
+                     + s1[:, :, None] * base[:, None, :] + s2)
         # covariance chain: P -> sigma -> M = R S -> (R, S) -> (q, log_scales)
-        wd = common[:, :, None] * delta
-        gP = -0.5 * np.matmul(delta.transpose(0, 2, 1), wd)
         gSigma = -np.matmul(np.matmul(inv, gP), inv)
-        M = R * s[:, None, :]
-        gM = 2.0 * np.matmul(gSigma, M)
+        gM = 2.0 * np.matmul(gSigma, R * s[:, None, :])
         gR = gM * s[:, None, :]
-        gs = np.einsum("gik,gik->gk", R, gM)
-        grads.log_scales[sel] += gs * s
+        grads.log_scales[sel] += np.einsum("gik,gik->gk", R, gM) * s
         g_qhat = _rotmat_backward(q_hat[sel], gR)
         radial = np.einsum("gc,gc->g", q_hat[sel], g_qhat)
         grads.rotations[sel] += (q_sign[sel] / q_norm[sel])[:, None] * (
@@ -449,8 +451,6 @@ def densify_and_prune(gaussians, grad_mean, config):
 # ---------------------------------------------------------------------------
 # Serialization (.gjson manifest + raw payload)
 # ---------------------------------------------------------------------------
-
-_FIELDS = ["centers", "rotations", "log_scales", "intensities"]
 
 
 def save_gaussians(gaussians, path):

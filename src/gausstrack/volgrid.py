@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import ValidationError
+from .errors import NumericalAbort, ValidationError
 
 # Anatomical label ids carried by LabelVolume (and by Gaussians sampled from it).
 LABEL_BACKGROUND = 0
@@ -243,10 +243,14 @@ class _Payload:
 
 def _write_container(path, suffix, manifest, arrays):
     """Write ``<name><suffix>`` (``manifest`` plus the payload name) and
-    ``<name>.raw`` (the bytes of ``arrays``, C order, back to back)."""
+    ``<name>.raw`` (the bytes of ``arrays``, C order, back to back).  A
+    non-finite float, which the reader would reject, raises NumericalAbort
+    before anything is written."""
     path = Path(path)
     if path.suffix == suffix:
         path = path.with_suffix("")
+    if any(a.dtype.kind == "f" and not np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalAbort(f"{path.name}{suffix}: non-finite values in the payload")
     raw_name = path.name + ".raw"
     path.parent.mkdir(parents=True, exist_ok=True)
     (path.parent / raw_name).write_bytes(b"".join(a.tobytes() for a in arrays))

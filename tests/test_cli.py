@@ -358,3 +358,53 @@ def test_removed_fit_flags_are_unknown(tmp_path, capsys):
             main(["fit", "--sequence", "s", "--mask", "m", "--out", "o"] + flag)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+# --- a fit that aborts leaves no run directory behind -----------------------------
+
+def _diverging_fit(tmp_path, learning_rates=None):
+    """A 16^3 phantom and a 6-iteration fit whose 1e300 learning rates
+    overflow float32 in the saved Gaussians (the fit itself stays finite)."""
+    if not (tmp_path / "ph16").exists():
+        PhantomSpec(dims=(16, 16, 16), spacing=(6.0, 6.0, 6.0), frames=3).save(
+            tmp_path / "spec16.json")
+        main(["phantom", "--spec", str(tmp_path / "spec16.json"),
+              "--out", str(tmp_path / "ph16")])
+    cfg = {"n_init": 64, "node_budget": 16,
+           "schedule": {"total_iters": 6, "canonical_only_until": 2, "node_unfreeze_at": 4,
+                        "densify_interval": 3, "densify_start": 3}}
+    if learning_rates is not None:
+        cfg["learning_rates"] = learning_rates
+    path = tmp_path / f"cfg{len(list(tmp_path.glob('cfg*.json')))}.json"
+    path.write_text(json.dumps(cfg))
+    return ["fit", "--sequence", str(tmp_path / "ph16" / "sequence"),
+            "--mask", str(tmp_path / "ph16" / "ed_labels.vjson"), "--config", str(path)]
+
+
+DIVERGE = {"intensity": 1e300, "rotscale": 1e300}
+
+
+def test_diverged_fit_exits_3_and_leaves_no_output_dir(tmp_path, capsys):
+    argv = _diverging_fit(tmp_path, DIVERGE)
+    err = _one_line_failure(capsys, argv + ["--out", str(tmp_path / "out" / "fit")], code=3)
+    assert "non-finite" in err
+    # no run dir and no temp dir beside it
+    assert not (tmp_path / "out" / "fit").exists()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_aborted_overwrite_keeps_the_previous_run(tmp_path, capsys):
+    out = tmp_path / "fit"
+    assert main(_diverging_fit(tmp_path) + ["--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    before = dir_bytes(out)
+    _one_line_failure(capsys, _diverging_fit(tmp_path, DIVERGE)
+                      + ["--out", str(out), "--overwrite"], code=3)
+    assert dir_bytes(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+    # a successful --overwrite replaces the run's files and keeps the others
+    assert main(_diverging_fit(tmp_path, {"intensity": 1e-3}) + ["--out", str(out),
+                                                                "--overwrite"]) == 0
+    after = dir_bytes(out)
+    assert after.keys() == before.keys() and after["notes.txt"] == b"kept"
+    assert after["gaussians.raw"] != before["gaussians.raw"]

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausstrack import gauss as gauss_mod
 from gausstrack.errors import ValidationError
 from gausstrack.gauss import (
     Covariance,
@@ -17,6 +23,7 @@ from gausstrack.gauss import (
     render_values,
     render_values_bruteforce,
     render_volume,
+    render_with_cache,
     save_gaussians,
 )
 from gausstrack.volgrid import LabelVolume, VoxelVolume
@@ -148,7 +155,7 @@ def test_render_single_gaussian_at_voxel_center():
 def test_render_matches_bruteforce():
     # cutoff-3 truncation neglects tails of order exp(-4.5) ~ 1.1e-2 of a
     # boundary Gaussian's amplitude, so the absolute 1e-3 bound pins down the
-    # scene amplitude scale (see the acceptance suite for the 100-scene sweep)
+    # scene amplitude scale
     g = random_set(32, seed=7, labels=False)
     g.intensities = 0.02 * g.intensities
     dims = (16, 16, 16)
@@ -184,6 +191,81 @@ def test_render_volume_wraps_geometry():
     grid = VoxelVolume((6, 6, 6), (1.5, 1.5, 3.0), np.zeros((6, 6, 6)))
     out = render_volume(g, grid)
     assert out.dims == grid.dims and out.spacing == grid.spacing
+
+
+def _render_and_grads(g, dims, upstream):
+    grads = render_backward(g, dims, upstream)
+    return [render_values(g, dims)] + [getattr(grads, f) for f in
+                                       ("centers", "rotations", "log_scales", "intensities")]
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 700])
+def test_chunked_render_matches_default(monkeypatch, chunk_elems):
+    # one scale for all, so many Gaussians share a box shape and each such
+    # group is split across chunks when the chunk budget is small
+    g = random_set(60, seed=21)
+    g.log_scales[:] = np.log([0.06, 0.09, 0.12])
+    dims = (14, 13, 12)
+    upstream = loss_and_upstream(dims, seed=3)
+    want = _render_and_grads(g, dims, upstream)
+    default_chunks = len(render_with_cache(g, dims)[1])
+    monkeypatch.setattr(gauss_mod, "_CHUNK_ELEMS", chunk_elems)
+    assert len(render_with_cache(g, dims)[1]) > default_chunks
+    for got, ref in zip(_render_and_grads(g, dims, upstream), want):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_lattice_tied_support_matches_per_axis_reference():
+    # centers on voxels and a radius of exactly 3 voxels put voxels on the
+    # cutoff sphere; the rendered support must match r^2 formed the direct
+    # way: (box corner - center + offset), squares summed x, y, then z
+    mask, ref = make_mask_and_reference(dims=(12, 12, 12), seed=4)
+    g = initialize_from_mask(mask, ref, 60, seed=2)
+    dims = mask.dims
+    denoms = np.array([d - 1 for d in dims], dtype=np.float64)
+    top = np.array(dims) - 1
+    ties = 0
+    for i in range(g.count):
+        c = g.centers[i]
+        solo = GaussianSet(c[None], g.rotations[i:i + 1], g.log_scales[i:i + 1], np.ones(1))
+        r = 3.0 * np.exp(g.log_scales[i]).max()
+        lo = np.clip(np.ceil((c - r) * denoms - 1e-9), 0, top).astype(int)
+        hi = np.clip(np.floor((c + r) * denoms + 1e-9), -1, top).astype(int)
+        offs = np.stack(np.meshgrid(*[np.arange(n) for n in hi - lo + 1], indexing="ij"),
+                        axis=-1).reshape(-1, 3) / denoms
+        d = (lo / denoms - c) + offs
+        r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        ties += np.count_nonzero(np.isclose(r2, r * r, rtol=1e-9, atol=0))
+        assert np.count_nonzero(render_values(solo, dims)) == np.count_nonzero(r2 <= r * r)
+    assert ties > 0
+
+
+_DETERMINISM_SCRIPT = """
+import hashlib, numpy as np
+from gausstrack.gauss import GaussianSet, render_backward, render_with_cache
+rng = np.random.default_rng(17)
+n, dims = 1500, (28, 28, 28)
+g = GaussianSet(rng.random((n, 3)), rng.normal(size=(n, 4)),
+                np.log(rng.uniform(0.03, 0.08, (n, 3))), rng.uniform(-1, 1, n))
+values, cache = render_with_cache(g, dims)
+grads = render_backward(g, dims, rng.normal(size=dims), cache=cache)
+h = hashlib.sha256(values.tobytes())
+for f in ("centers", "rotations", "log_scales", "intensities"):
+    h.update(getattr(grads, f).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_render_bits_do_not_depend_on_blas_threads():
+    src = str(Path(gauss_mod.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # --- analytic backward vs finite differences ---------------------------------

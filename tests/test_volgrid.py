@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausstrack.errors import ValidationError
+from gausstrack.errors import NumericalAbort, ValidationError
 from gausstrack import volgrid
 from gausstrack.volgrid import (
     LabelVolume,
@@ -124,11 +124,20 @@ def test_unknown_dtype_rejected(tmp_path):
         load_volume(tmp_path / "v.vjson")
 
 
-def test_nan_payload_saves_but_load_rejects(tmp_path):
+def test_nan_payload_is_refused_on_save_and_on_load(tmp_path):
     vals = np.zeros((2, 2, 2), dtype=np.float32)
     vals[1, 1, 1] = np.nan
-    vol = VoxelVolume((2, 2, 2), (1, 1, 1), vals)
-    save_volume(vol, tmp_path / "v")  # save succeeds
+    with pytest.raises(NumericalAbort, match="non-finite"):
+        save_volume(VoxelVolume((2, 2, 2), (1, 1, 1), vals), tmp_path / "v")
+    assert list(tmp_path.iterdir()) == []
+    # a float64 value that overflows the f32 payload is refused the same way
+    with np.errstate(over="ignore"), pytest.raises(NumericalAbort, match="non-finite"):
+        save_volume(VoxelVolume((2, 2, 2), (1, 1, 1), np.full((2, 2, 2), 1e300)),
+                    tmp_path / "v")
+    # a NaN written into the payload by other means is rejected on load
+    save_volume(VoxelVolume((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2))), tmp_path / "v")
+    raw = tmp_path / "v.raw"
+    raw.write_bytes(raw.read_bytes()[:-4] + np.array([np.nan], "<f4").tobytes())
     with pytest.raises(ValidationError, match="non-finite"):
         load_volume(tmp_path / "v")
 
