@@ -12,7 +12,12 @@ Gaussians of one support-box shape share its offsets o from the box middle:
 with b the middle minus the center, q = (b + o)^T P (b + o) is the product of
 [b^T P b, 2 P b, upper P with doubled off-diagonals] with the offset moments
 [1, o, o_i o_j].  The backward pass sums dL/dV against the same moments, so
-the forward cache holds only exp(-q/2) per Gaussian-voxel pair.
+the forward cache holds only exp(-q/2) per Gaussian-voxel pair, plus per
+render the live Gaussians' b, P, R and scales.  Each box shape's offsets and
+moments are built once per process (``_box_geometry``, read-only); the chunk
+loops do only per-pair work, and the covariance chain of the backward pass
+runs once per render over every Gaussian with a non-empty box.  A set with a
+scale at 0 or infinity (a non-finite precision) raises NumericalAbort.
 
 Quaternions are stored unconstrained and canonicalized (unit norm, w >= 0)
 inside every covariance build; gradients chain through that normalization.
@@ -20,11 +25,12 @@ inside every covariance build; gradients chain through that normalization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalAbort, ValidationError
 from .volgrid import VoxelVolume, _axis_denoms, _read_container, _write_container
 
 # Memory cap for the vectorized renderer: Gaussians are processed in chunks
@@ -207,13 +213,36 @@ def _support_boxes(centers, radii, dims):
     return lo, hi
 
 
+@functools.lru_cache(maxsize=256)
+def _box_geometry(bshape, dims):
+    """Read-only geometry of one support-box shape on one grid: flat voxel
+    offsets (B,), per-axis offsets (n_i,) and the offset moments ``feats``
+    (B, 10) = [1, o, o_i o_j], o measured from the box middle."""
+    denoms = _axis_denoms(dims)
+    bshape = np.array(bshape)
+    offs = np.stack(np.meshgrid(*[np.arange(n) for n in bshape],
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    flat_off = (offs[:, 0] * dims[1] + offs[:, 1]) * dims[2] + offs[:, 2]
+    axes = tuple(np.arange(n) / denoms[i] for i, n in enumerate(bshape))
+    o = offs / denoms - (bshape - 1) / 2 / denoms
+    feats = np.concatenate([np.ones((len(o), 1)), o, o[:, _IU[0]] * o[:, _IU[1]]], axis=1)
+    for a in (flat_off, feats, *axes):
+        a.setflags(write=False)
+    return flat_off, axes, feats
+
+
 def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
     """Group Gaussians by support-box shape; yield the forward cache chunk by
-    chunk: (sel, flat, base, feats, e, inv, R, s) with (G, B) voxel indices
-    ``flat``, (G, 3) box middles minus centers ``base``, (B, 10) offset
-    moments ``feats`` and (G, B) exponentials ``e``, zero off the sphere."""
+    chunk: (rows, flat, feats, e, live).  ``live`` = (order, base, inv, R, s)
+    is built once per render: the Gaussians with a non-empty box, grouped by
+    shape, with their box middles minus centers, precisions, rotations and
+    scales.  ``rows`` slices it to the chunk, with (G, B) voxel indices
+    ``flat``, (B, 10) offset moments ``feats`` and (G, B) exponentials
+    ``e``, zero off the sphere."""
     denoms = _axis_denoms(dims)
     R, s, inv, radii = _covariance_batch(gaussians, cutoff_multiplier)
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(inv))):
+        raise NumericalAbort("non-finite precision: a Gaussian scale is 0 or infinite")
     lo, hi = _support_boxes(gaussians.centers, radii, dims)
     shape = hi - lo + 1
     order = np.flatnonzero(np.all(shape > 0, axis=1))
@@ -221,37 +250,33 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
         return
     # stable grouping by box shape keeps accumulation order deterministic
     order = order[np.lexsort((order, *shape[order].T[::-1]))]
-    boundaries = np.flatnonzero(np.any(np.diff(shape[order], axis=0) != 0, axis=1)) + 1
-    flat_lo_all = (lo[:, 0] * dims[1] + lo[:, 1]) * dims[2] + lo[:, 2]
-    for grp in np.split(order, boundaries):
-        bshape = shape[grp[0]]
-        B = int(bshape.prod())
-        offs = np.stack(np.meshgrid(*[np.arange(n) for n in bshape],
-                                    indexing="ij"), axis=-1).reshape(-1, 3)
-        flat_off = (offs[:, 0] * dims[1] + offs[:, 1]) * dims[2] + offs[:, 2]
-        mid = (bshape - 1) / 2 / denoms
-        o = offs / denoms - mid
-        feats = np.concatenate([np.ones((B, 1)), o, o[:, _IU[0]] * o[:, _IU[1]]], axis=1)
+    shape, lo = shape[order], lo[order]
+    corner = lo / denoms - gaussians.centers[order]
+    base, P = corner + (shape - 1) / 2 / denoms, inv[order]
+    Pb = np.einsum("gij,gj->gi", P, base)
+    # coef . feats = -q/2 (see the module docstring); halving is exact
+    coef = np.concatenate([-0.5 * np.einsum("gi,gi->g", base, Pb)[:, None], -Pb,
+                           P[:, _IU[0], _IU[1]] * [-.5, -1, -1, -.5, -1, -.5]], 1)
+    r2_max = radii[order] ** 2
+    flat_lo = (lo[:, 0] * dims[1] + lo[:, 1]) * dims[2] + lo[:, 2]
+    live = (order, base, P, R[order], s[order])
+    bounds = np.flatnonzero(np.any(np.diff(shape, axis=0) != 0, axis=1)) + 1
+    for first, stop in zip(np.r_[0, bounds], np.r_[bounds, order.size]):
+        flat_off, axes, feats = _box_geometry(tuple(shape[first].tolist()), dims)
+        B = flat_off.size
         step = max(1, _CHUNK_ELEMS // B)
-        for start in range(0, grp.size, step):
-            sel = grp[start:start + step]
-            flat = flat_lo_all[sel][:, None] + flat_off[None, :]
-            corner = lo[sel] / denoms - gaussians.centers[sel]
+        for start in range(first, stop, step):
+            rows = slice(start, min(start + step, stop))
+            flat = flat_lo[rows, None] + flat_off
             # exact r^2 from per-axis squares summed (x + y) + z, so voxels
             # on the cutoff sphere fall on the same side in every render
-            x, y, z = ((corner[:, i, None] + np.arange(bshape[i]) / denoms[i]) ** 2
-                       for i in range(3))
+            x, y, z = ((corner[rows, i, None] + axes[i]) ** 2 for i in range(3))
             r2 = (x[:, :, None, None] + y[:, None, :, None]) + z[:, None, None, :]
-            mask = (r2 <= radii[sel, None, None, None] ** 2).reshape(sel.size, B)
-            base, P = corner + mid, inv[sel]
-            Pb = np.einsum("gij,gj->gi", P, base)
-            # coef . feats = -q/2 (see the module docstring); halving is exact
-            coef = np.concatenate([-0.5 * np.einsum("gi,gi->g", base, Pb)[:, None], -Pb,
-                                   P[:, _IU[0], _IU[1]] * [-.5, -1, -1, -.5, -1, -.5]], 1)
-            e = np.matmul(coef, feats.T, out=r2.reshape(sel.size, B))
+            mask = (r2 <= r2_max[rows, None, None, None]).reshape(-1, B)
+            e = np.matmul(coef[rows], feats.T, out=r2.reshape(-1, B))
             np.exp(e, out=e)
             e *= mask
-            yield sel, flat, base, feats, e, P, R[sel], s[sel]
+            yield rows, flat, feats, e, live
 
 
 def render_with_cache(gaussians, dims, cutoff_multiplier=3.0):
@@ -262,8 +287,8 @@ def render_with_cache(gaussians, dims, cutoff_multiplier=3.0):
     nvox = dims[0] * dims[1] * dims[2]
     out = np.zeros(nvox)
     chunks = list(_iter_support_chunks(gaussians, dims, cutoff_multiplier))
-    for sel, flat, _, _, e, _, _, _ in chunks:
-        vals = gaussians.intensities[sel][:, None] * e
+    for rows, flat, _, e, live in chunks:
+        vals = gaussians.intensities[live[0][rows]][:, None] * e
         out += np.bincount(flat.ravel(), weights=vals.ravel(), minlength=nvox)
     return out.reshape(dims), chunks
 
@@ -320,27 +345,33 @@ def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None
     if cache is None:
         _, cache = render_with_cache(gaussians, dims, cutoff_multiplier)
     grads = RenderGradients.zeros(gaussians.count)
-    q_hat, q_norm, q_sign = canonicalize_quaternions(gaussians.rotations)
-    for sel, flat, base, feats, e, inv, R, s in cache:
-        # moments of dL/dV * exp term against [1, o, o_i o_j]
-        m = (upstream.ravel()[flat] * e) @ feats
-        grads.intensities[sel] += m[:, 0]
-        m *= gaussians.intensities[sel][:, None]            # now of dL/dV * G value
-        s0, s1, s2 = m[:, 0], m[:, 1:4], m[:, _SYM]
-        # sum of w (b + o) and of w (b + o)(b + o)^T, w = dL/dV * G value
-        wd = base * s0[:, None] + s1
-        grads.centers[sel] += np.einsum("gij,gj->gi", inv, wd)
-        gP = -0.5 * (base[:, :, None] * wd[:, None, :]
-                     + s1[:, :, None] * base[:, None, :] + s2)
-        # covariance chain: P -> sigma -> M = R S -> (R, S) -> (q, log_scales)
-        gSigma = -np.matmul(np.matmul(inv, gP), inv)
-        gM = 2.0 * np.matmul(gSigma, R * s[:, None, :])
-        gR = gM * s[:, None, :]
-        grads.log_scales[sel] += np.einsum("gik,gik->gk", R, gM) * s
-        g_qhat = _rotmat_backward(q_hat[sel], gR)
-        radial = np.einsum("gc,gc->g", q_hat[sel], g_qhat)
-        grads.rotations[sel] += (q_sign[sel] / q_norm[sel])[:, None] * (
-            g_qhat - q_hat[sel] * radial[:, None])
+    if not cache:
+        return grads
+    # the chain runs over the live rows; Gaussians with an empty box keep 0
+    order, base, inv, R, s = cache[0][4]
+    up = upstream.ravel()
+    # moments of dL/dV * exp term against [1, o, o_i o_j]
+    m = np.empty((order.size, 10))
+    for rows, flat, feats, e, _ in cache:
+        np.matmul(up[flat] * e, feats, out=m[rows])
+    grads.intensities[order] += m[:, 0]
+    m *= gaussians.intensities[order][:, None]          # now of dL/dV * G value
+    s0, s1, s2 = m[:, 0], m[:, 1:4], m[:, _SYM]
+    # sum of w (b + o) and of w (b + o)(b + o)^T, w = dL/dV * G value
+    wd = base * s0[:, None] + s1
+    grads.centers[order] += np.einsum("gij,gj->gi", inv, wd)
+    gP = -0.5 * (base[:, :, None] * wd[:, None, :]
+                 + s1[:, :, None] * base[:, None, :] + s2)
+    # covariance chain: P -> sigma -> M = R S -> (R, S) -> (q, log_scales)
+    gSigma = -np.matmul(np.matmul(inv, gP), inv)
+    gM = 2.0 * np.matmul(gSigma, R * s[:, None, :])
+    gR = gM * s[:, None, :]
+    grads.log_scales[order] += np.einsum("gik,gik->gk", R, gM) * s
+    q_hat, q_norm, q_sign = canonicalize_quaternions(gaussians.rotations[order])
+    g_qhat = _rotmat_backward(q_hat, gR)
+    radial = np.einsum("gc,gc->g", q_hat, g_qhat)
+    grads.rotations[order] += (q_sign / q_norm)[:, None] * (
+        g_qhat - q_hat * radial[:, None])
     return grads
 
 

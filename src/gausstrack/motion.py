@@ -331,6 +331,15 @@ def apply_motion(gaussians, nodes, net, t, idx):
     return deformed, cache
 
 
+def _scatter_rows(idx, vals, m):
+    """Sum vals (N, k, ...) into m node rows by idx (N, k), one bincount per
+    column: in index order from zero, as np.add.at would, but faster."""
+    flat = idx.ravel()
+    vals = vals.reshape(flat.size, -1)
+    return np.stack([np.bincount(flat, vals[:, c], minlength=m)
+                     for c in range(vals.shape[1])], axis=1)
+
+
 def motion_backward(cache, gaussians, nodes, net, render_grads):
     """Chain rule from gradients on the deformed Gaussians back to the
     network parameters, node positions/radii and canonical parameters.
@@ -349,8 +358,7 @@ def motion_backward(cache, gaussians, nodes, net, render_grads):
     t6 = np.concatenate([cache.transforms.translations,
                          cache.transforms.scales], axis=1)                # (M, 6)
     # node transforms accumulate w_ij * gB_i
-    g_t6 = np.zeros((m, 6))
-    np.add.at(g_t6, idx, weights[:, :, None] * g_b6[:, None, :])
+    g_t6 = _scatter_rows(idx, weights[:, :, None] * g_b6[:, None, :], m)
     # blend-weight path
     g_w = np.einsum("qc,qkc->qk", g_b6, t6[idx])
     live = ~cache.fallback
@@ -361,11 +369,9 @@ def motion_backward(cache, gaussians, nodes, net, render_grads):
     g_d2 = -g_what / (2.0 * cache.o ** 2)
     g_diff = 2.0 * g_d2[:, :, None] * cache.diff
     g_centers_w = g_diff.sum(axis=1)
-    g_node_pos = np.zeros((m, 3))
-    np.add.at(g_node_pos, idx, -g_diff)
+    g_node_pos = _scatter_rows(idx, -g_diff, m)
     g_o = g_what * cache.d2 / cache.o ** 3
-    g_log_radii = np.zeros(m)
-    np.add.at(g_log_radii, idx, g_o * cache.o)
+    g_log_radii = _scatter_rows(idx, g_o * cache.o, m)[:, 0]
     # through alpha = exp(raw[:, 3:]) into the network
     g_raw = np.empty((m, 6))
     g_raw[:, :3] = g_t6[:, :3]

@@ -316,34 +316,34 @@ def fit(sequence, mask, config, inspect_hook=None):
     for it in range(sched.total_iters):
         if inspect_hook is not None:
             inspect_hook(it, {"gaussians": g, "nodes": nodes, "net": net, "knn": knn})
-        stage1 = it < sched.canonical_only_until
-        if stage1:
-            rendered, rcache = gauss.render_with_cache(g, dims, config.cutoff_multiplier)
-            loss, lgrad = l1_loss(rendered, ed)
-            rg = gauss.render_backward(g, dims, lgrad, config.cutoff_multiplier,
-                                       cache=rcache)
-            canonical, mg = rg, None
-        else:
-            if it == sched.canonical_only_until:
-                events.append([it, "stage2_start", "joint optimization begins"])
-            fi = (it - sched.canonical_only_until) % len(frames)
-            deformed, cache = apply_motion(g, nodes, net, times[fi], knn)
-            rendered, rcache = gauss.render_with_cache(
-                deformed, dims, config.cutoff_multiplier)
-            loss, lgrad = l1_loss(rendered, frames[fi])
-            rg = gauss.render_backward(deformed, dims, lgrad,
-                                       config.cutoff_multiplier, cache=rcache)
-            mg = motion_mod.motion_backward(cache, g, nodes, net, rg)
-            canonical = mg.canonical
-        if not np.isfinite(loss):
-            raise NumericalAbort(f"non-finite loss at iteration {it}", iteration=it)
-        losses.append(loss)
-        # densification accumulator: per-voxel-mean loss scale, so the
-        # grad_threshold default is grid-size independent
-        accum += np.linalg.norm(canonical.centers, axis=1) / n_voxels
-        accum_n += 1
-
         try:
+            stage1 = it < sched.canonical_only_until
+            if stage1:
+                rendered, rcache = gauss.render_with_cache(g, dims, config.cutoff_multiplier)
+                loss, lgrad = l1_loss(rendered, ed)
+                rg = gauss.render_backward(g, dims, lgrad, config.cutoff_multiplier,
+                                           cache=rcache)
+                canonical, mg = rg, None
+            else:
+                if it == sched.canonical_only_until:
+                    events.append([it, "stage2_start", "joint optimization begins"])
+                fi = (it - sched.canonical_only_until) % len(frames)
+                deformed, cache = apply_motion(g, nodes, net, times[fi], knn)
+                rendered, rcache = gauss.render_with_cache(
+                    deformed, dims, config.cutoff_multiplier)
+                loss, lgrad = l1_loss(rendered, frames[fi])
+                rg = gauss.render_backward(deformed, dims, lgrad,
+                                           config.cutoff_multiplier, cache=rcache)
+                mg = motion_mod.motion_backward(cache, g, nodes, net, rg)
+                canonical = mg.canonical
+            if not np.isfinite(loss):
+                raise NumericalAbort("non-finite loss")
+            losses.append(loss)
+            # densification accumulator: per-voxel-mean loss scale, so the
+            # grad_threshold default is grid-size independent
+            accum += np.linalg.norm(canonical.centers, axis=1) / n_voxels
+            accum_n += 1
+
             opts["positions"].step(lr_at(it, groups["positions"], sched),
                                    {"centers": (g.centers, canonical.centers)})
             opts["intensity"].step(lr_at(it, groups["intensity"], sched),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gausstrack.cli import main
-from gausstrack.optim import FitConfig, FitSchedule, NetworkConfig
+from gausstrack.errors import NumericalAbort
+from gausstrack.optim import FitConfig, FitSchedule, NetworkConfig, fit
 from gausstrack.phantom import PhantomSpec
 from gausstrack import volgrid
 
@@ -363,8 +364,8 @@ def test_removed_fit_flags_are_unknown(tmp_path, capsys):
 # --- a fit that aborts leaves no run directory behind -----------------------------
 
 def _diverging_fit(tmp_path, learning_rates=None):
-    """A 16^3 phantom and a 6-iteration fit whose 1e300 learning rates
-    overflow float32 in the saved Gaussians (the fit itself stays finite)."""
+    """A 16^3 phantom and a 6-iteration fit; with 1e300 learning rates its
+    first step sends every scale to 0."""
     if not (tmp_path / "ph16").exists():
         PhantomSpec(dims=(16, 16, 16), spacing=(6.0, 6.0, 6.0), frames=3).save(
             tmp_path / "spec16.json")
@@ -391,6 +392,19 @@ def test_diverged_fit_exits_3_and_leaves_no_output_dir(tmp_path, capsys):
     # no run dir and no temp dir beside it
     assert not (tmp_path / "out" / "fit").exists()
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_collapsed_fit_aborts_at_the_first_render_after_it(tmp_path, capsys):
+    # in-process: after iteration 0 every scale is exp(-huge) = 0, so the
+    # render of iteration 1 meets an infinite precision
+    argv = _diverging_fit(tmp_path, DIVERGE)
+    capsys.readouterr()
+    config = FitConfig.load(argv[argv.index("--config") + 1])
+    sequence = volgrid.load_sequence(argv[argv.index("--sequence") + 1])
+    mask = volgrid.load_volume(argv[argv.index("--mask") + 1])
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort, match="non-finite") as err:
+        fit(sequence, mask, config)
+    assert err.value.iteration == 1 and str(err.value).endswith("at iteration 1")
 
 
 def test_aborted_overwrite_keeps_the_previous_run(tmp_path, capsys):

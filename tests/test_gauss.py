@@ -215,6 +215,76 @@ def test_chunked_render_matches_default(monkeypatch, chunk_elems):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _many_shapes_set():
+    # scales from 1.5 to 6 voxels give many box shapes; a third of the
+    # centers sit on or past a face, so those boxes are clipped, and the
+    # last Gaussian is far outside, so its box is empty
+    rng = np.random.default_rng(31)
+    g = random_set(48, seed=32)
+    g.log_scales[:] = np.log(rng.uniform(0.02, 0.08, (48, 3)))
+    g.centers[np.arange(16), rng.integers(0, 3, 16)] = rng.choice([-0.03, 0.0, 1.0, 1.04], 16)
+    g.centers[-1] = [0.5, -1.0, 0.5]
+    return g
+
+
+def test_many_box_shapes_equal_sums_of_single_gaussian_renders():
+    g, dims = _many_shapes_set(), (21, 19, 17)
+    upstream = loss_and_upstream(dims, seed=9)
+    values, cache = render_with_cache(g, dims)
+    grads = render_backward(g, dims, upstream, cache=cache)
+    # one moments array per box shape, shared by that shape's chunks
+    assert len({id(feats) for _, _, feats, _, _ in cache}) >= 20
+    assert g.count - 1 not in cache[0][4][0]            # not among the live rows
+    want = [np.zeros(dims)] + [np.zeros_like(getattr(grads, f)) for f in
+                               ("centers", "rotations", "log_scales", "intensities")]
+    for i in range(g.count):
+        solo = GaussianSet(*(getattr(g, f)[i:i + 1] for f in
+                             ("centers", "rotations", "log_scales", "intensities")))
+        parts = _render_and_grads(solo, dims, upstream)
+        want[0] += parts[0]
+        for ref, part in zip(want[1:], parts[1:]):
+            ref[i] = part[0]
+    got = [values] + [getattr(grads, f) for f in
+                      ("centers", "rotations", "log_scales", "intensities")]
+    for a, ref in zip(got, want):
+        assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert all(np.all(a[-1] == 0) for a in got[1:])
+    # the sum itself against a direct cutoff render over every voxel
+    pts = np.stack(np.meshgrid(*[np.arange(n) / (n - 1) for n in dims], indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    direct = np.zeros(len(pts))
+    for i in range(g.count):
+        cov = covariance_from_params(g.rotations[i], g.log_scales[i])
+        d = pts - g.centers[i]
+        qf = np.einsum("bi,ij,bj->b", d, np.linalg.inv(cov.sigma), d)
+        direct += ((d * d).sum(axis=1) <= cov.radius ** 2) * g.intensities[i] * np.exp(-qf / 2)
+    assert np.max(np.abs(values.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _render_bytes(g, dims):
+    return b"".join(a.tobytes() for a in _render_and_grads(g, dims, loss_and_upstream(dims)))
+
+
+def test_box_geometry_is_read_only_and_shared_renders_stay_exact():
+    flat_off, axes, feats = gauss_mod._box_geometry((3, 4, 5), (10, 11, 12))
+    for a in (flat_off, feats, *axes):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    dims = (16, 15, 14)
+    b_set = random_set(40, seed=33)
+    b_set.log_scales[:] = np.log(np.random.default_rng(34).uniform(0.04, 0.1, (40, 3)))
+    a_set = b_set.copy()
+    a_set.centers[::2] = a_set.centers[::-2] + 0.01    # overlapping box shapes
+    a_set.intensities *= -2.0
+    want = _render_bytes(b_set, dims)
+    hits = gauss_mod._box_geometry.cache_info().hits
+    _render_bytes(a_set, dims)
+    assert gauss_mod._box_geometry.cache_info().hits > hits
+    assert _render_bytes(b_set, dims) == want
+    gauss_mod._box_geometry.cache_clear()
+    assert _render_bytes(b_set, dims) == want
+
+
 def test_lattice_tied_support_matches_per_axis_reference():
     # centers on voxels and a radius of exactly 3 voxels put voxels on the
     # cutoff sphere; the rendered support must match r^2 formed the direct

@@ -512,6 +512,34 @@ def test_canonical_gaussian_gradients_through_motion_match_fd():
         assert rel_err(grad, fd) < 1e-4, attr
 
 
+def test_motion_scatters_equal_add_at_with_repeated_neighbours(monkeypatch):
+    # 3 nodes, k = 3: every Gaussian lists every node, so each node row is
+    # hit 50 times; the scatters must add in np.add.at's order to the bit
+    g, nodes, net, k = tiny_scene(seed=5, n=50, m=3, k=3)
+    idx = knn_indices(g.centers, nodes.positions, k)
+    upstream = np.random.default_rng(6).normal(size=DIMS)
+    scatters = []
+
+    def add_at(idx, vals, m):
+        out = np.zeros((m,) + vals.shape[2:])
+        np.add.at(out, idx, vals)
+        scatters.append((idx, vals, m, out))
+        return out.reshape(m, -1)
+
+    got = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
+    monkeypatch.setattr(motion, "_scatter_rows", add_at)
+    ref = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
+    # node transforms (6 columns), positions (3) and radii (1)
+    assert [v.shape[2:] for _, v, _, _ in scatters] == [(6,), (3,), ()]
+    monkeypatch.undo()
+    for i, v, m, out in scatters:
+        assert np.array_equal(motion._scatter_rows(i, v, m), out.reshape(m, -1))
+    assert np.array_equal(got.node_positions, ref.node_positions)
+    assert np.array_equal(got.node_log_radii, ref.node_log_radii)
+    for a, b in zip(got.weight_grads + got.bias_grads, ref.weight_grads + ref.bias_grads):
+        assert np.array_equal(a, b)
+
+
 # --- node init and serialization -------------------------------------------------
 
 def test_init_control_nodes_deterministic_and_bounded():
