@@ -29,21 +29,25 @@ print("network parameters:", net.num_parameters)
 # Zero-initialized head: the motion starts as the exact identity.
 tr = forward_deform(net, nodes, t=0.5)
 print("identity at start:", np.all(tr.translations == 0), np.all(tr.scales == 1))
+assert np.all(tr.translations == 0) and np.all(tr.scales == 1)
 
 # Give the head some weights so there is motion to interpolate.
 net.weights[-1] = 0.02 * rng.normal(size=net.weights[-1].shape)
 tr = forward_deform(net, nodes, t=0.5)
 
-# Dense motion at any point: k nearest nodes, normalized RBF weights,
-# convex combination of their transforms.
+# Dense motion at any point: k nearest nodes, normalized RBF weights (a
+# softmax of -d^2 / (2 o^2) over the neighbours), convex combination of
+# their transforms.
 queries = rng.random((5, 3))
 idx = knn_indices(queries, nodes.positions, k=4)
 w = blend_weights(queries, nodes.positions, nodes.log_radii, idx)
 print("first query: neighbors", idx[0], "weights", w[0].round(3),
       "(sum:", w[0].sum().round(6), ")")
+assert np.all(np.abs(w.sum(axis=1) - 1) < 1e-12)
 delta, alpha = blend_transforms(w, idx, tr)
 print("blended translation:", delta[0].round(4), " scale factor:", alpha[0].round(4))
 
 # Or in one call, the displacement field evaluated anywhere.
 u = dense_displacement(queries, nodes, net, t=0.5, k=4)
 print("dense displacement matches:", np.allclose(u, delta))
+assert np.array_equal(u, delta)

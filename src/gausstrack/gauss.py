@@ -199,7 +199,8 @@ def eval_gaussian(center, rot, log_scale, intensity, point):
 
 def _support_boxes(centers, radii, dims):
     """Per-Gaussian index bounding box of voxels possibly inside the cutoff
-    sphere.  Returns (lo, hi) int arrays; empty boxes have hi < lo."""
+    sphere.  Returns (lo, hi) int arrays; empty boxes have hi < lo, as for
+    a sphere wholly past either face of an axis."""
     denoms = _axis_denoms(dims)
     dims_arr = np.asarray(dims)
     finite = np.isfinite(radii)
@@ -208,7 +209,7 @@ def _support_boxes(centers, radii, dims):
     hi = np.floor((centers + r) * denoms + 1e-9).astype(np.int64)
     lo[~finite] = 0
     hi[~finite] = dims_arr - 1
-    lo = np.clip(lo, 0, dims_arr - 1)
+    lo = np.clip(lo, 0, dims_arr)
     hi = np.clip(hi, -1, dims_arr - 1)
     return lo, hi
 

@@ -21,7 +21,8 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 from . import gauss as gauss_mod
 from . import motion as motion_mod
-from .volgrid import LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, voxel_centers_normalized
+from .volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, _axis_denoms,
+                      voxel_centers_normalized)
 
 _STRUCTURES = (LABEL_RV, LABEL_MYO, LABEL_LV)
 
@@ -99,7 +100,7 @@ def _rasterize_labels(deformed, grid, cutoff_multiplier, occupancy_floor):
     """Label map of an already deformed, labeled set (see warp_labels)."""
     if deformed.labels is None:
         raise ValidationError("label warping needs a label per Gaussian")
-    denoms = np.array([max(d - 1, 1) for d in grid.dims], dtype=np.float64)
+    denoms = _axis_denoms(grid.dims)
     nearest = np.clip(np.rint(deformed.centers * denoms).astype(np.int64), 0,
                       np.asarray(grid.dims) - 1)
     occ = np.zeros((len(_STRUCTURES),) + tuple(grid.dims))

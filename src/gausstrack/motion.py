@@ -5,7 +5,9 @@ Sparse control nodes carry per-time transforms (translation + positive
 per-axis scale factor) predicted by a small MLP from sinusoidally encoded
 node positions and time.  Dense motion at any point is the convex
 combination of its k nearest nodes' transforms, weighted by normalized
-RBF kernels ``exp(-d^2 / (2 o_j^2))``.
+RBF kernels ``exp(-d^2 / (2 o_j^2))``: a softmax over the neighbours of
+``u_j = -d_j^2 / (2 o_j^2)``, shifted by the row maximum, so every row sums
+to 1 and its largest kernel weighs most even where every kernel underflows.
 
 Two gradient rules from the model definition are honored throughout:
 
@@ -17,7 +19,7 @@ Two gradient rules from the model definition are honored throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -220,28 +222,29 @@ def knn_indices(queries, node_positions, k):
     return out
 
 
-def _raw_blend_weights(queries, node_positions, log_radii, idx):
+def _blend(queries, node_positions, log_radii, idx):
+    """Softmax weights of u = -d^2 / (2 o^2), built in place, plus the
+    offsets, squared distances and radii that motion_backward reads."""
+    # the output comes first, below the temporaries in the heap, so that it
+    # does not pin them there once freed (peak RSS of a dense field export)
+    weights = np.empty(idx.shape)
     diff = queries[:, None, :] - node_positions[idx]          # (Q, k, 3)
     d2 = np.einsum("qki,qki->qk", diff, diff)
     o = np.exp(log_radii[idx])
-    what = np.exp(-d2 / (2.0 * o * o))
-    ssum = what.sum(axis=1)
-    fallback = ssum == 0.0
-    weights = np.empty_like(what)
-    safe = ~fallback
-    weights[safe] = what[safe] / ssum[safe, None]
-    weights[fallback] = 1.0 / idx.shape[1]
-    return weights, diff, d2, o, what, ssum, fallback
+    np.divide(d2, -2.0 * o * o, out=weights)
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights, diff, d2, o
 
 
 def blend_weights(queries, node_positions, log_radii, idx):
-    """Normalized RBF weights of each query's neighbor nodes.
-
-    If every kernel underflows to zero the row degenerates to uniform 1/k.
-    """
+    """Normalized RBF weights of each query's neighbor nodes: the softmax of
+    ``-d^2 / (2 o^2)`` over the row, equal to ``w_hat / w_hat.sum()`` with
+    ``w_hat = exp(-d^2 / (2 o^2))`` wherever that sum is nonzero."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     idx = np.atleast_2d(np.asarray(idx))
-    weights, *_ = _raw_blend_weights(
+    weights, *_ = _blend(
         queries, np.asarray(node_positions, dtype=np.float64),
         np.asarray(log_radii, dtype=np.float64), idx)
     return weights
@@ -290,19 +293,14 @@ def dense_displacement(queries, nodes, net, t, k):
 
 @dataclass
 class MotionCache:
-    """Intermediates of apply_motion needed by motion_backward."""
+    """What motion_backward reads of an apply_motion call."""
 
-    feats: np.ndarray
-    raw: np.ndarray
     acts: list
     transforms: NodeTransforms
     idx: np.ndarray
     diff: np.ndarray
     d2: np.ndarray
     o: np.ndarray
-    what: np.ndarray
-    ssum: np.ndarray
-    fallback: np.ndarray
     weights: np.ndarray
     alpha_blend: np.ndarray
 
@@ -321,13 +319,12 @@ def apply_motion(gaussians, nodes, net, t, idx):
     KNN table.  Returns the deformed set plus the cache for the backward
     pass; shares its blending code with dense_displacement."""
     feats = encode_inputs(net, nodes.positions, t)
-    transforms, (raw, acts) = transforms_from_features(net, feats)
-    weights, diff, d2, o, what, ssum, fallback = _raw_blend_weights(
-        gaussians.centers, nodes.positions, nodes.log_radii, idx)
+    transforms, (_, acts) = transforms_from_features(net, feats)
+    weights, diff, d2, o = _blend(gaussians.centers, nodes.positions,
+                                  nodes.log_radii, idx)
     delta, alpha = blend_transforms(weights, idx, transforms)
     deformed = deform_gaussians(gaussians, delta, alpha)
-    cache = MotionCache(feats, raw, acts, transforms, idx, diff, d2, o,
-                        what, ssum, fallback, weights, alpha)
+    cache = MotionCache(acts, transforms, idx, diff, d2, o, weights, alpha)
     return deformed, cache
 
 
@@ -340,17 +337,17 @@ def _scatter_rows(idx, vals, m):
                      for c in range(vals.shape[1])], axis=1)
 
 
-def motion_backward(cache, gaussians, nodes, net, render_grads):
+def motion_backward(cache, nodes, net, render_grads):
     """Chain rule from gradients on the deformed Gaussians back to the
     network parameters, node positions/radii and canonical parameters.
 
     Node positions receive gradients only through the blend-weight
     distances (the encoding input is stop-gradient); neighbor sets are
-    fixed.  Underflow-fallback rows have constant weights and therefore
-    contribute no weight gradient.
+    fixed.  Of the render gradients only the centers change: rotations,
+    log-scales and intensities pass through to the canonical set as they
+    are.
     """
     idx, weights = cache.idx, cache.weights
-    k = idx.shape[1]
     m = nodes.count
     # scale path: ls' = ls + log(alpha_blend)
     g_alpha_blend = render_grads.log_scales / cache.alpha_blend
@@ -359,30 +356,19 @@ def motion_backward(cache, gaussians, nodes, net, render_grads):
                          cache.transforms.scales], axis=1)                # (M, 6)
     # node transforms accumulate w_ij * gB_i
     g_t6 = _scatter_rows(idx, weights[:, :, None] * g_b6[:, None, :], m)
-    # blend-weight path
+    # blend-weight path through the softmax of u = -d2 / (2 o^2)
     g_w = np.einsum("qc,qkc->qk", g_b6, t6[idx])
-    live = ~cache.fallback
-    g_what = np.zeros_like(g_w)
-    g_what[live] = (g_w[live] - np.einsum("qk,qk->q", g_w[live], weights[live])[:, None]
-                    ) / cache.ssum[live, None]
-    g_what *= cache.what  # d exp(u)/du folded in: d(what)/d(-d2/(2 o^2)) = what
-    g_d2 = -g_what / (2.0 * cache.o ** 2)
+    g_u = weights * (g_w - np.einsum("qk,qk->q", g_w, weights)[:, None])
+    g_d2 = -g_u / (2.0 * cache.o ** 2)
     g_diff = 2.0 * g_d2[:, :, None] * cache.diff
-    g_centers_w = g_diff.sum(axis=1)
     g_node_pos = _scatter_rows(idx, -g_diff, m)
-    g_o = g_what * cache.d2 / cache.o ** 3
-    g_log_radii = _scatter_rows(idx, g_o * cache.o, m)[:, 0]
+    g_log_radii = _scatter_rows(idx, g_u * cache.d2 / cache.o ** 2, m)[:, 0]
     # through alpha = exp(raw[:, 3:]) into the network
     g_raw = np.empty((m, 6))
     g_raw[:, :3] = g_t6[:, :3]
     g_raw[:, 3:] = g_t6[:, 3:] * cache.transforms.scales
     g_weights, g_biases = _mlp_backward(net, cache.acts, g_raw)
-    canonical = RenderGradients(
-        centers=render_grads.centers + g_centers_w,
-        rotations=render_grads.rotations.copy(),
-        log_scales=render_grads.log_scales.copy(),
-        intensities=render_grads.intensities.copy(),
-    )
+    canonical = replace(render_grads, centers=render_grads.centers + g_diff.sum(axis=1))
     return MotionGradients(g_weights, g_biases, g_node_pos, g_log_radii, canonical)
 
 

@@ -236,26 +236,13 @@ class FitReport:
     config: dict
 
     def to_json(self):
-        return json.dumps({
-            "losses": self.losses,
-            "events": self.events,
-            "final_gaussians": self.final_gaussians,
-            "final_nodes": self.final_nodes,
-            "wall_clock_s": self.wall_clock_s,
-            "seed": self.seed,
-            "config": self.config,
-        }, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
     def identity_digest(self):
         """Everything except wall clock, for determinism comparisons."""
-        return json.dumps({
-            "losses": self.losses,
-            "events": self.events,
-            "final_gaussians": self.final_gaussians,
-            "final_nodes": self.final_nodes,
-            "seed": self.seed,
-            "config": self.config,
-        })
+        record = asdict(self)
+        del record["wall_clock_s"]
+        return json.dumps(record)
 
     @classmethod
     def from_json(cls, text):
@@ -278,8 +265,9 @@ def fit(sequence, mask, config, inspect_hook=None):
     Stage 1 (iterations below ``canonical_only_until``) optimizes only the
     canonical Gaussians against the ED frame.  Stage 2 round-robins over
     frames, rendering the deformed set and backpropagating the L1 loss
-    through motion and rendering.  Node positions/radii unfreeze at
-    ``node_unfreeze_at``; densification runs on its cadence with optimizer
+    through rendering and then motion; stage 1 takes the same render, L1
+    and render-adjoint step on the canonical set itself.  Node
+    positions/radii unfreeze at ``node_unfreeze_at``; densification runs on its cadence with optimizer
     state remapped across set changes.  ``inspect_hook(iteration, state)``
     is called at the top of selected iterations for tests and tracing;
     it must not mutate the state.
@@ -295,7 +283,6 @@ def fit(sequence, mask, config, inspect_hook=None):
     n_voxels = float(np.prod(dims))
     frames = [np.asarray(f.values, dtype=np.float64) for f in sequence.frames]
     times = np.asarray(sequence.times, dtype=np.float64)
-    ed = frames[sequence.ed_index]
 
     g = gauss.initialize_from_mask(mask, sequence.frames[sequence.ed_index],
                                    config.n_init, config.seed)
@@ -317,24 +304,20 @@ def fit(sequence, mask, config, inspect_hook=None):
         if inspect_hook is not None:
             inspect_hook(it, {"gaussians": g, "nodes": nodes, "net": net, "knn": knn})
         try:
-            stage1 = it < sched.canonical_only_until
-            if stage1:
-                rendered, rcache = gauss.render_with_cache(g, dims, config.cutoff_multiplier)
-                loss, lgrad = l1_loss(rendered, ed)
-                rg = gauss.render_backward(g, dims, lgrad, config.cutoff_multiplier,
-                                           cache=rcache)
-                canonical, mg = rg, None
-            else:
-                if it == sched.canonical_only_until:
-                    events.append([it, "stage2_start", "joint optimization begins"])
+            stage2 = it >= sched.canonical_only_until
+            if it == sched.canonical_only_until:
+                events.append([it, "stage2_start", "joint optimization begins"])
+            if stage2:
                 fi = (it - sched.canonical_only_until) % len(frames)
                 deformed, cache = apply_motion(g, nodes, net, times[fi], knn)
-                rendered, rcache = gauss.render_with_cache(
-                    deformed, dims, config.cutoff_multiplier)
-                loss, lgrad = l1_loss(rendered, frames[fi])
-                rg = gauss.render_backward(deformed, dims, lgrad,
-                                           config.cutoff_multiplier, cache=rcache)
-                mg = motion_mod.motion_backward(cache, g, nodes, net, rg)
+            else:
+                fi, deformed = sequence.ed_index, g
+            rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier)
+            loss, lgrad = l1_loss(rendered, frames[fi])
+            canonical = rg = gauss.render_backward(deformed, dims, lgrad,
+                                                   config.cutoff_multiplier, cache=rcache)
+            if stage2:
+                mg = motion_mod.motion_backward(cache, nodes, net, rg)
                 canonical = mg.canonical
             if not np.isfinite(loss):
                 raise NumericalAbort("non-finite loss")
@@ -351,7 +334,7 @@ def fit(sequence, mask, config, inspect_hook=None):
             opts["rotscale"].step(lr_at(it, groups["rotscale"], sched),
                                   {"rotations": (g.rotations, canonical.rotations),
                                    "log_scales": (g.log_scales, canonical.log_scales)})
-            if mg is not None:
+            if stage2:
                 net_updates = {}
                 for li, (wg, bg) in enumerate(zip(mg.weight_grads, mg.bias_grads)):
                     net_updates[f"w{li}"] = (net.weights[li], wg)

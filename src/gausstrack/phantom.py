@@ -32,7 +32,8 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, Sequence4D, VoxelVolume,
-                      _check_geometry, _from_dict, _read_json, _write_json)
+                      _check_geometry, _from_dict, _read_json, _write_json,
+                      normalized_to_world, world_to_normalized)
 
 _BASE_INTENSITY = {LABEL_LV: 0.85, LABEL_MYO: 0.5, LABEL_RV: 0.75}
 
@@ -193,10 +194,8 @@ class PhantomField:
     spec: PhantomSpec
 
     def displacement_normalized(self, points_norm, t):
-        extent = np.array([(d - 1) * s for d, s in
-                           zip(self.spec.dims, self.spec.spacing)])
-        pts_mm = np.atleast_2d(np.asarray(points_norm, dtype=np.float64)) * extent
-        return analytic_displacement(pts_mm, t, self.spec) / extent
+        pts_mm = normalized_to_world(np.atleast_2d(points_norm), self.spec)
+        return world_to_normalized(analytic_displacement(pts_mm, t, self.spec), self.spec)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,22 @@ def test_many_box_shapes_equal_sums_of_single_gaussian_renders():
     assert np.max(np.abs(values.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("y", [-1.0, 2.0])
+def test_gaussian_wholly_past_a_face_gets_an_empty_box(y):
+    # cutoff radius at most 3 * 0.08 = 0.24: the sphere misses the grid past
+    # the low face and past the high face alike, so neither face keeps a
+    # one-voxel slab of pairs that are all masked to zero
+    g = random_set(4, seed=5)
+    g.log_scales[:] = np.log(0.08)
+    g.centers[-1] = [0.5, y, 0.5]
+    dims = (21, 19, 17)
+    values, cache = render_with_cache(g, dims)
+    assert set(cache[0][4][0]) == {0, 1, 2}                # the live rows
+    grads = render_backward(g, dims, loss_and_upstream(dims, seed=9), cache=cache)
+    for f in ("centers", "rotations", "log_scales", "intensities"):
+        assert np.all(getattr(grads, f)[-1] == 0), f
+
+
 def _render_bytes(g, dims):
     return b"".join(a.tobytes() for a in _render_and_grads(g, dims, loss_and_upstream(dims)))
 

@@ -227,11 +227,43 @@ def test_blend_weight_formula():
     assert np.allclose(w, (w_hat / w_hat.sum())[None, :], rtol=1e-14)
 
 
-def test_blend_weight_underflow_falls_back_to_uniform():
-    pos = np.array([[50.0, 0, 0], [60.0, 0, 0], [70.0, 0, 0]])
-    w = blend_weights(np.zeros((1, 3)), pos, np.log([1e-4, 1e-4, 1e-4]),
-                      np.array([[0, 1, 2]]))
-    assert np.allclose(w, 1.0 / 3.0)
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+def test_blend_weights_equal_the_normalized_rbf_formula(seed, k):
+    # radii >= 0.15 in the unit cube keep every exponent above -67, far from
+    # underflow; shifting by the row maximum then rounds each exponent
+    # difference to within 67 * 2^-53, so 1e-14 holds element by element
+    rng = np.random.default_rng(seed)
+    q, pos = rng.random((40, 3)), rng.random((8, 3))
+    log_radii = np.log(rng.uniform(0.15, 1.0, 8))
+    idx = np.stack([rng.choice(8, k, replace=False) for _ in range(40)])
+    w = blend_weights(q, pos, log_radii, idx)
+    diff = q[:, None, :] - pos[idx]
+    o = np.exp(log_radii[idx])
+    w_hat = np.exp(-np.einsum("qki,qki->qk", diff, diff) / (2.0 * o * o))
+    want = w_hat / w_hat.sum(axis=1, keepdims=True)
+    assert np.all(np.abs(w - want) <= 1e-14 * want)
+
+
+def test_blend_weight_underflow_keeps_the_largest_kernel():
+    # every kernel underflows (exp(-1.25e11) == 0); the row still sums to 1,
+    # all on the nearest node, and the adjoint stays finite
+    nodes = ControlNodeSet(np.array([[50.0, 0, 0], [60.0, 0, 0], [70.0, 0, 0]]),
+                           np.log([1e-4, 1e-4, 1e-4]))
+    idx = np.array([[0, 1, 2]])
+    w = blend_weights(np.zeros((1, 3)), nodes.positions, nodes.log_radii, idx)
+    assert np.array_equal(w, [[1.0, 0.0, 0.0]])
+    _, _, net, _ = tiny_scene(seed=2)
+    g = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]], np.log([[0.1, 0.1, 0.1]]), [1.0])
+    deformed, cache = apply_motion(g, nodes, net, 0.4, idx)
+    tr = forward_deform(net, nodes, 0.4)
+    assert np.array_equal(deformed.centers, g.centers + tr.translations[:1])
+    rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS), None)
+    mg = motion_backward(cache, nodes, net, rg)
+    for a in mg.weight_grads + mg.bias_grads + [mg.node_positions, mg.node_log_radii,
+                                                mg.canonical.centers]:
+        assert np.all(np.isfinite(a))
+    assert np.all(mg.node_log_radii == 0) and np.all(mg.node_positions == 0)
 
 
 def test_blend_weights_normalized_and_scale_invariant():
@@ -372,7 +404,7 @@ def pipeline_loss(g, nodes, net, t, idx, upstream, feats=None):
 def analytic_motion_grads(g, nodes, net, t, idx, upstream):
     deformed, cache = apply_motion(g, nodes, net, t, idx)
     rg = render_backward(deformed, DIMS, upstream, None)
-    return motion_backward(cache, g, nodes, net, rg)
+    return motion_backward(cache, nodes, net, rg)
 
 
 def rel_err(a, b):
