@@ -72,12 +72,9 @@ def cmd_phantom(args):
         volgrid.save_sequence(seq, out / "sequence")
         volgrid.save_volume(ed_labels, out / "ed_labels")
         spec.save(out / "phantom_spec.json")
-        artifacts = {
-            "sequence": "sequence",
-            "ed_labels": "ed_labels.vjson",
-            "spec_echo": "phantom_spec.json",
-        }
-        _write_manifest(out, "gausstrack-phantom", artifacts)
+        _write_manifest(out, "gausstrack-phantom", {
+            "sequence": "sequence", "ed_labels": "ed_labels.vjson",
+            "spec_echo": "phantom_spec.json"})
     return EXIT_OK
 
 
@@ -104,13 +101,9 @@ def cmd_fit(args):
         motion.save_network(result.net, out / "network")
         (out / "report.json").write_text(result.report.to_json(), encoding="utf-8")
         config.save(out / "config.json")
-        artifacts = {
-            "gaussians": "gaussians.gjson",
-            "nodes": "nodes.njson",
-            "network": "network.wjson",
-            "report": "report.json",
-            "config": "config.json",
-        }
+        artifacts = {"gaussians": "gaussians.gjson", "nodes": "nodes.njson",
+                     "network": "network.wjson", "report": "report.json",
+                     "config": "config.json"}
         _write_manifest(out, "gausstrack-fit", artifacts, extra={
             "grid": {"dims": list(sequence.dims), "spacing": list(sequence.spacing)},
             "k_neighbors": config.k_neighbors,

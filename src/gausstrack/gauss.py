@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort, ValidationError
-from .volgrid import VoxelVolume, _axis_denoms, _read_container, _write_container
+from .volgrid import (VoxelVolume, _axis_denoms, _read_container, _write_container,
+                      voxel_centers_normalized)
 
 # Memory cap for the vectorized renderer: Gaussians are processed in chunks
 # so that (chunk x support) scratch arrays stay small.
@@ -313,10 +314,7 @@ def render_values_bruteforce(gaussians, dims):
     (dense matrix products and np.linalg.inv).  Used as the oracle in
     equivalence tests; slow on purpose."""
     dims = tuple(int(d) for d in dims)
-    denoms = _axis_denoms(dims)
-    axes = [np.arange(d, dtype=np.float64) / denoms[i] for i, d in enumerate(dims)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    pts = voxel_centers_normalized(dims).reshape(-1, 3)
     out = np.zeros(pts.shape[0])
     q_hat, _, _ = canonicalize_quaternions(gaussians.rotations)
     Rs = quaternions_to_matrices(q_hat)
@@ -469,14 +467,9 @@ def densify_and_prune(gaussians, grad_mean, config):
         for side in (+1.0, -1.0):
             parts.append((c + side * offset, r.copy(), ls_child.copy(),
                           inten.copy(), None if lab is None else lab.copy()))
-    centers = np.concatenate([p[0] for p in parts])
-    rotations = np.concatenate([p[1] for p in parts])
-    log_scales = np.concatenate([p[2] for p in parts])
-    intensities = np.concatenate([p[3] for p in parts])
-    labels = None
-    if gaussians.labels is not None:
-        labels = np.concatenate([p[4] for p in parts])
-    out = GaussianSet(centers, rotations, log_scales, intensities, labels)
+    # field by field: centers, rotations, log_scales, intensities, labels
+    out = GaussianSet(*(None if col[0] is None else np.concatenate(col)
+                        for col in zip(*parts)))
     return DensifyResult(out, kept=kept, n_children=out.count - kept.size)
 
 

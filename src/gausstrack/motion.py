@@ -19,6 +19,8 @@ Two gradient rules from the model definition are honored throughout:
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,16 +114,11 @@ class DeformNet:
     def create(cls, l_space=10, l_time=6, hidden_width=128, hidden_depth=6, seed=0):
         rng = np.random.default_rng(seed)
         in_w = 6 * l_space + 2 * l_time
-        sizes = [in_w] + [hidden_width] * hidden_depth + [6]
-        weights, biases = [], []
-        for i in range(len(sizes) - 1):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            if i == len(sizes) - 2:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
-            weights.append(w)
-            biases.append(np.zeros(fan_out))
+        sizes = [in_w] + [hidden_width] * hidden_depth
+        weights = [rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
+                   for fan_in, fan_out in zip(sizes, sizes[1:])]
+        weights.append(np.zeros((hidden_width, 6)))
+        biases = [np.zeros(w.shape[1]) for w in weights]
         return cls(weights, biases, l_space, l_time)
 
     def copy(self):
@@ -188,14 +185,8 @@ def forward_deform(net, nodes, t):
 # KNN and blending
 # ---------------------------------------------------------------------------
 
-def knn_indices(queries, node_positions, k):
-    """Exact k nearest nodes per query, ties broken by lower node index.
-
-    KD-tree candidates are re-sorted by (exact squared distance, index).  A
-    row is settled once its k-th distance is inside the farthest candidate's
-    by a 1e-9 relative margin, so no other node can reach or tie it; other
-    rows retry with twice the candidates, up to all nodes.
-    """
+def _knn_tree(queries, node_positions, k):
+    """Checked float64 queries and nodes, and the nodes' KD-tree."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     pos = np.asarray(node_positions, dtype=np.float64)
     m = pos.shape[0]
@@ -203,30 +194,51 @@ def knn_indices(queries, node_positions, k):
         raise ValidationError(f"k={k} outside [1, {m}]")
     if not (np.all(np.isfinite(queries)) and np.all(np.isfinite(pos))):
         raise NumericalAbort("KNN needs finite queries and node positions")
-    tree = cKDTree(pos)
+    return queries, pos, cKDTree(pos)
+
+
+def _knn_rows(tree, pos, q, k):
+    """knn_indices of the rows of q, one slice of rows."""
+    m = pos.shape[0]
+    out = np.empty((q.shape[0], k), dtype=np.int64)
+    rows = np.arange(q.shape[0])
+    c = min(k + _KNN_SLACK, m)
+    while rows.size:
+        dist, cand = tree.query(q[rows], k=c)
+        cand = cand.reshape(rows.size, c)
+        # per axis on (rows, c) arrays, added (x + y) + z as a sum over an
+        # axis of three would add them
+        dx, dy, dz = (q[rows, a, None] - pos[cand, a] for a in range(3))
+        d2 = (dx * dx + dy * dy) + dz * dz
+        order = np.lexsort((cand, d2), axis=-1)[:, :k]
+        kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+        done = (kth < dist.reshape(rows.size, c)[:, -1] ** 2 * (1 - 1e-9)) | (c == m)
+        out[rows[done]] = np.take_along_axis(cand, order, axis=1)[done]
+        rows = rows[~done]
+        c = min(2 * c, m)
+    return out
+
+
+def knn_indices(queries, node_positions, k):
+    """Exact k nearest nodes per query, ties broken by lower node index.
+
+    KD-tree candidates are re-sorted by (exact squared distance
+    ``((q - p) ** 2).sum()``, index), 4096 rows at a time in the calling
+    thread.  A row is settled once its k-th distance is inside the farthest
+    candidate's by a 1e-9 relative margin, so no other node can reach or tie
+    it; other rows retry with twice the candidates, up to all nodes.
+    """
+    queries, pos, tree = _knn_tree(queries, node_positions, k)
     out = np.empty((queries.shape[0], k), dtype=np.int64)
     for start in range(0, queries.shape[0], _KNN_CHUNK):
-        q = queries[start:start + _KNN_CHUNK]
-        rows = np.arange(q.shape[0])
-        c = min(k + _KNN_SLACK, m)
-        while rows.size:
-            dist, cand = tree.query(q[rows], k=c)
-            cand = cand.reshape(rows.size, c)
-            d2 = ((q[rows, None, :] - pos[cand]) ** 2).sum(axis=-1)
-            order = np.lexsort((cand, d2), axis=-1)[:, :k]
-            kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
-            done = (kth < dist.reshape(rows.size, c)[:, -1] ** 2 * (1 - 1e-9)) | (c == m)
-            out[start + rows[done]] = np.take_along_axis(cand, order, axis=1)[done]
-            rows = rows[~done]
-            c = min(2 * c, m)
+        rows = slice(start, start + _KNN_CHUNK)
+        out[rows] = _knn_rows(tree, pos, queries[rows], k)
     return out
 
 
 def _blend(queries, node_positions, log_radii, idx):
     """Softmax weights of u = -d^2 / (2 o^2), built in place, plus the
     offsets, squared distances and radii that motion_backward reads."""
-    # the output comes first, below the temporaries in the heap, so that it
-    # does not pin them there once freed (peak RSS of a dense field export)
     weights = np.empty(idx.shape)
     diff = queries[:, None, :] - node_positions[idx]          # (Q, k, 3)
     d2 = np.einsum("qki,qki->qk", diff, diff)
@@ -242,11 +254,9 @@ def blend_weights(queries, node_positions, log_radii, idx):
     """Normalized RBF weights of each query's neighbor nodes: the softmax of
     ``-d^2 / (2 o^2)`` over the row, equal to ``w_hat / w_hat.sum()`` with
     ``w_hat = exp(-d^2 / (2 o^2))`` wherever that sum is nonzero."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    idx = np.atleast_2d(np.asarray(idx))
-    weights, *_ = _blend(
-        queries, np.asarray(node_positions, dtype=np.float64),
-        np.asarray(log_radii, dtype=np.float64), idx)
+    weights, *_ = _blend(np.atleast_2d(np.asarray(queries, dtype=np.float64)),
+                         np.asarray(node_positions, dtype=np.float64),
+                         np.asarray(log_radii, dtype=np.float64), np.atleast_2d(idx))
     return weights
 
 
@@ -276,15 +286,38 @@ def deform_gaussians(gaussians, delta, alpha):
     )
 
 
+def _pool_size():
+    """CPUs in this process's affinity mask (all CPUs where there is none)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+
+
 def dense_displacement(queries, nodes, net, t, k):
     """Blended translation at arbitrary query points (each using its own
-    KNN set); defines the dense motion field phi(X, t) = X + u(X, t)."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    idx = knn_indices(queries, nodes.positions, k)
-    transforms = forward_deform(net, nodes, t)
-    weights = blend_weights(queries, nodes.positions, nodes.log_radii, idx)
-    delta, _ = blend_transforms(weights, idx, transforms)
-    return delta
+    KNN set); defines the dense motion field phi(X, t) = X + u(X, t).
+
+    Byte-equal to knn_indices -> blend_weights -> blend_transforms.  After
+    the input checks, slices of 4096 rows go to one thread per CPU in the
+    process's affinity mask; each runs under the caller's floating-point
+    error state and writes only its own rows, so any thread count gives
+    the same bytes.
+    """
+    queries, pos, tree = _knn_tree(queries, nodes.positions, k)
+    translations = forward_deform(net, nodes, t).translations
+    out = np.empty((queries.shape[0], 3))
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def field_rows(start):
+        rows = slice(start, start + _KNN_CHUNK)
+        with np.errstate(**errstate):
+            idx = _knn_rows(tree, pos, queries[rows], k)
+            weights, *_ = _blend(queries[rows], pos, nodes.log_radii, idx)
+            out[rows] = np.einsum("qk,qkc->qc", weights, translations[idx])
+
+    starts = range(0, queries.shape[0], _KNN_CHUNK)
+    with ThreadPoolExecutor(max(1, min(_pool_size(), len(starts)))) as pool:
+        list(pool.map(field_rows, starts))
+    return out
 
 
 # ---------------------------------------------------------------------------

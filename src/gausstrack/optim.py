@@ -48,12 +48,8 @@ class AdamState:
     """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-15):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = {}
-        self.v = {}
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t, self.m, self.v = 0, {}, {}
 
     def step(self, lr, updates):
         """``updates`` maps names to (param, grad); params update in place."""

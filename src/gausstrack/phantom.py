@@ -140,16 +140,14 @@ def _inverse_rho(rho_p, a_eff, spec):
     """Closed-form branchwise inverse of _forward_rho (monotone piecewise
     linear in rho)."""
     rho_a, rho_b, rho_s = spec.profile_breaks
-    a_del = np.asarray(a_eff * spec.areal_amplitude)
+    a_del = np.broadcast_to(a_eff * spec.areal_amplitude, np.shape(rho_p))
     out = np.array(rho_p, dtype=np.float64, copy=True)
     core = rho_p < rho_a - a_del
     plateau = (rho_p >= rho_a - a_del) & (rho_p < rho_b - a_del)
     ramp = (rho_p >= rho_b - a_del) & (rho_p < rho_s)
-    a_core = a_del[core] if a_del.ndim else a_del
-    a_plat = a_del[plateau] if a_del.ndim else a_del
-    a_ramp = a_del[ramp] if a_del.ndim else a_del
-    out[core] = rho_p[core] / (1.0 - a_core / rho_a)
-    out[plateau] = rho_p[plateau] + a_plat
+    out[core] = rho_p[core] / (1.0 - a_del[core] / rho_a)
+    out[plateau] = rho_p[plateau] + a_del[plateau]
+    a_ramp = a_del[ramp]
     out[ramp] = (rho_p[ramp] * (rho_s - rho_b) + a_ramp * rho_s) / (rho_s - rho_b + a_ramp)
     return out
 
@@ -202,9 +200,10 @@ class PhantomField:
 # Volume construction
 # ---------------------------------------------------------------------------
 
-def _world_grids(spec):
+def _world_points(spec):
+    """(nx, ny, nz, 3) world coordinates of the voxel centers."""
     axes = [np.arange(d, dtype=np.float64) * s for d, s in zip(spec.dims, spec.spacing)]
-    return np.meshgrid(*axes, indexing="ij")
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _layout_labels(points_mm, spec):
@@ -228,9 +227,7 @@ def _layout_labels(points_mm, spec):
 
 def build_ed_labels(spec):
     """Reference-phase label grid: the analytic layout at voxel centers."""
-    gx, gy, gz = _world_grids(spec)
-    pts = np.stack([gx, gy, gz], axis=-1)
-    return LabelVolume(spec.dims, spec.spacing, _layout_labels(pts, spec))
+    return LabelVolume(spec.dims, spec.spacing, _layout_labels(_world_points(spec), spec))
 
 
 def build_ed_volume(spec, labels):
@@ -264,8 +261,7 @@ def warp_labels_analytic(ed_labels, t, spec):
     introduces whenever the displacement crosses half-integer voxel
     offsets; at t=0 it reproduces ``ed_labels`` bit for bit.
     """
-    gx, gy, gz = _world_grids(spec)
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    pts = _world_points(spec).reshape(-1, 3)
     src = analytic_inverse(pts, t, spec)
     warped = _layout_labels(src.reshape(spec.dims + (3,)), spec)
     return LabelVolume(spec.dims, spec.spacing, warped)
@@ -282,8 +278,7 @@ def generate_phantom(spec):
     ed_labels = build_ed_labels(spec)
     ed = build_ed_volume(spec, ed_labels)
     times = np.linspace(0.0, 1.0, spec.frames)
-    gx, gy, gz = _world_grids(spec)
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    pts = _world_points(spec).reshape(-1, 3)
     frames = [ed]
     for t in times[1:]:
         src = analytic_inverse(pts, t, spec).reshape(spec.dims + (3,))

@@ -55,6 +55,18 @@ def _check_geometry(dims, spacing):
     return dims, spacing
 
 
+def _freeze_grid(volume, name, array):
+    """Check and set a volume's geometry; return its array, checked against
+    the dims, for the caller to store read-only."""
+    dims, spacing = _check_geometry(volume.dims, volume.spacing)
+    object.__setattr__(volume, "dims", dims)
+    object.__setattr__(volume, "spacing", spacing)
+    array = np.asarray(array)
+    if array.shape != dims:
+        raise ValidationError(f"{name} array shape {array.shape} does not match dims {dims}")
+    return array
+
+
 @dataclass(frozen=True)
 class VoxelVolume:
     """Scalar intensity grid. ``values`` has shape ``dims`` and is never
@@ -65,15 +77,7 @@ class VoxelVolume:
     values: np.ndarray
 
     def __post_init__(self):
-        dims, spacing = _check_geometry(self.dims, self.spacing)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
-        values = np.asarray(self.values)
-        if values.shape != dims:
-            raise ValidationError(
-                f"value array shape {values.shape} does not match dims {dims}"
-            )
-        values = values.copy()
+        values = _freeze_grid(self, "value", self.values).copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -92,14 +96,7 @@ class LabelVolume:
     labels: np.ndarray
 
     def __post_init__(self):
-        dims, spacing = _check_geometry(self.dims, self.spacing)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
-        labels = np.asarray(self.labels)
-        if labels.shape != dims:
-            raise ValidationError(
-                f"label array shape {labels.shape} does not match dims {dims}"
-            )
+        labels = _freeze_grid(self, "label", self.labels)
         bad = np.setdiff1d(np.unique(labels), np.array(LABEL_SET))
         if bad.size:
             raise ValidationError(f"labels outside declared set {LABEL_SET}: {bad.tolist()}")
@@ -107,9 +104,7 @@ class LabelVolume:
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def extent_mm(self):
-        return tuple((d - 1) * s for d, s in zip(self.dims, self.spacing))
+    extent_mm = VoxelVolume.extent_mm
 
 
 @dataclass(frozen=True)
@@ -328,11 +323,9 @@ def save_sequence(sequence, dirpath):
     ``sequence.vjson`` carrying times and the ED/ES indices."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, frame in enumerate(sequence.frames):
-        name = f"frame_{i:03d}"
+    names = [f"frame_{i:03d}.vjson" for i in range(len(sequence.frames))]
+    for name, frame in zip(names, sequence.frames):
         save_volume(frame, dirpath / name)
-        names.append(name + ".vjson")
     _write_json(dirpath / "sequence.vjson", {
         "frames": names,
         "times": [float(t) for t in sequence.times],
@@ -384,34 +377,33 @@ def _axis_denoms(dims):
     return np.array([max(d - 1, 1) for d in dims], dtype=np.float64)
 
 
+def _extent(grid):
+    if any(d < 2 for d in grid.dims):
+        raise ValidationError("normalized coordinates need dims >= 2 on each axis")
+    return np.array(grid.spacing) * _axis_denoms(grid.dims)
+
+
 def world_to_normalized(points_mm, grid):
     """Map world (mm) points onto the unit cube spanned by voxel centers.
 
     ``grid`` is anything with ``dims``/``spacing`` (VoxelVolume, LabelVolume,
     Sequence4D). Requires dims >= 2 per axis so the box is non-degenerate.
     """
-    if any(d < 2 for d in grid.dims):
-        raise ValidationError("normalized coordinates need dims >= 2 on each axis")
-    pts = np.asarray(points_mm, dtype=np.float64)
-    extent = np.array(grid.spacing) * _axis_denoms(grid.dims)
-    return pts / extent
+    extent = _extent(grid)
+    return np.asarray(points_mm, dtype=np.float64) / extent
 
 
 def normalized_to_world(points_norm, grid):
     """Inverse of world_to_normalized."""
-    if any(d < 2 for d in grid.dims):
-        raise ValidationError("normalized coordinates need dims >= 2 on each axis")
-    pts = np.asarray(points_norm, dtype=np.float64)
-    extent = np.array(grid.spacing) * _axis_denoms(grid.dims)
-    return pts * extent
+    extent = _extent(grid)
+    return np.asarray(points_norm, dtype=np.float64) * extent
 
 
 def voxel_centers_normalized(dims):
     """(nx, ny, nz, 3) array of normalized voxel-center coordinates."""
     denoms = _axis_denoms(dims)
     axes = [np.arange(d, dtype=np.float64) / denoms[i] for i, d in enumerate(dims)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gx, gy, gz], axis=-1)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +420,7 @@ def _resample_coords(src_dims, src_spacing, new_dims, new_spacing):
             (src_dims[ax] - 1) * src_spacing[ax] - (new_dims[ax] - 1) * new_spacing[ax]
         ) / 2.0
         coords.append((tgt + offset) / src_spacing[ax])
-    gx, gy, gz = np.meshgrid(*coords, indexing="ij")
-    return np.stack([gx, gy, gz], axis=0)
+    return np.stack(np.meshgrid(*coords, indexing="ij"), axis=0)
 
 
 def resample_trilinear(volume, new_dims, new_spacing):

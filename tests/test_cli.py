@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,40 @@ def test_damaged_fit_directory_exits_2(tmp_path, capsys, what, command):
     _one_line_failure(capsys, [command, "--fitted", str(state), "--time", "0.5",
                                "--out", str(tmp_path / "out" / "q")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["export-field", "eval"])
+def test_collapsed_node_radii_exit_2_with_one_line_and_no_warning(
+        tmp_path, capsys, monkeypatch, command):
+    # four nodes of zero radius at the far corner, while every Gaussian keeps
+    # a live neighbour: the weights of the voxels there are 0/0, computed in
+    # the second of two slices, which goes to a worker thread
+    from gausstrack import motion as motion_mod
+
+    monkeypatch.setattr(motion_mod, "_pool_size", lambda: 2)
+    state = untrained_state_dir(tmp_path)
+    nodes = motion_mod.load_nodes(state / "nodes")
+    motion_mod.save_nodes(motion_mod.ControlNodeSet(
+        np.concatenate([nodes.positions, np.ones((4, 3))]),
+        np.concatenate([nodes.log_radii, np.full(4, -1e30)])), state / "nodes")
+    manifest = json.loads((state / "run_manifest.json").read_text())
+    manifest["grid"]["dims"] = [20, 20, 16]  # the phantom's: 6400 voxels
+    (state / "run_manifest.json").write_text(json.dumps(manifest))
+    main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(tmp_path / "ph")])
+    capsys.readouterr()
+    if command == "eval":
+        argv = ["eval", "--fitted", str(state), "--sequence", str(tmp_path / "ph" / "sequence"),
+                "--truth", str(tmp_path / "ph" / "ed_labels.vjson"),
+                "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["export-field", "--fitted", str(state), "--time", "0.5",
+                "--out", str(tmp_path / "out" / "u")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _one_line_failure(capsys, argv)
+    assert "non-finite" in err
+    assert "RuntimeWarning" not in err
+    assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
 def test_missing_artifact_manifest_exits_4(tmp_path, capsys):

@@ -313,6 +313,34 @@ def test_jacobian_affine_matches_closed_form():
     assert fold == (1.0 if det <= 0 else 0.0)
 
 
+def det_reference(field):
+    """Jacobian statistics through np.gradient on the whole grid and
+    np.linalg.det per voxel, trimmed to the interior afterwards."""
+    steps = [1.0 / (d - 1) for d in field.dims]
+    grad = np.stack([np.stack(np.gradient(field.vectors[..., i], *steps), axis=-1)
+                     for i in range(3)], axis=-2)
+    det = np.linalg.det(grad + np.eye(3))[1:-1, 1:-1, 1:-1]
+    return float(np.mean(det <= 0)), float(np.mean(np.abs(det - 1.0)))
+
+
+def test_jacobian_cofactors_match_linalg_det():
+    rng = np.random.default_rng(21)
+    freqs = rng.uniform(0.5, 2.0, (4, 3))
+    amps, phases = 0.25 * rng.normal(size=(4, 3)), rng.uniform(0, 2 * np.pi, 4)
+
+    def smooth(X):
+        return np.sin(2 * np.pi * X @ freqs.T + phases) @ amps
+
+    folded = field_from_fn((6, 6, 6), lambda X: X * [-2.0, 0.0, 0.0])
+    smooth_field = field_from_fn((13, 11, 12), smooth)
+    for f in (smooth_field, folded):
+        fold, dev = jacobian_stats(f)
+        want_fold, want_dev = det_reference(f)
+        assert fold == want_fold
+        assert dev == pytest.approx(want_dev, abs=1e-12)
+    assert 0.0 < jacobian_stats(smooth_field)[0] < 1.0
+
+
 def test_jacobian_small_grid_rejected():
     with pytest.raises(ValidationError, match="dims"):
         jacobian_stats(DisplacementField((2, 6, 6), (1, 1, 1),

@@ -1,3 +1,7 @@
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,6 +388,107 @@ def test_dense_displacement_agrees_with_fit_path():
     deformed, cache = apply_motion(g, nodes, net, 0.6, idx)
     u = dense_displacement(g.centers, nodes, net, 0.6, k)
     assert np.max(np.abs((deformed.centers - g.centers) - u)) < 1e-14
+
+
+def field_scene(n, seed=11):
+    rng = np.random.default_rng(seed)
+    nodes = ControlNodeSet(rng.random((40, 3)), np.log(rng.uniform(0.05, 0.3, 40)))
+    net = DeformNet.create(l_space=2, l_time=2, hidden_width=8, hidden_depth=2, seed=seed)
+    net.weights[-1] = 0.1 * rng.normal(size=net.weights[-1].shape)
+    return rng.random((n, 3)), nodes, net
+
+
+def public_field(q, nodes, net, t, k):
+    """The dense field through the public steps, all rows at once."""
+    idx = knn_indices(q, nodes.positions, k)
+    weights = blend_weights(q, nodes.positions, nodes.log_radii, idx)
+    delta, _ = blend_transforms(weights, idx, forward_deform(net, nodes, t))
+    return delta
+
+
+def counting_threads(monkeypatch):
+    """Record the thread of every slice motion's KNN repair runs on, and
+    every worker pool it makes."""
+    threads, pools = [], []
+    knn_rows = motion._knn_rows
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return knn_rows(*args)
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(motion, "_knn_rows", recorded)
+    monkeypatch.setattr(motion, "ThreadPoolExecutor", Pool)
+    return threads, pools
+
+
+C = motion._KNN_CHUNK
+
+
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5])
+def test_dense_displacement_is_byte_equal_for_any_pool_size(monkeypatch, n):
+    q, nodes, net = field_scene(n)
+    want = public_field(q, nodes, net, 0.3, 4).tobytes()
+    threads, pools = counting_threads(monkeypatch)
+    chunks = -(-n // C)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(motion, "_pool_size", lambda: workers)
+        threads.clear()
+        assert dense_displacement(q, nodes, net, 0.3, 4).tobytes() == want
+        assert len(threads) == chunks
+        assert len(set(threads)) <= min(workers, chunks)
+    assert pools == [min(w, chunks) for w in (1, 2, 3)]
+
+
+def test_lattice_ties_on_both_sides_of_a_chunk_boundary():
+    xs = np.array([0.0, 0.5, 1.0])
+    pos = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    half = np.arange(5) / 4  # the node lattice and its half steps
+    lattice = np.stack(np.meshgrid(half, half, half, indexing="ij"), axis=-1).reshape(-1, 3)
+    q = lattice[np.arange(2 * C + 7) % len(lattice)]
+    # a cube centre is equally far from eight nodes
+    q[C - 2:C + 2] = [0.25, 0.25, 0.75]
+    d2 = ((q[:, None, :] - pos[None]) ** 2).sum(axis=-1)
+    want = np.lexsort((np.broadcast_to(np.arange(len(pos)), d2.shape), d2), axis=-1)
+    for k in (1, 4, 8, 9):
+        assert np.array_equal(knn_indices(q, pos, k), want[:, :k])
+    nodes = ControlNodeSet(pos, np.full(len(pos), np.log(0.3)))
+    _, _, net = field_scene(1)
+    assert dense_displacement(q, nodes, net, 0.7, 8).tobytes() == \
+        public_field(q, nodes, net, 0.7, 8).tobytes()
+
+
+def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
+    threads, pools = counting_threads(monkeypatch)
+    q, nodes, net = field_scene(2 * C)
+    for k in (0, nodes.count + 1):
+        with pytest.raises(ValidationError, match=f"k={k}"):
+            dense_displacement(q, nodes, net, 0.3, k)
+    q[C + 1, 1] = np.nan
+    with pytest.raises(NumericalAbort):
+        dense_displacement(q, nodes, net, 0.3, 4)
+    q[C + 1, 1] = 0.5
+    nodes.positions[3, 2] = np.inf
+    with pytest.raises(NumericalAbort):
+        dense_displacement(q, nodes, net, 0.3, 4)
+    assert threads == [] and pools == []
+
+
+def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatch):
+    # zero radii make every kernel exponent d^2 / 0: division by zero, then
+    # -inf - (-inf) in the softmax shift
+    q, nodes, net = field_scene(2 * C)
+    nodes.log_radii[:] = -1e30
+    monkeypatch.setattr(motion, "_pool_size", lambda: 2)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        dense_displacement(q, nodes, net, 0.3, 4)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isnan(dense_displacement(q, nodes, net, 0.3, 4)))
 
 
 # --- backward: finite-difference oracles ----------------------------------------
