@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import shutil
 import sys
 import uuid
@@ -81,7 +82,7 @@ def cmd_phantom(args):
 def _load_fit_inputs(args):
     config = optim.FitConfig.load(args.config) if args.config else optim.FitConfig()
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     sequence = volgrid.load_sequence(args.sequence)
     mask = volgrid.load_volume(args.mask)
     if not isinstance(mask, volgrid.LabelVolume):
@@ -105,37 +106,29 @@ def cmd_fit(args):
                      "network": "network.wjson", "report": "report.json",
                      "config": "config.json"}
         _write_manifest(out, "gausstrack-fit", artifacts, extra={
-            "grid": {"dims": list(sequence.dims), "spacing": list(sequence.spacing)},
-            "k_neighbors": config.k_neighbors,
-            "cutoff_multiplier": config.cutoff_multiplier,
-            "occupancy_floor": config.occupancy_floor,
-        })
+            "grid": {"dims": list(sequence.dims), "spacing": list(sequence.spacing)}})
     return EXIT_OK
 
 
-# query settings a fit manifest may leave out
-_QUERY_DEFAULTS = {"k_neighbors": 4, "cutoff_multiplier": 3.0, "occupancy_floor": 0.5}
-
-
 def _load_fitted(fitted_dir):
-    """The fitted state, its grid and its manifest (query settings filled
-    in); a missing or mistyped manifest entry is a validation failure."""
+    """The fitted state, its grid and the run's config (the query settings);
+    a missing or mistyped manifest entry is a validation failure."""
     fitted = Path(fitted_dir)
     manifest_path = fitted / "run_manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"{fitted}: no run_manifest.json (not a fit output?)")
-    manifest = {**_QUERY_DEFAULTS, **volgrid._read_json(manifest_path, "run manifest")}
+    manifest = volgrid._read_json(manifest_path, "run manifest")
     volgrid._check_keys(manifest_path, manifest, {
-        "kind": ["gausstrack-fit"], "artifacts": "object", "grid": "object",
-        "k_neighbors": "int", "cutoff_multiplier": "float", "occupancy_floor": "float"})
+        "kind": ["gausstrack-fit"], "artifacts": "object", "grid": "object"})
     artifacts, grid = manifest["artifacts"], manifest["grid"]
-    volgrid._check_keys(manifest_path, artifacts,
-                        {"gaussians": "str", "nodes": "str", "network": "str"})
+    volgrid._check_keys(manifest_path, artifacts, {
+        "gaussians": "str", "nodes": "str", "network": "str", "config": "str"})
     dims, spacing = volgrid._check_geometry(grid.get("dims"), grid.get("spacing"))
+    config = optim.FitConfig.load(fitted / artifacts["config"])
     g = gauss.load_gaussians(fitted / artifacts["gaussians"])
     nodes = motion.load_nodes(fitted / artifacts["nodes"])
     net = motion.load_network(fitted / artifacts["network"])
-    return g, nodes, net, SimpleNamespace(dims=dims, spacing=spacing), manifest
+    return g, nodes, net, SimpleNamespace(dims=dims, spacing=spacing), config
 
 
 def _check_time(t):
@@ -144,7 +137,7 @@ def _check_time(t):
 
 
 def cmd_eval(args):
-    g, nodes, net, _, manifest = _load_fitted(args.fitted)
+    g, nodes, net, _, config = _load_fitted(args.fitted)
     sequence = volgrid.load_sequence(args.sequence)
     truth = volgrid.load_volume(args.truth)
     if not isinstance(truth, volgrid.LabelVolume):
@@ -153,28 +146,27 @@ def cmd_eval(args):
         raise ValidationError(
             f"truth dims {truth.dims} do not match sequence dims {sequence.dims}")
     report = metrics.evaluate_run(
-        g, nodes, net, sequence, truth, k=manifest["k_neighbors"],
-        cutoff_multiplier=manifest["cutoff_multiplier"],
-        occupancy_floor=manifest["occupancy_floor"])
+        g, nodes, net, sequence, truth, k=config.k_neighbors,
+        cutoff_multiplier=config.cutoff_multiplier,
+        occupancy_floor=config.occupancy_floor)
     Path(args.out).write_text(report.to_json(), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_render(args):
     _check_time(args.time)
-    g, nodes, net, grid, manifest = _load_fitted(args.fitted)
-    idx = motion.knn_indices(g.centers, nodes.positions, manifest["k_neighbors"])
+    g, nodes, net, grid, config = _load_fitted(args.fitted)
+    idx = motion.knn_indices(g.centers, nodes.positions, config.k_neighbors)
     deformed, _ = motion.apply_motion(g, nodes, net, args.time, idx)
-    vol = gauss.render_volume(deformed, grid, manifest["cutoff_multiplier"])
+    vol = gauss.render_volume(deformed, grid, config.cutoff_multiplier)
     volgrid.save_volume(vol, args.out)
     return EXIT_OK
 
 
 def cmd_export_field(args):
     _check_time(args.time)
-    g, nodes, net, grid, manifest = _load_fitted(args.fitted)
-    field = metrics.dense_field_on_grid(g, nodes, net, args.time, grid,
-                                        k=manifest["k_neighbors"])
+    _, nodes, net, grid, config = _load_fitted(args.fitted)
+    field = metrics.dense_field_on_grid(nodes, net, args.time, grid, k=config.k_neighbors)
     out = Path(args.out)
     names = {}
     for i, comp in enumerate(("ux", "uy", "uz")):

@@ -417,6 +417,10 @@ class DensifyConfig:
     split_factor: float = 1.6
     intensity_floor: float = 1e-3
 
+    def __post_init__(self):
+        if not self.split_factor > 0:
+            raise ValidationError(f"split_factor must be > 0, got {self.split_factor}")
+
 
 @dataclass
 class DensifyResult:
@@ -452,21 +456,18 @@ def densify_and_prune(gaussians, grad_mean, config):
                 gaussians.log_scales[i], gaussians.intensities[i],
                 None if gaussians.labels is None else gaussians.labels[i])
 
-    parts = [rows(np.isin(np.arange(gaussians.count), kept))]
-    if np.any(clone):
-        parts.append(rows(clone))
-    if np.any(split):
-        c, r, ls, inten, lab = rows(split)
-        q_hat, _, _ = canonicalize_quaternions(r)
-        R = quaternions_to_matrices(q_hat)
-        axis = np.argmax(ls, axis=1)
-        sig = np.exp(ls[np.arange(len(axis)), axis])
-        direction = R[np.arange(len(axis)), :, axis]
-        offset = direction * (0.5 * sig)[:, None]
-        ls_child = ls - np.log(config.split_factor)
-        for side in (+1.0, -1.0):
-            parts.append((c + side * offset, r.copy(), ls_child.copy(),
-                          inten.copy(), None if lab is None else lab.copy()))
+    parts = [rows(alive & ~split), rows(clone)]
+    c, r, ls, inten, lab = rows(split)
+    q_hat, _, _ = canonicalize_quaternions(r)
+    R = quaternions_to_matrices(q_hat)
+    axis = np.argmax(ls, axis=1)
+    sig = np.exp(ls[np.arange(len(axis)), axis])
+    direction = R[np.arange(len(axis)), :, axis]
+    offset = direction * (0.5 * sig)[:, None]
+    ls_child = ls - np.log(config.split_factor)
+    for side in (+1.0, -1.0):
+        parts.append((c + side * offset, r.copy(), ls_child.copy(),
+                      inten.copy(), None if lab is None else lab.copy()))
     # field by field: centers, rotations, log_scales, intensities, labels
     out = GaussianSet(*(None if col[0] is None else np.concatenate(col)
                         for col in zip(*parts)))

@@ -251,7 +251,7 @@ def jacobian_stats(field):
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-def dense_field_on_grid(gaussians, nodes, net, t, grid, k=4):
+def dense_field_on_grid(nodes, net, t, grid, k=4):
     """Evaluate the motion model's displacement at every voxel center."""
     queries = voxel_centers_normalized(grid.dims).reshape(-1, 3)
     u = motion_mod.dense_displacement(queries, nodes, net, t, k)
@@ -283,7 +283,7 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k=4,
     psnr_db = psnr(rendered, es_frame)
     ssim_val = ssim3d(rendered, es_frame)
     hds = [hausdorff(warped, truth_es, lab) for lab in _STRUCTURES]
-    field = dense_field_on_grid(gaussians, nodes, net, t_es, es_frame, k=k)
+    field = dense_field_on_grid(nodes, net, t_es, es_frame, k=k)
     fold_fraction, jac_dev = jacobian_stats(field)
     return MetricReport(
         dice_rv=d_rv, dice_lv=d_lv, dice_myo=d_myo,

@@ -55,9 +55,6 @@ class ControlNodeSet:
     def count(self):
         return self.positions.shape[0]
 
-    def copy(self):
-        return ControlNodeSet(self.positions.copy(), self.log_radii.copy())
-
 
 @dataclass
 class NodeTransforms:
@@ -120,11 +117,6 @@ class DeformNet:
         weights.append(np.zeros((hidden_width, 6)))
         biases = [np.zeros(w.shape[1]) for w in weights]
         return cls(weights, biases, l_space, l_time)
-
-    def copy(self):
-        return DeformNet([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases],
-                         self.l_space, self.l_time)
 
 
 def encode_inputs(net, positions, t):

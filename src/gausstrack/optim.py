@@ -13,6 +13,7 @@ decay curve, the rest stay constant.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -105,6 +106,8 @@ class FitSchedule:
                 " < total_iters")
         if self.densify_interval < 1 or self.densify_start < 1:
             raise ValidationError("densify interval/start must be >= 1")
+        if not self.lr_decay_end > 0:
+            raise ValidationError(f"lr_decay_end must be > 0, got {self.lr_decay_end}")
 
     @classmethod
     def scaled(cls, total_iters):
@@ -124,6 +127,13 @@ class ParamGroup:
     lr_init: float
     decays: bool = False
     frozen_until: int = 0
+
+    def __post_init__(self):
+        # a decaying rate is a geometric curve through lr_init, so it must be > 0
+        above_floor = self.lr_init > 0 if self.decays else self.lr_init >= 0
+        if not (above_floor and math.isfinite(self.lr_init)):
+            raise ValidationError(f"learning rate of '{self.name}' must be finite and "
+                                  f"{'> 0' if self.decays else '>= 0'}, got {self.lr_init}")
 
 
 # initial learning rates of the five groups (the full-scale recipe)
@@ -179,6 +189,10 @@ class NetworkConfig:
     hidden_width: int = 128
     hidden_depth: int = 6
 
+    def __post_init__(self):
+        if self.hidden_width < 1:
+            raise ValidationError(f"hidden_width must be >= 1, got {self.hidden_width}")
+
 
 @dataclass
 class FitConfig:
@@ -196,16 +210,21 @@ class FitConfig:
     occupancy_floor: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        parameter_groups(self.schedule, self.learning_rates)
+        if not self.cutoff_multiplier > 0:
+            raise ValidationError(f"cutoff_multiplier must be > 0, got {self.cutoff_multiplier}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
-        """Build from parsed JSON; unknown keys, values of the wrong type and
-        unknown learning-rate groups raise ValidationError."""
-        config = _from_dict(cls, data, "config")
-        parameter_groups(config.schedule, config.learning_rates)
-        return config
+        """Build from parsed JSON; unknown keys, values of the wrong type or
+        out of range and unknown learning-rate groups raise ValidationError."""
+        return _from_dict(cls, data, "config")
 
     @classmethod
     def load(cls, path):
@@ -221,15 +240,13 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Run record: loss trace, schedule events, final sizes, provenance."""
+    """What the fit did: loss trace, schedule events, final Gaussian count
+    and wall clock.  The settings it ran with are the run's config."""
 
     losses: list
     events: list
     final_gaussians: int
-    final_nodes: int
     wall_clock_s: float
-    seed: int
-    config: dict
 
     def to_json(self):
         return json.dumps(asdict(self), indent=1)
@@ -242,9 +259,7 @@ class FitReport:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        d["events"] = [tuple(e) for e in d["events"]]
-        return cls(**d)
+        return cls(**json.loads(text))
 
 
 @dataclass
@@ -359,13 +374,5 @@ def fit(sequence, mask, config, inspect_hook=None):
             accum_n = 0
             events.append([done, "densify", f"gaussians {before} -> {g.count}"])
 
-    report = FitReport(
-        losses=losses,
-        events=[list(e) for e in events],
-        final_gaussians=g.count,
-        final_nodes=nodes.count,
-        wall_clock_s=time.perf_counter() - started,
-        seed=config.seed,
-        config=config.to_dict(),
-    )
+    report = FitReport(losses, events, g.count, time.perf_counter() - started)
     return FitResult(g, nodes, net, report)

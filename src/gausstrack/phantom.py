@@ -70,6 +70,10 @@ class PhantomSpec:
             raise ValidationError("peak contraction must lie in (0, 1)")
         if self.frames < 2:
             raise ValidationError("a sequence needs at least two frames")
+        if len(self.rv_angle_deg) != 2:
+            raise ValidationError(f"rv_angle_deg must be two angles, got {self.rv_angle_deg}")
+        if self.texture_seed < 0:
+            raise ValidationError(f"texture_seed must be >= 0, got {self.texture_seed}")
         rho_a = self.profile_breaks[0]
         if self.peak_contraction * self.areal_amplitude >= rho_a:
             raise ValidationError(

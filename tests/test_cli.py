@@ -7,7 +7,7 @@ import pytest
 
 from gausstrack.cli import main
 from gausstrack.errors import NumericalAbort
-from gausstrack.optim import FitConfig, FitSchedule, NetworkConfig, fit
+from gausstrack.optim import FitConfig, fit
 from gausstrack.phantom import PhantomSpec
 from gausstrack import volgrid
 
@@ -24,16 +24,16 @@ def tiny_phantom_spec(tmp_path, seed=0):
     return path
 
 
+# a 40-iteration fit on the tiny phantom
+TINY_FIT = {"schedule": {"total_iters": 40, "canonical_only_until": 10,
+                         "node_unfreeze_at": 20, "densify_interval": 15, "densify_start": 15},
+            "network": {"l_space": 2, "l_time": 2, "hidden_width": 8, "hidden_depth": 2},
+            "n_init": 48, "node_budget": 16, "k_neighbors": 4}
+
+
 def tiny_fit_config(tmp_path):
-    cfg = FitConfig(
-        schedule=FitSchedule(total_iters=40, canonical_only_until=10,
-                             node_unfreeze_at=20, densify_interval=15,
-                             densify_start=15),
-        network=NetworkConfig(l_space=2, l_time=2, hidden_width=8, hidden_depth=2),
-        n_init=48, node_budget=16, k_neighbors=4, seed=1,
-    )
     path = tmp_path / "config.json"
-    cfg.save(path)
+    FitConfig.from_dict(dict(TINY_FIT, seed=1)).save(path)
     return path
 
 
@@ -140,6 +140,34 @@ def test_eval_mismatched_mask_dims(tmp_path):
     assert rc == 2
 
 
+def test_fit_dir_states_each_fact_once(tmp_path):
+    _, fit_dir = fitted_run(tmp_path)
+    manifest = json.loads((fit_dir / "run_manifest.json").read_text())
+    assert sorted(manifest) == ["artifacts", "grid", "kind"]
+    report = json.loads((fit_dir / "report.json").read_text())
+    assert sorted(report) == ["events", "final_gaussians", "losses", "wall_clock_s"]
+    assert FitConfig.load(fit_dir / manifest["artifacts"]["config"]) == \
+        FitConfig.load(tmp_path / "config.json")
+
+
+def test_queries_take_their_settings_from_the_run_config(tmp_path):
+    from gausstrack import motion as motion_mod
+
+    _, fit_dir = fitted_run(tmp_path)
+    config = json.loads((fit_dir / "config.json").read_text())
+    (fit_dir / "config.json").write_text(json.dumps(dict(config, k_neighbors=2)))
+    assert main(["export-field", "--fitted", str(fit_dir), "--time", "0.5",
+                 "--out", str(tmp_path / "u")]) == 0
+    exported = np.stack([volgrid.load_volume(tmp_path / f"u_{c}").values
+                         for c in ("ux", "uy", "uz")], axis=-1).reshape(-1, 3)
+    nodes = motion_mod.load_nodes(fit_dir / "nodes")
+    net = motion_mod.load_network(fit_dir / "network")
+    queries = volgrid.voxel_centers_normalized((20, 20, 16)).reshape(-1, 3)
+    for k, same in ((2, True), (4, False)):
+        u = motion_mod.dense_displacement(queries, nodes, net, 0.5, k).astype(np.float32)
+        assert np.array_equal(exported, u) == same, k
+
+
 def test_render_and_export_field(tmp_path):
     ph, fit_dir = fitted_run(tmp_path)
     rc = main(["render", "--fitted", str(fit_dir), "--time", "0.5",
@@ -180,12 +208,13 @@ def untrained_state_dir(tmp_path):
     gauss_mod.save_gaussians(g, out / "gaussians")
     motion_mod.save_nodes(nodes, out / "nodes")
     motion_mod.save_network(net, out / "network")
+    FitConfig(k_neighbors=4, cutoff_multiplier=3.0, occupancy_floor=0.5).save(
+        out / "config.json")
     manifest = {
         "kind": "gausstrack-fit",
         "artifacts": {"gaussians": "gaussians.gjson", "nodes": "nodes.njson",
-                      "network": "network.wjson"},
+                      "network": "network.wjson", "config": "config.json"},
         "grid": {"dims": [10, 10, 10], "spacing": [2.0, 2.0, 2.0]},
-        "k_neighbors": 4, "cutoff_multiplier": 3.0, "occupancy_floor": 0.5,
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest))
     return out
@@ -230,6 +259,12 @@ def _damage_state(state, what):
         raw.write_bytes(np.array([np.nan], dtype="<f4").tobytes() + raw.read_bytes()[4:])
     elif what == "missing nodes.raw":
         (state / "nodes.raw").unlink()
+    elif what == "config.json with a string k_neighbors":
+        config = json.loads((state / "config.json").read_text())
+        config["k_neighbors"] = "4"
+        (state / "config.json").write_text(json.dumps(config))
+    elif what == "malformed config.json":
+        (state / "config.json").write_text('{"n_init": 48,')
     else:
         manifest = json.loads((state / "run_manifest.json").read_text())
         if what == "malformed run_manifest.json":
@@ -243,9 +278,6 @@ def _damage_state(state, what):
         elif what == "run manifest with a fractional grid":
             manifest["grid"] = {"dims": [10.5, 10, 10], "spacing": [2.0, 2.0, 2.0]}
             text = json.dumps(manifest)
-        elif what == "run manifest with a string k_neighbors":
-            manifest["k_neighbors"] = "4"
-            text = json.dumps(manifest)
         (state / "run_manifest.json").write_text(text)
 
 
@@ -254,7 +286,7 @@ STATE_DAMAGE = ["truncated gaussians.raw", "nodes.njson without count",
                 "malformed run_manifest.json", "run manifest without kind",
                 "run manifest without artifacts", "run manifest without grid",
                 "run manifest with a bad grid", "run manifest with a fractional grid",
-                "run manifest with a string k_neighbors"]
+                "config.json with a string k_neighbors", "malformed config.json"]
 
 
 def _one_line_failure(capsys, argv, code=2):
@@ -318,6 +350,15 @@ def test_missing_artifact_manifest_exits_4(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["render", "export-field"])
+def test_missing_config_exits_4(tmp_path, capsys, command):
+    state = untrained_state_dir(tmp_path)
+    (state / "config.json").unlink()
+    _one_line_failure(capsys, [command, "--fitted", str(state), "--time", "0.5",
+                               "--out", str(tmp_path / "out" / "q")], code=4)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("time", ["nan", "inf", "-0.1", "1.5"])
 @pytest.mark.parametrize("command", ["render", "export-field"])
 def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
@@ -341,6 +382,16 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
     {"learning_rates": {"everything": 1e-3}},
     {"workers": 2},
     {"deterministic": False},
+    # out of range, on the tiny fit so that a value the checks miss ends the
+    # test quickly: each ran into a traceback, a late abort or an empty render
+    dict(TINY_FIT, learning_rates={"positions": 0.0}),
+    dict(TINY_FIT, learning_rates={"nodes": -1e-4}),
+    dict(TINY_FIT, schedule=dict(TINY_FIT["schedule"], lr_decay_end=-1.0)),
+    dict(TINY_FIT, network=dict(TINY_FIT["network"], hidden_width=0)),
+    dict(TINY_FIT, seed=-1),
+    dict(TINY_FIT, cutoff_multiplier=0.0),
+    dict(TINY_FIT, cutoff_multiplier=-3.0),
+    dict(TINY_FIT, densify={"split_factor": 0.0}),
 ])
 def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, config):
     ph = tmp_path / "ph"
@@ -355,12 +406,13 @@ def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, confi
 
 @pytest.mark.parametrize("what", ["missing frame raw", "malformed sequence.vjson",
                                   "frame names not strings", "malformed config",
-                                  "fractional mask dims"])
+                                  "fractional mask dims", "negative --seed"])
 def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     ph = tmp_path / "ph"
     main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
     cfg = tiny_fit_config(tmp_path)
     index = ph / "sequence" / "sequence.vjson"
+    extra = []
     if what == "missing frame raw":
         (ph / "sequence" / "frame_001.raw").unlink()
     elif what == "malformed sequence.vjson":
@@ -370,17 +422,20 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     elif what == "fractional mask dims":
         mask = ph / "ed_labels.vjson"
         mask.write_text(json.dumps({**json.loads(mask.read_text()), "dims": [20.5, 20, 16]}))
+    elif what == "negative --seed":
+        extra = ["--seed", "-1"]
     else:
         cfg.write_text(cfg.read_text()[:-1])
     _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
                                "--mask", str(ph / "ed_labels.vjson"),
-                               "--config", str(cfg), "--out", str(tmp_path / "fit")])
+                               "--config", str(cfg), "--out", str(tmp_path / "fit")] + extra)
     assert not (tmp_path / "fit").exists()
 
 
 def test_bad_phantom_spec_exits_2(tmp_path, capsys):
     for spec in ('{"frames": "eight"}', '{"dims": [64, 64]', '{"dims": "big"}',
-                 '{"dims": [64.5, 64, 64]}'):
+                 '{"dims": [64.5, 64, 64]}', '{"texture_seed": -1}',
+                 '{"rv_angle_deg": [100.0, 180.0, 260.0]}'):
         path = tmp_path / "spec.json"
         path.write_text(spec)
         _one_line_failure(capsys, ["phantom", "--spec", str(path),

@@ -376,6 +376,6 @@ def test_metric_report_round_trip():
 
 def test_dense_field_on_grid_zero_for_identity_net():
     mask, ref = labeled_cube_scene()
-    g, nodes, net = identity_state(mask, ref)
-    field = dense_field_on_grid(g, nodes, net, 0.7, ref, k=4)
+    _, nodes, net = identity_state(mask, ref)
+    field = dense_field_on_grid(nodes, net, 0.7, ref, k=4)
     assert np.all(field.vectors == 0.0)

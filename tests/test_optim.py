@@ -156,6 +156,25 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
         FitConfig.from_dict({"schedule": {"bogus": 2}})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FitConfig(learning_rates={"intensity": float("inf")}),
+    lambda: FitConfig(learning_rates={"rotscale": -1e-4}),
+    lambda: FitConfig(learning_rates={"positions": 0.0}),
+    lambda: FitConfig(cutoff_multiplier=float("nan")),
+    lambda: FitConfig(seed=-1),
+    lambda: FitSchedule(lr_decay_end=0.0),
+    lambda: NetworkConfig(hidden_width=0),
+    lambda: DensifyConfig(split_factor=-1.6),
+])
+def test_out_of_range_settings_are_refused_without_json(make):
+    with pytest.raises(ValidationError, match="must be"):
+        make()
+
+
+def test_a_constant_group_may_have_rate_zero():
+    assert parameter_groups(learning_rates={"network": 0.0})["network"].lr_init == 0.0
+
+
 # --- fit smoke run -----------------------------------------------------------------
 
 def toy_problem(dims=(12, 12, 12), n_frames=3, shift_per_t=1.0, seed=0):
@@ -278,5 +297,4 @@ def test_fit_report_round_trip():
     seq, mask = toy_problem()
     result = fit(seq, mask, toy_config(total=70))
     back = FitReport.from_json(result.report.to_json())
-    assert back.losses == result.report.losses
-    assert back.seed == result.report.seed
+    assert back == result.report
