@@ -13,11 +13,15 @@ with b the middle minus the center, q = (b + o)^T P (b + o) is the product of
 [b^T P b, 2 P b, upper P with doubled off-diagonals] with the offset moments
 [1, o, o_i o_j].  The backward pass sums dL/dV against the same moments, so
 the forward cache holds only exp(-q/2) per Gaussian-voxel pair, plus per
-render the live Gaussians' b, P, R and scales.  Each box shape's offsets and
-moments are built once per process (``_box_geometry``, read-only); the chunk
-loops do only per-pair work, and the covariance chain of the backward pass
-runs once per render over every Gaussian with a non-empty box.  A set with a
-scale at 0 or infinity (a non-finite precision) raises NumericalAbort.
+render the live Gaussians' b, P, R and canonical quaternions.  Each box
+shape's offsets and moments are built once per process (``_box_geometry``,
+read-only).  A shape's Gaussians run in cache-sized chunks (``_CHUNK_ELEMS``
+box pairs).  A chunk tests its box offsets against its cutoff spheres with
+the Gaussians innermost and keeps only the offsets some Gaussian reaches:
+voxel indices, product, exponential, scatter and the backward's gather and
+sums run on those columns alone.  The backward's covariance chain runs once
+per render over every Gaussian with a non-empty box.  A set with a scale at
+0 or infinity (a non-finite precision) raises NumericalAbort.
 
 Quaternions are stored unconstrained and canonicalized (unit norm, w >= 0)
 inside every covariance build; gradients chain through that normalization.
@@ -34,9 +38,9 @@ from .errors import NumericalAbort, ValidationError
 from .volgrid import (VoxelVolume, _axis_denoms, _read_container, _write_container,
                       voxel_centers_normalized)
 
-# Memory cap for the vectorized renderer: Gaussians are processed in chunks
-# so that (chunk x support) scratch arrays stay small.
-_CHUNK_ELEMS = 4_000_000
+# Box pairs per renderer chunk, a cache size (the sphere test's r^2 is 1 MB),
+# not a memory cap: 2^17-2^20 tie on 64^3 sets, 2^17 is fastest at 128^3.
+_CHUNK_ELEMS = 2 ** 17
 _FIELDS = ["centers", "rotations", "log_scales", "intensities"]
 # upper-triangle pairs (i <= j) and the offset-moment column of each (i, j)
 _IU = np.triu_indices(3)
@@ -160,20 +164,22 @@ def _rotmat_backward(q_hat, g_R):
 
 
 def _covariance_batch(gaussians, cutoff_multiplier):
-    """Vectorized covariance build: (R, s, inverse, radii) for all Gaussians.
+    """Vectorized covariance build: (q, R, s, inverse, radii) for all
+    Gaussians, q = (q_hat, norm, sign) from canonicalize_quaternions.
 
-    The inverse uses the factorization directly (R S^-2 R^T), so it is exact
-    for any finite log_scales.
+    The inverse uses the factorization directly (R S^-2 R^T, as a sum of
+    per-axis outer products), so it is exact for any finite log_scales.
     """
-    q_hat, _, _ = canonicalize_quaternions(gaussians.rotations)
-    R = quaternions_to_matrices(q_hat)
+    q = canonicalize_quaternions(gaussians.rotations)
+    R = quaternions_to_matrices(q[0])
     s = np.exp(gaussians.log_scales)
-    inv = np.matmul(R / (s * s)[:, None, :], R.transpose(0, 2, 1))
+    Rw = R / (s * s)[:, None, :]
+    inv = sum(Rw[:, :, None, k] * R[:, None, :, k] for k in range(3))
     if cutoff_multiplier is None:
         radii = np.full(gaussians.count, np.inf)
     else:
         radii = cutoff_multiplier * s.max(axis=1)
-    return R, s, inv, radii
+    return q, R, s, inv, radii
 
 
 def covariance_from_params(rot, log_scale, cutoff_multiplier=3.0):
@@ -181,7 +187,7 @@ def covariance_from_params(rot, log_scale, cutoff_multiplier=3.0):
     Gaussian.  Invariant to quaternion sign and scale."""
     g = GaussianSet(np.zeros((1, 3)), np.asarray(rot, dtype=np.float64).reshape(1, 4),
                     np.asarray(log_scale, dtype=np.float64).reshape(1, 3), np.ones(1))
-    R, s, inv, radii = _covariance_batch(g, cutoff_multiplier)
+    _, R, s, inv, radii = _covariance_batch(g, cutoff_multiplier)
     M = R[0] * s[0][None, :]
     sigma = M @ M.T
     return Covariance(sigma=sigma, inverse=inv[0], radius=float(radii[0]))
@@ -235,14 +241,15 @@ def _box_geometry(bshape, dims):
 
 def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
     """Group Gaussians by support-box shape; yield the forward cache chunk by
-    chunk: (rows, flat, feats, e, live).  ``live`` = (order, base, inv, R, s)
+    chunk: (rows, flat, feats, e, live).  ``live`` = (order, base, inv, R, q)
     is built once per render: the Gaussians with a non-empty box, grouped by
     shape, with their box middles minus centers, precisions, rotations and
-    scales.  ``rows`` slices it to the chunk, with (G, B) voxel indices
-    ``flat``, (B, 10) offset moments ``feats`` and (G, B) exponentials
-    ``e``, zero off the sphere."""
+    canonical quaternions (q_hat, norm, sign).  ``rows`` slices it to the
+    chunk; of the chunk's box offsets only the C that some of its Gaussians
+    reach are kept, with (G, C) voxel indices ``flat``, (C, 10) offset
+    moments ``feats`` and (G, C) exponentials ``e``, zero off the sphere."""
     denoms = _axis_denoms(dims)
-    R, s, inv, radii = _covariance_batch(gaussians, cutoff_multiplier)
+    q, R, s, inv, radii = _covariance_batch(gaussians, cutoff_multiplier)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(inv))):
         raise NumericalAbort("non-finite precision: a Gaussian scale is 0 or infinite")
     lo, hi = _support_boxes(gaussians.centers, radii, dims)
@@ -250,8 +257,10 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
     order = np.flatnonzero(np.all(shape > 0, axis=1))
     if order.size == 0:
         return
-    # stable grouping by box shape keeps accumulation order deterministic
-    order = order[np.lexsort((order, *shape[order].T[::-1]))]
+    # stable grouping by box shape (packed key, 1 <= shape <= dims) keeps
+    # accumulation order deterministic
+    key = (shape[order, 0] * (dims[1] + 1) + shape[order, 1]) * (dims[2] + 1) + shape[order, 2]
+    order = order[np.argsort(key, kind="stable")]
     shape, lo = shape[order], lo[order]
     corner = lo / denoms - gaussians.centers[order]
     base, P = corner + (shape - 1) / 2 / denoms, inv[order]
@@ -261,24 +270,25 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
                            P[:, _IU[0], _IU[1]] * [-.5, -1, -1, -.5, -1, -.5]], 1)
     r2_max = radii[order] ** 2
     flat_lo = (lo[:, 0] * dims[1] + lo[:, 1]) * dims[2] + lo[:, 2]
-    live = (order, base, P, R[order], s[order])
+    live = (order, base, P, R[order], tuple(a[order] for a in q))
     bounds = np.flatnonzero(np.any(np.diff(shape, axis=0) != 0, axis=1)) + 1
     for first, stop in zip(np.r_[0, bounds], np.r_[bounds, order.size]):
         flat_off, axes, feats = _box_geometry(tuple(shape[first].tolist()), dims)
-        B = flat_off.size
-        step = max(1, _CHUNK_ELEMS // B)
+        step = max(1, _CHUNK_ELEMS // flat_off.size)
         for start in range(first, stop, step):
             rows = slice(start, min(start + step, stop))
-            flat = flat_lo[rows, None] + flat_off
             # exact r^2 from per-axis squares summed (x + y) + z, so voxels
-            # on the cutoff sphere fall on the same side in every render
-            x, y, z = ((corner[rows, i, None] + axes[i]) ** 2 for i in range(3))
-            r2 = (x[:, :, None, None] + y[:, None, :, None]) + z[:, None, None, :]
-            mask = (r2 <= r2_max[rows, None, None, None]).reshape(-1, B)
-            e = np.matmul(coef[rows], feats.T, out=r2.reshape(-1, B))
+            # on the cutoff sphere fall on the same side in every render;
+            # Gaussians innermost: (n_i, G) squares, (nx, ny, nz, G) sums
+            x, y, z = ((corner[rows, i] + axes[i][:, None]) ** 2 for i in range(3))
+            r2 = (x[:, None, None] + y[:, None]) + z
+            inside = (r2 <= r2_max[rows]).reshape(flat_off.size, -1)
+            cols = np.flatnonzero(inside.any(axis=1))
+            fc = feats[cols]
+            e = np.matmul(coef[rows], fc.T)
             np.exp(e, out=e)
-            e *= mask
-            yield rows, flat, feats, e, live
+            e *= inside[cols].T
+            yield rows, flat_lo[rows, None] + flat_off[cols], fc, e, live
 
 
 def render_with_cache(gaussians, dims, cutoff_multiplier=3.0):
@@ -286,13 +296,12 @@ def render_with_cache(gaussians, dims, cutoff_multiplier=3.0):
     needs (see _iter_support_chunks).  Sharing the cache guarantees forward
     and backward use the identical cutoff set."""
     dims = tuple(int(d) for d in dims)
-    nvox = dims[0] * dims[1] * dims[2]
-    out = np.zeros(nvox)
+    out = np.zeros(dims)
     chunks = list(_iter_support_chunks(gaussians, dims, cutoff_multiplier))
     for rows, flat, _, e, live in chunks:
         vals = gaussians.intensities[live[0][rows]][:, None] * e
-        out += np.bincount(flat.ravel(), weights=vals.ravel(), minlength=nvox)
-    return out.reshape(dims), chunks
+        np.add.at(out.reshape(-1), flat.ravel(), vals.ravel())
+    return out, chunks
 
 
 def render_values(gaussians, dims, cutoff_multiplier=3.0):
@@ -347,7 +356,7 @@ def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None
     if not cache:
         return grads
     # the chain runs over the live rows; Gaussians with an empty box keep 0
-    order, base, inv, R, s = cache[0][4]
+    order, base, inv, R, (q_hat, q_norm, q_sign) = cache[0][4]
     up = upstream.ravel()
     # moments of dL/dV * exp term against [1, o, o_i o_j]
     m = np.empty((order.size, 10))
@@ -361,12 +370,10 @@ def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None
     grads.centers[order] += np.einsum("gij,gj->gi", inv, wd)
     gP = -0.5 * (base[:, :, None] * wd[:, None, :]
                  + s1[:, :, None] * base[:, None, :] + s2)
-    # covariance chain: P -> sigma -> M = R S -> (R, S) -> (q, log_scales)
-    gSigma = -np.matmul(np.matmul(inv, gP), inv)
-    gM = 2.0 * np.matmul(gSigma, R * s[:, None, :])
-    gR = gM * s[:, None, :]
-    grads.log_scales[order] += np.einsum("gik,gik->gk", R, gM) * s
-    q_hat, q_norm, q_sign = canonicalize_quaternions(gaussians.rotations[order])
+    # P = R S^-2 R^T: dL/dR = -2 P gP R and d log s_k = sum_i R_ik (dL/dR)_ik,
+    # then R -> q_hat -> raw quaternions
+    gR = -2.0 * np.matmul(inv, np.matmul(gP, R))
+    grads.log_scales[order] += np.einsum("gik,gik->gk", R, gR)
     g_qhat = _rotmat_backward(q_hat, gR)
     radial = np.einsum("gc,gc->g", q_hat, g_qhat)
     grads.rotations[order] += (q_sign / q_norm)[:, None] * (

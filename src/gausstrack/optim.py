@@ -214,6 +214,8 @@ class FitConfig:
         parameter_groups(self.schedule, self.learning_rates)
         if not self.cutoff_multiplier > 0:
             raise ValidationError(f"cutoff_multiplier must be > 0, got {self.cutoff_multiplier}")
+        if not 0 < self.occupancy_floor < 1:
+            raise ValidationError(f"occupancy_floor must be in (0, 1), got {self.occupancy_floor}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 

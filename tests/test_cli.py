@@ -392,6 +392,10 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
     dict(TINY_FIT, cutoff_multiplier=0.0),
     dict(TINY_FIT, cutoff_multiplier=-3.0),
     dict(TINY_FIT, densify={"split_factor": 0.0}),
+    dict(TINY_FIT, occupancy_floor=0.0),
+    dict(TINY_FIT, occupancy_floor=-1.0),
+    dict(TINY_FIT, occupancy_floor=1.0),
+    dict(TINY_FIT, occupancy_floor=2.0),
 ])
 def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, config):
     ph = tmp_path / "ph"

@@ -232,7 +232,7 @@ def test_many_box_shapes_equal_sums_of_single_gaussian_renders():
     upstream = loss_and_upstream(dims, seed=9)
     values, cache = render_with_cache(g, dims)
     grads = render_backward(g, dims, upstream, cache=cache)
-    # one moments array per box shape, shared by that shape's chunks
+    # one chunk or more per box shape, each with the moments of its own offsets
     assert len({id(feats) for _, _, feats, _, _ in cache}) >= 20
     assert g.count - 1 not in cache[0][4][0]            # not among the live rows
     want = [np.zeros(dims)] + [np.zeros_like(getattr(grads, f)) for f in
@@ -249,16 +249,47 @@ def test_many_box_shapes_equal_sums_of_single_gaussian_renders():
     for a, ref in zip(got, want):
         assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert all(np.all(a[-1] == 0) for a in got[1:])
-    # the sum itself against a direct cutoff render over every voxel
+    # the sum itself and its (Gaussian, voxel) pairs against a direct cutoff
+    # render over every voxel
     pts = np.stack(np.meshgrid(*[np.arange(n) / (n - 1) for n in dims], indexing="ij"),
                    axis=-1).reshape(-1, 3)
-    direct = np.zeros(len(pts))
+    direct, want_pairs = np.zeros(len(pts)), set()
     for i in range(g.count):
         cov = covariance_from_params(g.rotations[i], g.log_scales[i])
         d = pts - g.centers[i]
         qf = np.einsum("bi,ij,bj->b", d, np.linalg.inv(cov.sigma), d)
-        direct += ((d * d).sum(axis=1) <= cov.radius ** 2) * g.intensities[i] * np.exp(-qf / 2)
+        inside = (d * d).sum(axis=1) <= cov.radius ** 2
+        direct += inside * g.intensities[i] * np.exp(-qf / 2)
+        want_pairs |= {(i, v) for v in np.flatnonzero(inside).tolist()}
     assert np.max(np.abs(values.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
+    # a chunk keeps only the box offsets some of its Gaussians reach
+    pairs = set()
+    for rows, flat, feats, e, live in cache:
+        assert e.shape == flat.shape == (rows.stop - rows.start, feats.shape[0])
+        assert np.all(np.any(e != 0, axis=0))
+        gi, col = np.nonzero(e)
+        pairs |= set(zip(live[0][rows][gi].tolist(), flat[gi, col].tolist()))
+    assert pairs == want_pairs
+
+
+def test_gaussian_reaching_no_voxel_of_its_box_renders_zero_with_zero_gradients():
+    # radius 0.4 voxel, center 0.3 voxel from voxel (4, 4, 4) along each
+    # axis: the box is that one voxel, 0.52 voxel away, outside the sphere
+    dims = (9, 9, 9)
+    lone = GaussianSet([[4.3 / 8] * 3], [[0.9, 0.1, -0.2, 0.3]],
+                       np.log([[0.4 / 8 / 3] * 3]), [0.7])
+    others = random_set(5, seed=12, labels=False)
+    both = GaussianSet(*(np.concatenate([getattr(others, f), getattr(lone, f)]) for f in
+                         ("centers", "rotations", "log_scales", "intensities")))
+    upstream = loss_and_upstream(dims, seed=4)
+    values, cache = render_with_cache(lone, dims)
+    assert [e.shape for _, _, _, e, _ in cache] == [(1, 0)]     # live, nothing reached
+    assert np.all(values == 0)
+    assert np.array_equal(render_values(both, dims), render_values(others, dims))
+    for g in (lone, both):
+        grads = render_backward(g, dims, upstream)
+        for f in ("centers", "rotations", "log_scales", "intensities"):
+            assert np.all(getattr(grads, f)[-1] == 0), f
 
 
 @pytest.mark.parametrize("y", [-1.0, 2.0])
@@ -409,6 +440,20 @@ def test_backward_matches_finite_differences(attr, cols):
     upstream = loss_and_upstream(dims, seed=1)
     shape = (g.count,) if cols is None else (g.count, cols)
     err, got, fd = fd_check(g, dims, upstream, attr, shape)
+    assert err < 1e-4, f"{attr}: max rel err {err}"
+
+
+@pytest.mark.parametrize("attr", ["rotations", "log_scales"])
+def test_backward_matches_finite_differences_anisotropic(attr):
+    # axis scales 1 : 1.7 : 3 on rotated Gaussians, where P = R S^-2 R^T is
+    # far from isotropic, so a wrong product order or transpose in the
+    # rotation and scale adjoint shows
+    g = random_set(6, seed=44, labels=False)
+    g.log_scales = np.log(np.random.default_rng(45).uniform(0.04, 0.06, (6, 1))
+                          * [[1.0, 1.7, 3.0]])
+    dims = (9, 9, 9)
+    err, got, fd = fd_check(g, dims, loss_and_upstream(dims, seed=6), attr,
+                            getattr(g, attr).shape)
     assert err < 1e-4, f"{attr}: max rel err {err}"
 
 
