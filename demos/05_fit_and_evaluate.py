@@ -36,7 +36,8 @@ for it, name, detail in result.report.events[:3]:
     print(f"  event @{it}: {name} ({detail})")
 
 truth_es = warp_labels_analytic(ed_labels, seq.times[seq.es_index], spec)
-report = evaluate_run(result.gaussians, result.nodes, result.net, seq, truth_es)
+report = evaluate_run(result.gaussians, result.nodes, result.net, seq, truth_es,
+                      config.k_neighbors, config.cutoff_multiplier, config.occupancy_floor)
 print("dice avg:", round(report.dice_avg, 3),
       " (rv", round(report.dice_rv, 3), "myo", round(report.dice_myo, 3),
       "lv", round(report.dice_lv, 3), ")")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import shutil
 import sys
 import uuid
@@ -81,8 +80,6 @@ def cmd_phantom(args):
 
 def _load_fit_inputs(args):
     config = optim.FitConfig.load(args.config) if args.config else optim.FitConfig()
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     sequence = volgrid.load_sequence(args.sequence)
     mask = volgrid.load_volume(args.mask)
     if not isinstance(mask, volgrid.LabelVolume):
@@ -166,7 +163,7 @@ def cmd_render(args):
 def cmd_export_field(args):
     _check_time(args.time)
     _, nodes, net, grid, config = _load_fitted(args.fitted)
-    field = metrics.dense_field_on_grid(nodes, net, args.time, grid, k=config.k_neighbors)
+    field = metrics.dense_field_on_grid(nodes, net, args.time, grid, config.k_neighbors)
     out = Path(args.out)
     names = {}
     for i, comp in enumerate(("ux", "uy", "uz")):
@@ -200,7 +197,6 @@ def build_parser():
     p.add_argument("--mask", required=True, help="ED label volume (.vjson)")
     p.add_argument("--config", help="run-config JSON (defaults when omitted)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=cmd_fit)
 

@@ -409,24 +409,21 @@ def initialize_from_mask(mask, reference, n_init, seed):
     return GaussianSet(centers, rotations, log_scales, intensities, labels)
 
 
+# max-axis sigma (normalized units) separating clone (small) from split
+# (large), and the factor the children of a split divide their scales by
+SIZE_THRESHOLD, SPLIT_FACTOR = 0.01, 1.6
+
+
 @dataclass
 class DensifyConfig:
     """Thresholds for periodic clone/split/prune of Gaussians.
 
     grad_threshold   mean positional-gradient magnitude that triggers growth
-    size_threshold   max-axis sigma separating clone (small) from split (large)
-    split_factor     children of a split get scales divided by this
     intensity_floor  Gaussians with |I| below this are removed
     """
 
     grad_threshold: float = 2e-4
-    size_threshold: float = 0.01
-    split_factor: float = 1.6
     intensity_floor: float = 1e-3
-
-    def __post_init__(self):
-        if not self.split_factor > 0:
-            raise ValidationError(f"split_factor must be > 0, got {self.split_factor}")
 
 
 @dataclass
@@ -440,10 +437,11 @@ def densify_and_prune(gaussians, grad_mean, config):
     """One densification event.
 
     Gaussians whose accumulated mean positional-gradient magnitude exceeds
-    ``grad_threshold`` are cloned (small ones) or split in two with reduced
-    scales (large ones, judged by max-axis sigma); Gaussians with negligible
-    intensity are pruned.  Children inherit labels.  The result lists
-    survivors first (original order) so optimizer state can be remapped.
+    ``grad_threshold`` are cloned (max-axis sigma up to SIZE_THRESHOLD) or
+    split in two with scales divided by SPLIT_FACTOR (larger ones);
+    Gaussians with negligible intensity are pruned.  Children inherit
+    labels.  The result lists survivors first (original order) so optimizer
+    state can be remapped.
     """
     grad_mean = np.asarray(grad_mean, dtype=np.float64)
     if grad_mean.shape != (gaussians.count,):
@@ -451,8 +449,8 @@ def densify_and_prune(gaussians, grad_mean, config):
     alive = np.abs(gaussians.intensities) >= config.intensity_floor
     hot = alive & (grad_mean > config.grad_threshold)
     sigma_max = np.exp(gaussians.log_scales).max(axis=1)
-    clone = hot & (sigma_max <= config.size_threshold)
-    split = hot & (sigma_max > config.size_threshold)
+    clone = hot & (sigma_max <= SIZE_THRESHOLD)
+    split = hot & (sigma_max > SIZE_THRESHOLD)
     kept = np.flatnonzero(alive & ~split)
     if kept.size == 0 and not np.any(split):
         raise ValidationError("densify/prune would remove every Gaussian")
@@ -471,7 +469,7 @@ def densify_and_prune(gaussians, grad_mean, config):
     sig = np.exp(ls[np.arange(len(axis)), axis])
     direction = R[np.arange(len(axis)), :, axis]
     offset = direction * (0.5 * sig)[:, None]
-    ls_child = ls - np.log(config.split_factor)
+    ls_child = ls - np.log(SPLIT_FACTOR)
     for side in (+1.0, -1.0):
         parts.append((c + side * offset, r.copy(), ls_child.copy(),
                       inten.copy(), None if lab is None else lab.copy()))

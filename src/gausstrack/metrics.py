@@ -26,6 +26,11 @@ from .volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, _axis_denoms,
 
 _STRUCTURES = (LABEL_RV, LABEL_MYO, LABEL_LV)
 
+# intensity range of the scored volumes (frames are normalized to [0, 1])
+DATA_RANGE = 1.0
+# Wang et al.'s SSIM: Gaussian window (width, sigma) and stabilizers K1, K2
+SSIM_WINDOW, SSIM_SIGMA, SSIM_K1, SSIM_K2 = 7, 1.5, 0.01, 0.03
+
 
 @dataclass(frozen=True)
 class DisplacementField:
@@ -75,8 +80,7 @@ class MetricReport:
 # Label propagation
 # ---------------------------------------------------------------------------
 
-def warp_labels(gaussians, nodes, net, t, grid, k=4, cutoff_multiplier=3.0,
-                occupancy_floor=0.5):
+def warp_labels(gaussians, nodes, net, t, grid, k, cutoff_multiplier, occupancy_floor):
     """Deform the labeled Gaussians to time ``t`` and rasterize a label map.
 
     Per class, a unit-intensity occupancy volume is rendered from that
@@ -87,9 +91,9 @@ def warp_labels(gaussians, nodes, net, t, grid, k=4, cutoff_multiplier=3.0,
     Raw occupancies scale with the local Gaussian density, so the floor is
     applied relative to the median total occupancy sampled at the deformed
     centers (clamped to at least 1, so an everywhere-faint set still maps to
-    background).  The 0.5 default puts the decision surface at the
-    half-maximum crossing — the surface of a uniformly filled body —
-    whether the set has one Gaussian per voxel or one per ten.
+    background).  The run config's default floor, 0.5, puts the decision
+    surface at the half-maximum crossing — the surface of a uniformly filled
+    body — whether the set has one Gaussian per voxel or one per ten.
     """
     idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
     deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t, idx)
@@ -141,25 +145,16 @@ def dice(pred, truth, class_id):
     return 2.0 * int(np.logical_and(a, b).sum()) / denom
 
 
-def psnr(pred, truth, data_range=1.0):
-    """10 log10(range^2 / MSE) in dB; identical volumes report +inf."""
+def psnr(pred, truth):
+    """10 log10(DATA_RANGE^2 / MSE) in dB; identical volumes report +inf."""
     p = pred.values if hasattr(pred, "values") else np.asarray(pred)
     t = truth.values if hasattr(truth, "values") else np.asarray(truth)
     if p.shape != t.shape:
         raise ValidationError("psnr needs matching grids")
-    if data_range <= 0:
-        raise ValidationError("data_range must be positive")
     mse = float(np.mean((p.astype(np.float64) - t.astype(np.float64)) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(data_range ** 2 / mse)
-
-
-def _ssim_window(window, sigma):
-    half = window // 2
-    x = np.arange(-half, half + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
+    return 10.0 * math.log10(DATA_RANGE ** 2 / mse)
 
 
 def _local_means(arr, kernel):
@@ -169,22 +164,24 @@ def _local_means(arr, kernel):
     return out
 
 
-def ssim3d(pred, truth, window=7, sigma=1.5, k1=0.01, k2=0.03, data_range=1.0):
+def ssim3d(pred, truth):
     """Mean local SSIM with Gaussian-weighted moments over a cubic window.
 
     The map is evaluated only where the full window fits (dims must be at
-    least ``window`` per axis), which keeps the statistic independent of any
-    boundary-padding convention.
+    least SSIM_WINDOW per axis), which keeps the statistic independent of
+    any boundary-padding convention.
     """
     p = pred.values if hasattr(pred, "values") else np.asarray(pred)
     t = truth.values if hasattr(truth, "values") else np.asarray(truth)
     if p.shape != t.shape:
         raise ValidationError("ssim needs matching grids")
-    if any(s < window for s in p.shape):
-        raise ValidationError(f"volume smaller than the {window}^3 ssim window")
+    if any(s < SSIM_WINDOW for s in p.shape):
+        raise ValidationError(f"volume smaller than the {SSIM_WINDOW}^3 ssim window")
     p = p.astype(np.float64)
     t = t.astype(np.float64)
-    kernel = _ssim_window(window, sigma)
+    half = SSIM_WINDOW // 2
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1, dtype=np.float64) / SSIM_SIGMA) ** 2)
+    kernel /= kernel.sum()
     mu_p = _local_means(p, kernel)
     mu_t = _local_means(t, kernel)
     m_pp = _local_means(p * p, kernel)
@@ -193,11 +190,10 @@ def ssim3d(pred, truth, window=7, sigma=1.5, k1=0.01, k2=0.03, data_range=1.0):
     var_p = m_pp - mu_p * mu_p
     var_t = m_tt - mu_t * mu_t
     cov = m_pt - mu_p * mu_t
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    c1 = (SSIM_K1 * DATA_RANGE) ** 2
+    c2 = (SSIM_K2 * DATA_RANGE) ** 2
     ssim_map = ((2 * mu_p * mu_t + c1) * (2 * cov + c2)) / (
         (mu_p ** 2 + mu_t ** 2 + c1) * (var_p + var_t + c2))
-    half = window // 2
     valid = ssim_map[half:-half, half:-half, half:-half]
     return float(valid.mean())
 
@@ -251,7 +247,7 @@ def jacobian_stats(field):
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-def dense_field_on_grid(nodes, net, t, grid, k=4):
+def dense_field_on_grid(nodes, net, t, grid, k):
     """Evaluate the motion model's displacement at every voxel center."""
     queries = voxel_centers_normalized(grid.dims).reshape(-1, 3)
     u = motion_mod.dense_displacement(queries, nodes, net, t, k)
@@ -259,8 +255,8 @@ def dense_field_on_grid(nodes, net, t, grid, k=4):
                              u.reshape(tuple(grid.dims) + (3,)), float(t))
 
 
-def evaluate_run(gaussians, nodes, net, sequence, truth_es, k=4,
-                 cutoff_multiplier=3.0, occupancy_floor=0.5):
+def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier,
+                 occupancy_floor):
     """Score a fitted state at the ES frame.
 
     Deforms the Gaussians to ES once: their label map gives per-structure
@@ -283,7 +279,7 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k=4,
     psnr_db = psnr(rendered, es_frame)
     ssim_val = ssim3d(rendered, es_frame)
     hds = [hausdorff(warped, truth_es, lab) for lab in _STRUCTURES]
-    field = dense_field_on_grid(nodes, net, t_es, es_frame, k=k)
+    field = dense_field_on_grid(nodes, net, t_es, es_frame, k)
     fold_fraction, jac_dev = jacobian_stats(field)
     return MetricReport(
         dice_rv=d_rv, dice_lv=d_lv, dice_myo=d_myo,

@@ -108,7 +108,7 @@ class DeformNet:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     @classmethod
-    def create(cls, l_space=10, l_time=6, hidden_width=128, hidden_depth=6, seed=0):
+    def create(cls, l_space, l_time, hidden_width, hidden_depth, seed=0):
         rng = np.random.default_rng(seed)
         in_w = 6 * l_space + 2 * l_time
         sizes = [in_w] + [hidden_width] * hidden_depth

@@ -28,18 +28,20 @@ from .volgrid import _from_dict, _read_json, _write_json
 
 
 def l1_loss(rendered, target):
-    """Summed absolute error and its per-voxel gradient (sign, 0 at ties)."""
-    r = rendered.values if hasattr(rendered, "values") else np.asarray(rendered)
-    t = target.values if hasattr(target, "values") else np.asarray(target)
-    if r.shape != t.shape:
-        raise ValidationError(f"geometry mismatch: {r.shape} vs {t.shape}")
-    diff = r - t
+    """Summed absolute error of two arrays and its gradient (sign, 0 at ties)."""
+    if rendered.shape != target.shape:
+        raise ValidationError(f"geometry mismatch: {rendered.shape} vs {target.shape}")
+    diff = rendered - target
     return float(np.abs(diff).sum()), np.sign(diff)
 
 
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
+
+# Kingma & Ba's decay rates; Gaussian splatting's epsilon, far below their 1e-8
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-15
+
 
 class AdamState:
     """Bias-corrected Adam for one parameter group.
@@ -48,15 +50,14 @@ class AdamState:
     group's arrays and advances once per optimizer iteration.
     """
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-15):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.t, self.m, self.v = 0, {}, {}
 
     def step(self, lr, updates):
         """``updates`` maps names to (param, grad); params update in place."""
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for key, (param, grad) in updates.items():
             if not np.all(np.isfinite(grad)):
                 raise NumericalAbort(f"non-finite gradient for '{key}'")
@@ -65,22 +66,20 @@ class AdamState:
                 m = self.m[key] = np.zeros_like(param)
                 self.v[key] = np.zeros_like(param)
             v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            param -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
-    def remap(self, key, kept, n_new):
-        """After densification: survivors keep their moments, children start
-        from zero."""
-        if key not in self.m:
-            return
+    def remap(self, kept, n_new):
+        """After densification, for every array of the group: survivors keep
+        their moments, children start from zero."""
         for store in (self.m, self.v):
-            old = store[key]
-            fresh = np.zeros((kept.size + n_new,) + old.shape[1:])
-            fresh[:kept.size] = old[kept]
-            store[key] = fresh
+            for key, old in store.items():
+                fresh = np.zeros((kept.size + n_new,) + old.shape[1:])
+                fresh[:kept.size] = old[kept]
+                store[key] = fresh
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +96,6 @@ class FitSchedule:
     node_unfreeze_at: int = 5000
     densify_interval: int = 500
     densify_start: int = 500
-    lr_decay_end: float = 1e-7
 
     def __post_init__(self):
         if not (0 < self.canonical_only_until < self.node_unfreeze_at < self.total_iters):
@@ -106,18 +104,17 @@ class FitSchedule:
                 " < total_iters")
         if self.densify_interval < 1 or self.densify_start < 1:
             raise ValidationError("densify interval/start must be >= 1")
-        if not self.lr_decay_end > 0:
-            raise ValidationError(f"lr_decay_end must be > 0, got {self.lr_decay_end}")
 
     @classmethod
     def scaled(cls, total_iters):
-        f = total_iters / 20000
+        full = cls()
+        f = total_iters / full.total_iters
         return cls(
             total_iters=total_iters,
-            canonical_only_until=max(1, round(1000 * f)),
-            node_unfreeze_at=max(2, round(5000 * f)),
-            densify_interval=max(1, round(500 * f)),
-            densify_start=max(1, round(500 * f)),
+            canonical_only_until=max(1, round(full.canonical_only_until * f)),
+            node_unfreeze_at=max(2, round(full.node_unfreeze_at * f)),
+            densify_interval=max(1, round(full.densify_interval * f)),
+            densify_start=max(1, round(full.densify_start * f)),
         )
 
 
@@ -126,7 +123,6 @@ class ParamGroup:
     name: str
     lr_init: float
     decays: bool = False
-    frozen_until: int = 0
 
     def __post_init__(self):
         # a decaying rate is a geometric curve through lr_init, so it must be > 0
@@ -144,13 +140,14 @@ DEFAULT_LEARNING_RATES = {
     "nodes": 1e-4,
     "network": 1e-6,
 }
+# the rate every decaying group reaches at the last iteration
+LR_DECAY_END = 1e-7
 
 
-def parameter_groups(schedule=None, learning_rates=None):
-    """The five optimization groups with their initial rates, decay flags and
-    freeze boundaries.  ``learning_rates`` may override individual groups
-    (the run config carries them, defaulting to the full-scale recipe)."""
-    unfreeze = schedule.node_unfreeze_at if schedule is not None else 5000
+def parameter_groups(learning_rates=None):
+    """The five optimization groups with their initial rates and decay
+    flags.  ``learning_rates`` may override individual groups (the run
+    config carries them, defaulting to the full-scale recipe)."""
     lrs = dict(DEFAULT_LEARNING_RATES)
     if learning_rates:
         unknown = set(learning_rates) - set(lrs)
@@ -161,21 +158,20 @@ def parameter_groups(schedule=None, learning_rates=None):
         "positions": ParamGroup("positions", lrs["positions"], decays=True),
         "intensity": ParamGroup("intensity", lrs["intensity"]),
         "rotscale": ParamGroup("rotscale", lrs["rotscale"]),
-        "nodes": ParamGroup("nodes", lrs["nodes"], decays=True,
-                            frozen_until=unfreeze),
+        "nodes": ParamGroup("nodes", lrs["nodes"], decays=True),
         "network": ParamGroup("network", lrs["network"]),
     }
 
 
 def lr_at(iteration, group, schedule):
-    """Learning rate at an iteration: geometric interpolation down to the
-    schedule's end rate for decaying groups, constant otherwise."""
+    """Learning rate at an iteration: geometric decay to LR_DECAY_END at the
+    schedule's end for decaying groups, constant otherwise."""
     if not 0 <= iteration <= schedule.total_iters:
         raise ValidationError("iteration outside the schedule")
     if not group.decays:
         return group.lr_init
     frac = iteration / schedule.total_iters
-    return group.lr_init * (schedule.lr_decay_end / group.lr_init) ** frac
+    return group.lr_init * (LR_DECAY_END / group.lr_init) ** frac
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +207,10 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        parameter_groups(self.schedule, self.learning_rates)
+        parameter_groups(self.learning_rates)
+        if self.n_init < 1 or self.node_budget < 1:
+            raise ValidationError(f"n_init and node_budget must be >= 1, "
+                                  f"got {self.n_init} and {self.node_budget}")
         if not self.cutoff_multiplier > 0:
             raise ValidationError(f"cutoff_multiplier must be > 0, got {self.cutoff_multiplier}")
         if not 0 < self.occupancy_floor < 1:
@@ -300,12 +299,10 @@ def fit(sequence, mask, config, inspect_hook=None):
     g = gauss.initialize_from_mask(mask, sequence.frames[sequence.ed_index],
                                    config.n_init, config.seed)
     nodes = init_control_nodes(g.centers, config.node_budget, config.seed + 1)
-    net = DeformNet.create(config.network.l_space, config.network.l_time,
-                           config.network.hidden_width, config.network.hidden_depth,
-                           seed=config.seed + 2)
+    net = DeformNet.create(**asdict(config.network), seed=config.seed + 2)
     knn = knn_indices(g.centers, nodes.positions, config.k_neighbors)
 
-    groups = parameter_groups(sched, config.learning_rates)
+    groups = parameter_groups(config.learning_rates)
     opts = {name: AdamState() for name in groups}
     accum = np.zeros(g.count)
     accum_n = 0
@@ -353,10 +350,10 @@ def fit(sequence, mask, config, inspect_hook=None):
                     net_updates[f"w{li}"] = (net.weights[li], wg)
                     net_updates[f"b{li}"] = (net.biases[li], bg)
                 opts["network"].step(lr_at(it, groups["network"], sched), net_updates)
-                if it == groups["nodes"].frozen_until:
+                if it == sched.node_unfreeze_at:
                     events.append([it, "nodes_unfrozen", "control points now learnable"])
                     knn = knn_indices(g.centers, nodes.positions, config.k_neighbors)
-                if it >= groups["nodes"].frozen_until:
+                if it >= sched.node_unfreeze_at:
                     opts["nodes"].step(lr_at(it, groups["nodes"], sched),
                                        {"positions": (nodes.positions, mg.node_positions),
                                         "log_radii": (nodes.log_radii, mg.node_log_radii)})
@@ -368,8 +365,7 @@ def fit(sequence, mask, config, inspect_hook=None):
                 and done < sched.total_iters:
             res = densify_and_prune(g, accum / max(accum_n, 1), config.densify)
             for name in ("positions", "intensity", "rotscale"):
-                for key in list(opts[name].m):
-                    opts[name].remap(key, res.kept, res.n_children)
+                opts[name].remap(res.kept, res.n_children)
             before, g = g.count, res.gaussians
             knn = knn_indices(g.centers, nodes.positions, config.k_neighbors)
             accum = np.zeros(g.count)

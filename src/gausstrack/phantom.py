@@ -74,8 +74,11 @@ class PhantomSpec:
             raise ValidationError(f"rv_angle_deg must be two angles, got {self.rv_angle_deg}")
         if self.texture_seed < 0:
             raise ValidationError(f"texture_seed must be >= 0, got {self.texture_seed}")
-        rho_a = self.profile_breaks[0]
-        if self.peak_contraction * self.areal_amplitude >= rho_a:
+        try:
+            folds = self.peak_contraction * self.areal_amplitude >= self.profile_breaks[0]
+        except OverflowError:
+            raise ValidationError("radii too large: their squares overflow") from None
+        if folds:
             raise ValidationError(
                 "contraction too strong for the pool: a_max*(r_out^2-r_in^2) "
                 "must stay below the inner plateau edge or the core map folds")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
@@ -170,10 +171,11 @@ def _read_json(path, what):
 
 
 # value checks by name: JSON kinds, and the dataclass field annotations of the
-# run config and the phantom spec ("dict" is a map of learning rates)
+# run config and the phantom spec ("dict" is a map of learning rates); a
+# "float" is a finite float or an integer within the float range
 _KINDS = {
     "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "float": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     "str": lambda v: isinstance(v, str),
     "list": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),

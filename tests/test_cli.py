@@ -382,16 +382,23 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
     {"learning_rates": {"everything": 1e-3}},
     {"workers": 2},
     {"deterministic": False},
+    # settings that are constants now, at their old defaults on the tiny fit
+    # (which runs when they are accepted): the config of an older run
+    dict(TINY_FIT, schedule=dict(TINY_FIT["schedule"], lr_decay_end=1e-7)),
+    dict(TINY_FIT, densify={"split_factor": 1.6}),
+    dict(TINY_FIT, densify={"size_threshold": 0.01}),
     # out of range, on the tiny fit so that a value the checks miss ends the
     # test quickly: each ran into a traceback, a late abort or an empty render
     dict(TINY_FIT, learning_rates={"positions": 0.0}),
     dict(TINY_FIT, learning_rates={"nodes": -1e-4}),
-    dict(TINY_FIT, schedule=dict(TINY_FIT["schedule"], lr_decay_end=-1.0)),
+    dict(TINY_FIT, learning_rates={"network": 10 ** 400}),
     dict(TINY_FIT, network=dict(TINY_FIT["network"], hidden_width=0)),
     dict(TINY_FIT, seed=-1),
+    dict(TINY_FIT, node_budget=-1),
+    dict(TINY_FIT, n_init=-3, node_budget=-5),
     dict(TINY_FIT, cutoff_multiplier=0.0),
     dict(TINY_FIT, cutoff_multiplier=-3.0),
-    dict(TINY_FIT, densify={"split_factor": 0.0}),
+    dict(TINY_FIT, cutoff_multiplier=10 ** 400),
     dict(TINY_FIT, occupancy_floor=0.0),
     dict(TINY_FIT, occupancy_floor=-1.0),
     dict(TINY_FIT, occupancy_floor=1.0),
@@ -410,13 +417,12 @@ def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, confi
 
 @pytest.mark.parametrize("what", ["missing frame raw", "malformed sequence.vjson",
                                   "frame names not strings", "malformed config",
-                                  "fractional mask dims", "negative --seed"])
+                                  "fractional mask dims", "time beyond the float range"])
 def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     ph = tmp_path / "ph"
     main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
     cfg = tiny_fit_config(tmp_path)
     index = ph / "sequence" / "sequence.vjson"
-    extra = []
     if what == "missing frame raw":
         (ph / "sequence" / "frame_001.raw").unlink()
     elif what == "malformed sequence.vjson":
@@ -426,20 +432,26 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     elif what == "fractional mask dims":
         mask = ph / "ed_labels.vjson"
         mask.write_text(json.dumps({**json.loads(mask.read_text()), "dims": [20.5, 20, 16]}))
-    elif what == "negative --seed":
-        extra = ["--seed", "-1"]
+    elif what == "time beyond the float range":
+        index.write_text(json.dumps({**json.loads(index.read_text()),
+                                     "times": [0, 0.5, 10 ** 400]}))
     else:
         cfg.write_text(cfg.read_text()[:-1])
     _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
                                "--mask", str(ph / "ed_labels.vjson"),
-                               "--config", str(cfg), "--out", str(tmp_path / "fit")] + extra)
+                               "--config", str(cfg), "--out", str(tmp_path / "fit")])
     assert not (tmp_path / "fit").exists()
 
 
 def test_bad_phantom_spec_exits_2(tmp_path, capsys):
+    huge = "1" + "0" * 400  # an integer beyond the float range
     for spec in ('{"frames": "eight"}', '{"dims": [64, 64]', '{"dims": "big"}',
                  '{"dims": [64.5, 64, 64]}', '{"texture_seed": -1}',
-                 '{"rv_angle_deg": [100.0, 180.0, 260.0]}'):
+                 '{"rv_angle_deg": [100.0, 180.0, 260.0]}',
+                 '{"peak_contraction": %s}' % huge, '{"spacing": [3, 3, %s]}' % huge,
+                 # radii whose squares overflow a float
+                 '{"inner_radius_mm": 1e200, "outer_radius_mm": 2e200,'
+                 ' "support_radius_mm": 4e200}'):
         path = tmp_path / "spec.json"
         path.write_text(spec)
         _one_line_failure(capsys, ["phantom", "--spec", str(path),
@@ -448,7 +460,7 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys):
 
 
 def test_removed_fit_flags_are_unknown(tmp_path, capsys):
-    for flag in (["--workers", "2"], ["--non-deterministic"]):
+    for flag in (["--workers", "2"], ["--non-deterministic"], ["--seed", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--sequence", "s", "--mask", "m", "--out", "o"] + flag)
         assert exc.value.code == 2

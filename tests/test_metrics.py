@@ -19,12 +19,18 @@ from gausstrack.metrics import (
     warp_labels,
 )
 from gausstrack.motion import ControlNodeSet, DeformNet, init_control_nodes
+from gausstrack.optim import FitConfig
 from gausstrack.volgrid import (
     LabelVolume,
     Sequence4D,
     VoxelVolume,
     voxel_centers_normalized,
 )
+
+# the query settings of a default run config
+_RUN = FitConfig()
+QUERY = dict(k=_RUN.k_neighbors, cutoff_multiplier=_RUN.cutoff_multiplier,
+             occupancy_floor=_RUN.occupancy_floor)
 
 
 def labeled_cube_scene(dims=(16, 16, 16), seed=0):
@@ -54,7 +60,7 @@ def identity_state(mask, ref, n_init=None, seed=0):
 def test_warp_labels_identity_self_reconstruction():
     mask, ref = labeled_cube_scene()
     g, nodes, net = identity_state(mask, ref)
-    warped = warp_labels(g, nodes, net, t=0.0, grid=mask)
+    warped = warp_labels(g, nodes, net, t=0.0, grid=mask, **QUERY)
     for lab in (1, 2, 3):
         assert dice(warped, mask, lab) >= 0.95
 
@@ -64,7 +70,7 @@ def test_warp_labels_single_class_only():
     single = LabelVolume(mask.dims, mask.spacing,
                          np.where(mask.labels > 0, 2, 0).astype(np.uint8))
     g, nodes, net = identity_state(single, ref)
-    warped = warp_labels(g, nodes, net, 0.0, single)
+    warped = warp_labels(g, nodes, net, 0.0, single, **QUERY)
     assert set(np.unique(warped.labels)) <= {0, 2}
 
 
@@ -78,7 +84,7 @@ def test_warp_labels_below_floor_is_background():
     nodes = ControlNodeSet(centers.copy(), np.log([0.2]))
     net = DeformNet.create(l_space=2, l_time=2, hidden_width=4, hidden_depth=1, seed=0)
     grid = LabelVolume(dims, (1, 1, 1), np.zeros(dims, dtype=np.uint8))
-    warped = warp_labels(g, nodes, net, 0.0, grid, k=1)
+    warped = warp_labels(g, nodes, net, 0.0, grid, **dict(QUERY, k=1))
     assert np.all(warped.labels == 0)
 
 
@@ -87,7 +93,7 @@ def test_warp_labels_requires_labels():
     g, nodes, net = identity_state(mask, ref)
     g.labels = None
     with pytest.raises(ValidationError, match="label"):
-        warp_labels(g, nodes, net, 0.0, mask)
+        warp_labels(g, nodes, net, 0.0, mask, **QUERY)
 
 
 # --- dice ------------------------------------------------------------------------
@@ -354,8 +360,8 @@ def test_evaluate_run_identity_on_static_sequence():
     g, nodes, net = identity_state(mask, ref)
     frames = [ref, ref, ref]
     seq = Sequence4D(frames, [0.0, 0.5, 1.0], ed_index=0, es_index=2)
-    report = evaluate_run(g, nodes, net, seq, mask)
-    self_recon = warp_labels(g, nodes, net, 0.0, mask)
+    report = evaluate_run(g, nodes, net, seq, mask, **QUERY)
+    self_recon = warp_labels(g, nodes, net, 0.0, mask, **QUERY)
     assert report.dice_myo == pytest.approx(dice(self_recon, mask, 2))
     assert report.fold_fraction == 0.0
     assert report.jac_dev == 0.0
@@ -377,5 +383,5 @@ def test_metric_report_round_trip():
 def test_dense_field_on_grid_zero_for_identity_net():
     mask, ref = labeled_cube_scene()
     _, nodes, net = identity_state(mask, ref)
-    field = dense_field_on_grid(nodes, net, 0.7, ref, k=4)
+    field = dense_field_on_grid(nodes, net, 0.7, ref, QUERY["k"])
     assert np.all(field.vectors == 0.0)

@@ -49,7 +49,7 @@ def test_l1_geometry_mismatch():
 # --- adam -----------------------------------------------------------------------
 
 def test_adam_first_step_is_signed_lr():
-    state = AdamState(eps=1e-15)
+    state = AdamState()
     p = np.array([1.0, -2.0, 3.0])
     g = np.array([0.3, -0.7, 0.0001])
     before = p.copy()
@@ -89,20 +89,26 @@ def test_adam_first_update_direction_invariant_to_gradient_scale():
 
 
 def test_adam_remap_after_densify():
+    # two arrays of different shapes: the remap carries every array of the group
     state = AdamState()
-    p = np.ones((4, 3))
-    state.step(0.1, {"centers": (p, np.ones((4, 3)))})
-    state.remap("centers", kept=np.array([0, 2]), n_new=3)
-    assert state.m["centers"].shape == (5, 3)
-    assert np.all(state.m["centers"][2:] == 0)
-    assert np.allclose(state.m["centers"][0], state.m["centers"][1])
+    grads = {"rotations": np.arange(16.0).reshape(4, 4) + 1,
+             "log_scales": np.arange(12.0).reshape(4, 3) + 1}
+    state.step(0.1, {key: (np.zeros_like(g), g) for key, g in grads.items()})
+    before = {key: (state.m[key].copy(), state.v[key].copy()) for key in grads}
+    kept = np.array([3, 1])
+    state.remap(kept, n_new=3)
+    for key, moments in before.items():
+        for new, old in zip((state.m[key], state.v[key]), moments):
+            assert new.shape == (5,) + old.shape[1:]
+            assert np.array_equal(new[:2], old[kept])
+            assert not new[2:].any()
 
 
 # --- schedule and groups ----------------------------------------------------------
 
 def test_lr_decay_endpoints_and_midpoint():
     sched = FitSchedule()
-    groups = parameter_groups(sched)
+    groups = parameter_groups()
     pos = groups["positions"]
     assert lr_at(0, pos, sched) == pytest.approx(1e-4)
     assert lr_at(20000, pos, sched) == pytest.approx(1e-7)
@@ -111,20 +117,19 @@ def test_lr_decay_endpoints_and_midpoint():
 
 def test_constant_groups_do_not_decay():
     sched = FitSchedule()
-    groups = parameter_groups(sched)
+    groups = parameter_groups()
     for name in ("intensity", "rotscale", "network"):
         assert lr_at(0, groups[name], sched) == lr_at(17000, groups[name], sched)
 
 
 def test_group_table_matches_recipe():
-    sched = FitSchedule()
-    groups = parameter_groups(sched)
+    groups = parameter_groups()
     assert groups["intensity"].lr_init == pytest.approx(5e-3)
     assert groups["network"].lr_init == pytest.approx(1e-6)
     assert groups["positions"].lr_init == pytest.approx(1e-4)
     assert groups["rotscale"].lr_init == pytest.approx(1e-4)
     assert groups["nodes"].lr_init == pytest.approx(1e-4)
-    assert groups["nodes"].frozen_until == 5000
+    assert FitSchedule().node_unfreeze_at == 5000
     assert groups["positions"].decays and groups["nodes"].decays
     assert not groups["network"].decays
 
@@ -140,6 +145,7 @@ def test_schedule_scaled_quarter():
     assert s.node_unfreeze_at == 1250
     assert s.densify_interval == 125
     assert s.densify_start == 125
+    assert FitSchedule.scaled(20000) == FitSchedule()
 
 
 def test_config_round_trip_and_unknown_keys(tmp_path):
@@ -162,9 +168,9 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     lambda: FitConfig(learning_rates={"positions": 0.0}),
     lambda: FitConfig(cutoff_multiplier=float("nan")),
     lambda: FitConfig(seed=-1),
-    lambda: FitSchedule(lr_decay_end=0.0),
     lambda: NetworkConfig(hidden_width=0),
-    lambda: DensifyConfig(split_factor=-1.6),
+    lambda: FitConfig(n_init=0),
+    lambda: FitConfig(node_budget=-5),
 ])
 def test_out_of_range_settings_are_refused_without_json(make):
     with pytest.raises(ValidationError, match="must be"):

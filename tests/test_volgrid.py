@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from gausstrack.errors import NumericalAbort, ValidationError
 from gausstrack import volgrid
+from gausstrack.optim import DEFAULT_LEARNING_RATES, FitConfig
+from gausstrack.phantom import PhantomSpec
 from gausstrack.volgrid import (
     LabelVolume,
     Sequence4D,
@@ -274,3 +277,44 @@ def test_center_crop_too_large_rejected():
     vol = make_volume(dims=(4, 4, 4))
     with pytest.raises(ValidationError, match="exceeds"):
         center_crop(vol, (5, 4, 4))
+
+
+# --- the run-config and phantom-spec parsers ------------------------------------
+
+_HUGE = st.integers(min_value=2 ** 1024, max_value=2 ** 1100)  # beyond the float range
+_NUMBERS = st.one_of(st.integers(), _HUGE, _HUGE.map(lambda n: -n),
+                     st.floats(-1e308, 1e308, allow_nan=False))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | _NUMBERS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _objects(cls):
+    """JSON objects keyed by some of the fields of ``cls``: numbers or any
+    JSON as values, nested objects for the dataclass fields, number lists for
+    the tuples and rate maps for the learning rates."""
+    def values(f):
+        if dataclasses.is_dataclass(f.default_factory):
+            return _objects(f.default_factory) | _JSON
+        if f.name == "learning_rates":
+            return st.dictionaries(st.sampled_from(sorted(DEFAULT_LEARNING_RATES)),
+                                   _NUMBERS) | _JSON
+        if f.type == "tuple":
+            return st.lists(_NUMBERS, max_size=4) | _JSON
+        return _NUMBERS | _JSON
+    return st.fixed_dictionaries({}, optional={f.name: values(f)
+                                               for f in dataclasses.fields(cls)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([FitConfig, PhantomSpec]).flatmap(
+    lambda cls: st.tuples(st.just(cls), _objects(cls))))
+def test_config_and_spec_parsers_build_or_refuse(case):
+    cls, data = case
+    try:
+        built = volgrid._from_dict(cls, data, cls.__name__)
+    except ValidationError:
+        return
+    assert isinstance(built, cls)
