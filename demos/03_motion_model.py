@@ -11,8 +11,8 @@ from gausstrack.motion import (
     blend_transforms,
     blend_weights,
     dense_displacement,
-    forward_deform,
     knn_indices,
+    node_transforms,
     positional_encoding,
 )
 
@@ -26,14 +26,15 @@ nodes = ControlNodeSet(positions=rng.random((64, 3)),
 net = DeformNet.create(l_space=6, l_time=4, hidden_width=32, hidden_depth=3, seed=0)
 print("network parameters:", net.num_parameters)
 
-# Zero-initialized head: the motion starts as the exact identity.
-tr = forward_deform(net, nodes, t=0.5)
-print("identity at start:", np.all(tr.translations == 0), np.all(tr.scales == 1))
-assert np.all(tr.translations == 0) and np.all(tr.scales == 1)
+# One (M, 6) array per time: translation, then scale factor exp(raw).  The
+# zero-initialized head makes the motion start as the exact identity.
+t6, _ = node_transforms(net, nodes.positions, t=0.5)
+print("identity at start:", np.all(t6[:, :3] == 0), np.all(t6[:, 3:] == 1))
+assert np.all(t6[:, :3] == 0) and np.all(t6[:, 3:] == 1)
 
 # Give the head some weights so there is motion to interpolate.
 net.weights[-1] = 0.02 * rng.normal(size=net.weights[-1].shape)
-tr = forward_deform(net, nodes, t=0.5)
+t6, _ = node_transforms(net, nodes.positions, t=0.5)
 
 # Dense motion at any point: k nearest nodes, normalized RBF weights (a
 # softmax of -d^2 / (2 o^2) over the neighbours), convex combination of
@@ -44,7 +45,7 @@ w = blend_weights(queries, nodes.positions, nodes.log_radii, idx)
 print("first query: neighbors", idx[0], "weights", w[0].round(3),
       "(sum:", w[0].sum().round(6), ")")
 assert np.all(np.abs(w.sum(axis=1) - 1) < 1e-12)
-delta, alpha = blend_transforms(w, idx, tr)
+delta, alpha = blend_transforms(w, idx, t6)
 print("blended translation:", delta[0].round(4), " scale factor:", alpha[0].round(4))
 
 # Or in one call, the displacement field evaluated anywhere.

@@ -146,7 +146,9 @@ def cmd_eval(args):
         g, nodes, net, sequence, truth, k=config.k_neighbors,
         cutoff_multiplier=config.cutoff_multiplier,
         occupancy_floor=config.occupancy_floor)
-    Path(args.out).write_text(report.to_json(), encoding="utf-8")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(report.to_json(), encoding="utf-8")
     return EXIT_OK
 
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort, ValidationError
-from .volgrid import (VoxelVolume, _axis_denoms, _read_container, _write_container,
-                      voxel_centers_normalized)
+from .volgrid import (VoxelVolume, _axis_denoms, _check_kinds, _read_container,
+                      _write_container, voxel_centers_normalized)
 
 # Box pairs per renderer chunk, a cache size (the sphere test's r^2 is 1 MB),
 # not a memory cap: 2^17-2^20 tie on 64^3 sets, 2^17 is fastest at 128^3.
@@ -424,6 +424,9 @@ class DensifyConfig:
 
     grad_threshold: float = 2e-4
     intensity_floor: float = 1e-3
+
+    def __post_init__(self):
+        _check_kinds(self)
 
 
 @dataclass

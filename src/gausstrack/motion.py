@@ -1,13 +1,14 @@
 """Implicit motion representation: control nodes, the time-conditioned
 deformation network, and linear blend skinning.
 
-Sparse control nodes carry per-time transforms (translation + positive
-per-axis scale factor) predicted by a small MLP from sinusoidally encoded
-node positions and time.  Dense motion at any point is the convex
-combination of its k nearest nodes' transforms, weighted by normalized
-RBF kernels ``exp(-d^2 / (2 o_j^2))``: a softmax over the neighbours of
-``u_j = -d_j^2 / (2 o_j^2)``, shifted by the row maximum, so every row sums
-to 1 and its largest kernel weighs most even where every kernel underflows.
+Sparse control nodes carry per-time transforms that a small MLP predicts
+from sinusoidally encoded node positions and time: ``node_transforms``
+returns one (M, 6) array, translation then positive per-axis scale factor.
+Dense motion at any point is the convex combination of its k nearest
+nodes' rows, weighted by normalized RBF kernels ``exp(-d^2 / (2 o_j^2))``:
+a softmax over the neighbours of ``u_j = -d_j^2 / (2 o_j^2)``, shifted by
+the row maximum, so every row sums to 1 and its largest kernel weighs most
+even where every kernel underflows.
 
 Two gradient rules from the model definition are honored throughout:
 
@@ -54,15 +55,6 @@ class ControlNodeSet:
     @property
     def count(self):
         return self.positions.shape[0]
-
-
-@dataclass
-class NodeTransforms:
-    """Per-node transform for one time value: translation and positive
-    per-axis scale factor."""
-
-    translations: np.ndarray  # (M, 3)
-    scales: np.ndarray        # (M, 3), componentwise > 0
 
 
 def positional_encoding(p, n_freqs):
@@ -119,58 +111,34 @@ class DeformNet:
         return cls(weights, biases, l_space, l_time)
 
 
-def encode_inputs(net, positions, t):
-    """Concatenated network input features for node positions at time ``t``.
-
-    This is the stop-gradient boundary: the features are treated as
-    constants by every backward pass.
-    """
-    pos_enc = positional_encoding(positions, net.l_space).reshape(positions.shape[0], -1)
+def node_transforms(net, positions, t):
+    """Per-node transforms at time ``t`` as one (M, 6) array (translation,
+    then scale = exp(raw)), and the activations ``_mlp_backward`` reads.  The
+    encoded positions and time are constants: the stop-gradient boundary."""
+    m = positions.shape[0]
     t_enc = positional_encoding(np.float64(t), net.l_time)
-    t_tile = np.broadcast_to(t_enc, (positions.shape[0], t_enc.size))
-    return np.concatenate([pos_enc, t_tile], axis=1)
-
-
-def _mlp_forward(net, feats):
-    acts = [feats]
-    h = feats
+    h = np.concatenate([positional_encoding(positions, net.l_space).reshape(m, -1),
+                        np.broadcast_to(t_enc, (m, t_enc.size))], axis=1)
+    acts = [h]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         h = np.maximum(h @ w + b, 0.0)
         acts.append(h)
-    out = h @ net.weights[-1] + net.biases[-1]
-    return out, acts
+    t6 = h @ net.weights[-1] + net.biases[-1]
+    t6[:, 3:] = np.exp(t6[:, 3:])
+    return t6, acts
 
 
 def _mlp_backward(net, acts, g_out):
     """Gradients of all weights/biases from d(loss)/d(output).  Input
     gradients are intentionally not produced (stop-gradient)."""
-    g_w = [None] * len(net.weights)
-    g_b = [None] * len(net.biases)
+    g_w, g_b = [None] * len(net.weights), [None] * len(net.biases)
     g = g_out
-    g_w[-1] = acts[-1].T @ g
-    g_b[-1] = g.sum(axis=0)
-    g = g @ net.weights[-1].T
-    for i in range(len(net.weights) - 2, -1, -1):
-        g = g * (acts[i + 1] > 0)
+    for i in range(len(net.weights) - 1, -1, -1):
         g_w[i] = acts[i].T @ g
         g_b[i] = g.sum(axis=0)
-        if i > 0:
-            g = g @ net.weights[i].T
+        if i > 0:  # through layer i and the ReLU that made its input
+            g = (g @ net.weights[i].T) * (acts[i] > 0)
     return g_w, g_b
-
-
-def transforms_from_features(net, feats):
-    """NodeTransforms from precomputed input features (plus forward cache)."""
-    raw, acts = _mlp_forward(net, feats)
-    return NodeTransforms(raw[:, :3].copy(), np.exp(raw[:, 3:])), (raw, acts)
-
-
-def forward_deform(net, nodes, t):
-    """Per-node transform at time ``t``: translation = first 3 channels,
-    scale = exp(last 3).  Node positions are encoded as constants."""
-    feats = encode_inputs(net, nodes.positions, t)
-    transforms, _ = transforms_from_features(net, feats)
-    return transforms
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +220,9 @@ def blend_weights(queries, node_positions, log_radii, idx):
     return weights
 
 
-def blend_transforms(weights, idx, transforms):
-    """Convex combination of neighbor transforms, channelwise over the
-    concatenated (translation | scale) 6-vector."""
-    t6 = np.concatenate([transforms.translations, transforms.scales], axis=1)
+def blend_transforms(weights, idx, t6):
+    """Convex combination of the neighbours' rows of the (M, 6) node
+    transforms, channelwise: the blended translation and scale factor."""
     mixed = np.einsum("qk,qkc->qc", weights, t6[idx])
     return mixed[:, :3], mixed[:, 3:]
 
@@ -295,7 +262,7 @@ def dense_displacement(queries, nodes, net, t, k):
     the same bytes.
     """
     queries, pos, tree = _knn_tree(queries, nodes.positions, k)
-    translations = forward_deform(net, nodes, t).translations
+    translations = node_transforms(net, nodes.positions, t)[0][:, :3]
     out = np.empty((queries.shape[0], 3))
     errstate = dict(np.geterr(), call=np.geterrcall())
 
@@ -321,7 +288,7 @@ class MotionCache:
     """What motion_backward reads of an apply_motion call."""
 
     acts: list
-    transforms: NodeTransforms
+    t6: np.ndarray
     idx: np.ndarray
     diff: np.ndarray
     d2: np.ndarray
@@ -343,14 +310,12 @@ def apply_motion(gaussians, nodes, net, t, idx):
     """Deform the whole GaussianSet at time ``t`` using the given (frozen)
     KNN table.  Returns the deformed set plus the cache for the backward
     pass; shares its blending code with dense_displacement."""
-    feats = encode_inputs(net, nodes.positions, t)
-    transforms, (_, acts) = transforms_from_features(net, feats)
+    t6, acts = node_transforms(net, nodes.positions, t)
     weights, diff, d2, o = _blend(gaussians.centers, nodes.positions,
                                   nodes.log_radii, idx)
-    delta, alpha = blend_transforms(weights, idx, transforms)
-    deformed = deform_gaussians(gaussians, delta, alpha)
-    cache = MotionCache(acts, transforms, idx, diff, d2, o, weights, alpha)
-    return deformed, cache
+    delta, alpha = blend_transforms(weights, idx, t6)
+    return (deform_gaussians(gaussians, delta, alpha),
+            MotionCache(acts, t6, idx, diff, d2, o, weights, alpha))
 
 
 def _scatter_rows(idx, vals, m):
@@ -372,26 +337,22 @@ def motion_backward(cache, nodes, net, render_grads):
     log-scales and intensities pass through to the canonical set as they
     are.
     """
-    idx, weights = cache.idx, cache.weights
-    m = nodes.count
-    # scale path: ls' = ls + log(alpha_blend)
-    g_alpha_blend = render_grads.log_scales / cache.alpha_blend
-    g_b6 = np.concatenate([render_grads.centers, g_alpha_blend], axis=1)  # (N, 6)
-    t6 = np.concatenate([cache.transforms.translations,
-                         cache.transforms.scales], axis=1)                # (M, 6)
+    idx, weights, m = cache.idx, cache.weights, nodes.count
+    # per Gaussian (N, 6): centers, then the scale path ls' = ls + log(alpha_blend)
+    g_b6 = np.concatenate([render_grads.centers,
+                           render_grads.log_scales / cache.alpha_blend], axis=1)
     # node transforms accumulate w_ij * gB_i
     g_t6 = _scatter_rows(idx, weights[:, :, None] * g_b6[:, None, :], m)
     # blend-weight path through the softmax of u = -d2 / (2 o^2)
-    g_w = np.einsum("qc,qkc->qk", g_b6, t6[idx])
+    g_w = np.einsum("qc,qkc->qk", g_b6, cache.t6[idx])
     g_u = weights * (g_w - np.einsum("qk,qk->q", g_w, weights)[:, None])
     g_d2 = -g_u / (2.0 * cache.o ** 2)
     g_diff = 2.0 * g_d2[:, :, None] * cache.diff
     g_node_pos = _scatter_rows(idx, -g_diff, m)
     g_log_radii = _scatter_rows(idx, g_u * cache.d2 / cache.o ** 2, m)[:, 0]
-    # through alpha = exp(raw[:, 3:]) into the network
-    g_raw = np.empty((m, 6))
-    g_raw[:, :3] = g_t6[:, :3]
-    g_raw[:, 3:] = g_t6[:, 3:] * cache.transforms.scales
+    # through scale = exp(raw) into the head, in a copy of the scatter result
+    g_raw = g_t6.copy()
+    g_raw[:, 3:] *= cache.t6[:, 3:]
     g_weights, g_biases = _mlp_backward(net, cache.acts, g_raw)
     canonical = replace(render_grads, centers=render_grads.centers + g_diff.sum(axis=1))
     return MotionGradients(g_weights, g_biases, g_node_pos, g_log_radii, canonical)

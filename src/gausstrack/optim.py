@@ -24,7 +24,7 @@ from . import gauss
 from .gauss import DensifyConfig, GaussianSet, densify_and_prune
 from . import motion as motion_mod
 from .motion import DeformNet, apply_motion, init_control_nodes, knn_indices
-from .volgrid import _from_dict, _read_json, _write_json
+from .volgrid import _check_kinds, _from_dict, _read_json, _write_json
 
 
 def l1_loss(rendered, target):
@@ -98,6 +98,7 @@ class FitSchedule:
     densify_start: int = 500
 
     def __post_init__(self):
+        _check_kinds(self)
         if not (0 < self.canonical_only_until < self.node_unfreeze_at < self.total_iters):
             raise ValidationError(
                 "schedule must satisfy 0 < canonical_only_until < node_unfreeze_at"
@@ -186,6 +187,7 @@ class NetworkConfig:
     hidden_depth: int = 6
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.hidden_width < 1:
             raise ValidationError(f"hidden_width must be >= 1, got {self.hidden_width}")
 
@@ -207,6 +209,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_kinds(self)
         parameter_groups(self.learning_rates)
         if self.n_init < 1 or self.node_budget < 1:
             raise ValidationError(f"n_init and node_budget must be >= 1, "
@@ -223,7 +226,7 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, data):
-        """Build from parsed JSON; unknown keys, values of the wrong type or
+        """Build from parsed JSON; unknown keys, values of the wrong kind or
         out of range and unknown learning-rate groups raise ValidationError."""
         return _from_dict(cls, data, "config")
 

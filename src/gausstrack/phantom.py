@@ -32,7 +32,7 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, Sequence4D, VoxelVolume,
-                      _check_geometry, _from_dict, _read_json, _write_json,
+                      _check_geometry, _check_kinds, _from_dict, _read_json, _write_json,
                       normalized_to_world, world_to_normalized)
 
 _BASE_INTENSITY = {LABEL_LV: 0.85, LABEL_MYO: 0.5, LABEL_RV: 0.75}
@@ -59,6 +59,7 @@ class PhantomSpec:
     texture_amplitude: float = 0.15
 
     def __post_init__(self):
+        _check_kinds(self)
         self.dims, self.spacing = _check_geometry(self.dims, self.spacing)
         if not 0 < self.inner_radius_mm < self.outer_radius_mm < self.support_radius_mm:
             raise ValidationError("need 0 < inner < outer < support radius")

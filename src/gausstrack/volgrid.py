@@ -179,7 +179,7 @@ _KINDS = {
     "str": lambda v: isinstance(v, str),
     "list": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
-    "tuple": lambda v: isinstance(v, list) and all(map(_KINDS["float"], v)),
+    "tuple": lambda v: isinstance(v, (list, tuple)) and all(map(_KINDS["float"], v)),
     "dict": lambda v: isinstance(v, dict) and all(map(_KINDS["float"], v.values())),
 }
 
@@ -195,10 +195,20 @@ def _check_keys(where, data, spec):
             raise ValidationError(f"{where}: '{key}' must be {want}, got {value!r}")
 
 
+def _check_kinds(config):
+    """Check each field of a config against its annotated kind (see _KINDS)
+    or nested config class; every config's __post_init__ calls this first."""
+    for name, f in config.__dataclass_fields__.items():
+        value, nested = getattr(config, name), f.default_factory
+        if not (isinstance(value, nested) if is_dataclass(nested) else _KINDS[f.type](value)):
+            raise ValidationError(
+                f"{type(config).__name__}: '{name}' must be {f.type}, got {value!r}")
+
+
 def _from_dict(cls, data, where):
     """Build dataclass ``cls`` from a parsed JSON object: unknown keys are
-    rejected, each value must be of the kind its field is annotated with, and
-    fields whose default is a dataclass are built from nested objects."""
+    rejected, fields whose default is a dataclass are built from nested
+    objects and tuple fields from lists; the dataclass checks the kinds."""
     fields = cls.__dataclass_fields__
     unknown = set(data) - set(fields)
     if unknown:
@@ -206,10 +216,10 @@ def _from_dict(cls, data, where):
     values = dict(data)
     for key, value in data.items():
         nested = fields[key].default_factory
-        _check_keys(where, data, {key: "object" if is_dataclass(nested) else fields[key].type})
         if is_dataclass(nested):
+            _check_keys(where, data, {key: "object"})
             values[key] = _from_dict(nested, value, key)
-        elif fields[key].type == "tuple":
+        elif fields[key].type == "tuple" and isinstance(value, list):
             values[key] = tuple(value)
     return cls(**values)
 

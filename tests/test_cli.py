@@ -129,6 +129,16 @@ def test_eval_writes_metric_report(tmp_path):
         assert key in report
 
 
+def test_eval_creates_the_missing_parent_of_its_output(tmp_path):
+    # as render and export-field do; it used to exit 4 after the evaluation
+    ph, fit_dir = fitted_run(tmp_path)
+    out = tmp_path / "new" / "es" / "metrics.json"
+    rc = main(["eval", "--fitted", str(fit_dir), "--sequence", str(ph / "sequence"),
+               "--truth", str(ph / "ed_labels.vjson"), "--out", str(out)])
+    assert rc == 0
+    assert "dice_avg" in json.loads(out.read_text())
+
+
 def test_eval_mismatched_mask_dims(tmp_path):
     ph, fit_dir = fitted_run(tmp_path)
     small = volgrid.LabelVolume((8, 8, 8), (3, 3, 3),

@@ -13,23 +13,20 @@ from gausstrack.gauss import GaussianSet, render_backward, render_values
 from gausstrack.motion import (
     ControlNodeSet,
     DeformNet,
-    NodeTransforms,
     apply_motion,
     blend_transforms,
     blend_weights,
     deform_gaussians,
     dense_displacement,
-    encode_inputs,
-    forward_deform,
     init_control_nodes,
     knn_indices,
     load_network,
     load_nodes,
     motion_backward,
+    node_transforms,
     positional_encoding,
     save_network,
     save_nodes,
-    transforms_from_features,
 )
 
 
@@ -87,19 +84,19 @@ def test_encoding_batched_shape():
 def test_zero_initialized_head_gives_identity_transform():
     _, nodes, _, _ = tiny_scene(zero_head=True)
     net = DeformNet.create(l_space=3, l_time=2, hidden_width=16, hidden_depth=3, seed=5)
-    tr = forward_deform(net, nodes, t=0.37)
-    assert np.all(tr.translations == 0.0)
-    assert np.all(tr.scales == 1.0)
+    t6, _ = node_transforms(net, nodes.positions, t=0.37)
+    assert t6.shape == (nodes.count, 6)
+    assert np.all(t6[:, :3] == 0.0)
+    assert np.all(t6[:, 3:] == 1.0)
 
 
 def test_forward_is_pure_and_time_sensitive():
     _, nodes, net, _ = tiny_scene(seed=2)
-    a = forward_deform(net, nodes, 0.2)
-    b = forward_deform(net, nodes, 0.2)
-    c = forward_deform(net, nodes, 0.8)
-    assert np.array_equal(a.translations, b.translations)
-    assert np.array_equal(a.scales, b.scales)
-    assert not np.allclose(a.translations, c.translations)
+    a, _ = node_transforms(net, nodes.positions, 0.2)
+    b, _ = node_transforms(net, nodes.positions, 0.2)
+    c, _ = node_transforms(net, nodes.positions, 0.8)
+    assert np.array_equal(a, b)
+    assert not np.allclose(a[:, :3], c[:, :3])
 
 
 def test_input_width_contract():
@@ -260,8 +257,8 @@ def test_blend_weight_underflow_keeps_the_largest_kernel():
     _, _, net, _ = tiny_scene(seed=2)
     g = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]], np.log([[0.1, 0.1, 0.1]]), [1.0])
     deformed, cache = apply_motion(g, nodes, net, 0.4, idx)
-    tr = forward_deform(net, nodes, 0.4)
-    assert np.array_equal(deformed.centers, g.centers + tr.translations[:1])
+    t6, _ = node_transforms(net, nodes.positions, 0.4)
+    assert np.array_equal(deformed.centers, g.centers + t6[:1, :3])
     rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS), None)
     mg = motion_backward(cache, nodes, net, rg)
     for a in mg.weight_grads + mg.bias_grads + [mg.node_positions, mg.node_log_radii,
@@ -281,37 +278,35 @@ def test_blend_weights_normalized_and_scale_invariant():
 
 
 def test_blend_transforms_shared_transform():
-    tr = NodeTransforms(np.tile([0.1, -0.2, 0.3], (4, 1)), np.tile([2.0, 1.0, 0.5], (4, 1)))
+    t6 = np.tile([0.1, -0.2, 0.3, 2.0, 1.0, 0.5], (4, 1))
     w = np.array([[0.25, 0.25, 0.25, 0.25]])
-    d, a = blend_transforms(w, np.array([[0, 1, 2, 3]]), tr)
+    d, a = blend_transforms(w, np.array([[0, 1, 2, 3]]), t6)
     assert np.allclose(d, [[0.1, -0.2, 0.3]]) and np.allclose(a, [[2, 1, 0.5]])
 
 
 def test_blend_transforms_selects_first_on_degenerate_weights():
     rng = np.random.default_rng(1)
-    tr = NodeTransforms(rng.normal(size=(3, 3)), np.exp(rng.normal(size=(3, 3))))
-    d, a = blend_transforms(np.array([[1.0, 0.0]]), np.array([[2, 0]]), tr)
-    assert np.allclose(d, tr.translations[2]) and np.allclose(a, tr.scales[2])
+    t6 = np.exp(rng.normal(size=(3, 6)))
+    d, a = blend_transforms(np.array([[1.0, 0.0]]), np.array([[2, 0]]), t6)
+    assert np.allclose(d, t6[2, :3]) and np.allclose(a, t6[2, 3:])
 
 
 def test_blend_transforms_matches_direct_sum():
     rng = np.random.default_rng(5)
-    tr = NodeTransforms(rng.normal(size=(6, 3)), np.exp(rng.normal(size=(6, 3))))
+    t6 = np.exp(rng.normal(size=(6, 6)))
     idx = np.array([[0, 3, 5]])
     w = rng.random((1, 3))
     w /= w.sum()
-    d, a = blend_transforms(w, idx, tr)
-    want = sum(w[0, j] * np.concatenate([tr.translations[idx[0, j]],
-                                         tr.scales[idx[0, j]]]) for j in range(3))
+    d, a = blend_transforms(w, idx, t6)
+    want = sum(w[0, j] * t6[idx[0, j]] for j in range(3))
     assert np.max(np.abs(np.concatenate([d[0], a[0]]) - want)) < 1e-12
 
 
 def test_blend_transforms_linear_in_transforms():
     rng = np.random.default_rng(9)
-    t1 = NodeTransforms(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
-    t2 = NodeTransforms(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
-    mix = NodeTransforms(2 * t1.translations + 3 * t2.translations,
-                         2 * t1.scales + 3 * t2.scales)
+    t1 = rng.normal(size=(5, 6))
+    t2 = rng.normal(size=(5, 6))
+    mix = 2 * t1 + 3 * t2
     idx = np.array([[1, 4], [0, 2]])
     w = np.array([[0.3, 0.7], [0.9, 0.1]])
     d, a = blend_transforms(w, idx, mix)
@@ -377,9 +372,9 @@ def test_dense_displacement_concentrates_on_isolated_node():
                            np.log([0.2, 1e-5, 1e-5]))
     net = DeformNet.create(l_space=2, l_time=2, hidden_width=8, hidden_depth=2, seed=9)
     net.weights[-1] = np.random.default_rng(4).normal(size=net.weights[-1].shape)
-    tr = forward_deform(net, nodes, 0.3)
+    t6, _ = node_transforms(net, nodes.positions, 0.3)
     u = dense_displacement(np.array([[0.5, 0.5, 0.5]]), nodes, net, 0.3, k=3)
-    assert np.max(np.abs(u[0] - tr.translations[0])) < 1e-6
+    assert np.max(np.abs(u[0] - t6[0, :3])) < 1e-6
 
 
 def test_dense_displacement_agrees_with_fit_path():
@@ -402,7 +397,7 @@ def public_field(q, nodes, net, t, k):
     """The dense field through the public steps, all rows at once."""
     idx = knn_indices(q, nodes.positions, k)
     weights = blend_weights(q, nodes.positions, nodes.log_radii, idx)
-    delta, _ = blend_transforms(weights, idx, forward_deform(net, nodes, t))
+    delta, _ = blend_transforms(weights, idx, node_transforms(net, nodes.positions, t)[0])
     return delta
 
 
@@ -496,12 +491,12 @@ def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatc
 DIMS = (6, 6, 6)
 
 
-def pipeline_loss(g, nodes, net, t, idx, upstream, feats=None):
-    if feats is None:
-        feats = encode_inputs(net, nodes.positions, t)
-    transforms, _ = transforms_from_features(net, feats)
+def pipeline_loss(g, nodes, net, t, idx, upstream, encoded=None):
+    """The loss through the public steps; ``encoded`` (default: the live
+    node positions) are the positions the network input is encoded from."""
+    t6, _ = node_transforms(net, nodes.positions if encoded is None else encoded, t)
     weights = blend_weights(g.centers, nodes.positions, nodes.log_radii, idx)
-    delta, alpha = blend_transforms(weights, idx, transforms)
+    delta, alpha = blend_transforms(weights, idx, t6)
     deformed = deform_gaussians(g, delta, alpha)
     return float(np.sum(upstream * render_values(deformed, DIMS, None)))
 
@@ -562,7 +557,7 @@ def test_node_position_gradients_match_fd_with_frozen_encodings():
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(3).normal(size=DIMS)
     t = 0.7
-    feats = encode_inputs(net, nodes.positions, t)
+    frozen = nodes.positions.copy()
     mg = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     h = 1e-4
     fd = np.zeros_like(nodes.positions)
@@ -571,9 +566,9 @@ def test_node_position_gradients_match_fd_with_frozen_encodings():
         i = it.multi_index
         orig = nodes.positions[i]
         nodes.positions[i] = orig + h
-        lp = pipeline_loss(g, nodes, net, t, idx, upstream, feats=feats)
+        lp = pipeline_loss(g, nodes, net, t, idx, upstream, encoded=frozen)
         nodes.positions[i] = orig - h
-        lm = pipeline_loss(g, nodes, net, t, idx, upstream, feats=feats)
+        lm = pipeline_loss(g, nodes, net, t, idx, upstream, encoded=frozen)
         nodes.positions[i] = orig
         fd[i] = (lp - lm) / (2 * h)
     assert rel_err(mg.node_positions, fd) < 1e-4
@@ -677,6 +672,31 @@ def test_motion_scatters_equal_add_at_with_repeated_neighbours(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_motion_backward_leaves_its_cache_and_inputs_as_they_were():
+    # the backward reads the one (M, 6) node-transform array of the forward;
+    # nothing it reads may change, so two calls on one cache agree to the byte
+    g, nodes, net, k = tiny_scene(seed=23, n=12, m=5, k=3)
+    idx = knn_indices(g.centers, nodes.positions, k)
+    deformed, cache = apply_motion(g, nodes, net, 0.55, idx)
+    rg = render_backward(deformed, DIMS, np.random.default_rng(7).normal(size=DIMS), None)
+
+    def read():
+        return [a.tobytes() for a in (cache.t6, cache.weights, cache.alpha_blend, cache.diff,
+                                      cache.d2, cache.o, cache.idx, *cache.acts, rg.centers,
+                                      rg.rotations, rg.log_scales, rg.intensities,
+                                      nodes.positions, nodes.log_radii, *net.weights)]
+
+    def grads(mg):
+        return [a.tobytes() for a in (*mg.weight_grads, *mg.bias_grads, mg.node_positions,
+                                      mg.node_log_radii, mg.canonical.centers)]
+
+    before = read()
+    first = grads(motion_backward(cache, nodes, net, rg))
+    assert read() == before
+    assert grads(motion_backward(cache, nodes, net, rg)) == first
+    assert read() == before
+
+
 # --- node init and serialization -------------------------------------------------
 
 def test_init_control_nodes_deterministic_and_bounded():
@@ -711,6 +731,6 @@ def test_network_round_trip(tmp_path):
     save_network(back, tmp_path / "w2")
     assert (tmp_path / "w.raw").read_bytes() == (tmp_path / "w2.raw").read_bytes()
     nodes = ControlNodeSet(np.random.default_rng(5).random((4, 3)), np.log([0.2] * 4))
-    a = forward_deform(back, nodes, 0.5)
-    b = forward_deform(load_network(tmp_path / "w2"), nodes, 0.5)
-    assert np.array_equal(a.translations, b.translations)
+    a, _ = node_transforms(back, nodes.positions, 0.5)
+    b, _ = node_transforms(load_network(tmp_path / "w2"), nodes.positions, 0.5)
+    assert np.array_equal(a, b)

@@ -171,6 +171,15 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     lambda: NetworkConfig(hidden_width=0),
     lambda: FitConfig(n_init=0),
     lambda: FitConfig(node_budget=-5),
+    # values of the wrong kind: each used to be built, or to raise OverflowError
+    lambda: FitConfig(learning_rates={"network": 10**400}),
+    lambda: FitConfig(cutoff_multiplier=10**400),
+    lambda: FitConfig(seed=0.5),
+    lambda: FitConfig(k_neighbors=4.0),
+    lambda: FitConfig(schedule={"total_iters": 40}),
+    lambda: FitSchedule(total_iters=4.5, canonical_only_until=1, node_unfreeze_at=2),
+    lambda: NetworkConfig(l_space=2.0),
+    lambda: DensifyConfig(grad_threshold="2e-4"),
 ])
 def test_out_of_range_settings_are_refused_without_json(make):
     with pytest.raises(ValidationError, match="must be"):

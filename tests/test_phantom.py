@@ -33,6 +33,14 @@ def test_spec_rejects_bad_geometry():
         PhantomSpec(frames=1)
 
 
+@pytest.mark.parametrize("over", [{"frames": 3.0}, {"texture_seed": True},
+                                  {"texture_amplitude": "0.15"},
+                                  {"rv_angle_deg": (100.0, "260")}])
+def test_spec_refuses_values_of_the_wrong_kind_without_json(over):
+    with pytest.raises(ValidationError, match="must be"):
+        small_spec(**over)
+
+
 def test_spec_round_trip(tmp_path):
     spec = small_spec(texture_seed=7)
     spec.save(tmp_path / "spec.json")
