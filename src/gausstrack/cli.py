@@ -235,6 +235,11 @@ def main(argv=None):
     except ValidationError as e:
         print(f"gausstrack: validation: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as e:
+        # numpy names the array it could not allocate ("Unable to allocate
+        # 7.11 PiB for an array with shape ..."): a grid too large for memory
+        print(f"gausstrack: validation: {e or 'out of memory'}", file=sys.stderr)
+        return EXIT_VALIDATION
     except NumericalAbort as e:
         print(f"gausstrack: numerical: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -41,6 +41,11 @@ from .volgrid import (VoxelVolume, _axis_denoms, _check_kinds, _read_container,
 # Box pairs per renderer chunk, a cache size (the sphere test's r^2 is 1 MB),
 # not a memory cap: 2^17-2^20 tie on 64^3 sets, 2^17 is fastest at 128^3.
 _CHUNK_ELEMS = 2 ** 17
+# Largest M*N*K of one chunk product.  OpenBLAS runs a GEMM this small on
+# one thread (its cut-off is 4 x 65536) and splits larger ones across
+# threads, which changes the bits of the sums; the chunk products run in
+# row blocks within it, so renders do not depend on the BLAS thread count.
+_GEMM_MNK = 2 ** 18
 _FIELDS = ["centers", "rotations", "log_scales", "intensities"]
 # upper-triangle pairs (i <= j) and the offset-moment column of each (i, j)
 _IU = np.triu_indices(3)
@@ -239,6 +244,20 @@ def _box_geometry(bshape, dims):
     return flat_off, axes, feats
 
 
+def _blocked_matmul(a, b, out=None):
+    """a @ b in row blocks of at most _GEMM_MNK multiply-adds.  When one row
+    alone is over it (more than 26,214 reached voxels), einsum's own
+    loop, which does not call BLAS, computes the product."""
+    step = _GEMM_MNK // max(1, b.shape[0] * b.shape[1])
+    if step == 0:
+        return np.einsum("ik,kn->in", a, b, out=out)
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+    return out
+
+
 def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
     """Group Gaussians by support-box shape; yield the forward cache chunk by
     chunk: (rows, flat, feats, e, live).  ``live`` = (order, base, inv, R, q)
@@ -285,7 +304,7 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
             inside = (r2 <= r2_max[rows]).reshape(flat_off.size, -1)
             cols = np.flatnonzero(inside.any(axis=1))
             fc = feats[cols]
-            e = np.matmul(coef[rows], fc.T)
+            e = _blocked_matmul(coef[rows], fc.T)
             np.exp(e, out=e)
             e *= inside[cols].T
             yield rows, flat_lo[rows, None] + flat_off[cols], fc, e, live
@@ -361,7 +380,7 @@ def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None
     # moments of dL/dV * exp term against [1, o, o_i o_j]
     m = np.empty((order.size, 10))
     for rows, flat, feats, e, _ in cache:
-        np.matmul(up[flat] * e, feats, out=m[rows])
+        _blocked_matmul(up[flat] * e, feats, out=m[rows])
     grads.intensities[order] += m[:, 0]
     m *= gaussians.intensities[order][:, None]          # now of dL/dV * G value
     s0, s1, s2 = m[:, 0], m[:, 1:4], m[:, _SYM]

@@ -20,7 +20,9 @@ differences see the exact region, not the kinks.
 
 Frames are backward-warped from frame 0 through the exact inverse, so the
 ground-truth displacement, the inverse, and the per-frame labels are all
-mutually consistent by construction.
+mutually consistent by construction.  Only voxels inside the support
+cylinder can move, so the warps map and resample those alone; the bytes
+are those of mapping and resampling the whole grid.
 """
 
 from __future__ import annotations
@@ -160,23 +162,32 @@ def _inverse_rho(rho_p, a_eff, spec):
     return out
 
 
-def _apply_map(points_mm, t, spec, inverse):
-    """Shared radial-map kernel: returns the in-plane displacement so that
-    zero-motion cases are exactly zero (no absolute-position rounding)."""
-    pts = np.atleast_2d(np.asarray(points_mm, dtype=np.float64))
-    center = spec.center_mm
-    dx = pts[:, 0] - center[0]
-    dy = pts[:, 1] - center[1]
-    rho = dx * dx + dy * dy
-    a_eff = spec.contraction_at(t) * _axial_window(spec, pts[:, 2])
+def _radial_displacement(dx, dy, rho, a_eff, spec, inverse):
+    """In-plane displacement (dx, dy) * (r'/r - 1) of the radial map, point by
+    point, so that zero-motion cases are exactly zero (no absolute-position
+    rounding)."""
     rho_new = _inverse_rho(rho, a_eff, spec) if inverse else _forward_rho(rho, a_eff, spec)
     # radial scale r'/r == sqrt(rho'/rho); exactly 1 at the axis (linear core)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.sqrt(rho_new / rho)
     factor = np.where(rho > 0, scale - 1.0, 0.0)
+    return dx * factor, dy * factor
+
+
+def _apply_map(points_mm, t, spec, inverse):
+    """Radial map at arbitrary points: the displacement, computed only for
+    the points inside the support cylinder (rho < rho_s).  Outside it both
+    maps are the identity (_inverse_rho and _forward_rho return rho there),
+    so the displacement is 0."""
+    pts = np.atleast_2d(np.asarray(points_mm, dtype=np.float64))
+    center = spec.center_mm
+    dx = pts[:, 0] - center[0]
+    dy = pts[:, 1] - center[1]
+    rho = dx * dx + dy * dy
+    m = np.flatnonzero(rho < spec.profile_breaks[2])
+    a_eff = spec.contraction_at(t) * _axial_window(spec, pts[m, 2])
     u = np.zeros_like(pts)
-    u[:, 0] = dx * factor
-    u[:, 1] = dy * factor
+    u[m, 0], u[m, 1] = _radial_displacement(dx[m], dy[m], rho[m], a_eff, spec, inverse)
     return u
 
 
@@ -254,24 +265,55 @@ def build_ed_volume(spec, labels):
     return VoxelVolume(spec.dims, spec.spacing, np.clip(values, 0.0, 1.0))
 
 
-def _sample_at(values, points_mm, spec, order):
-    coords = points_mm / np.array(spec.spacing)
-    stacked = [coords[..., i] for i in range(3)]
-    return ndimage.map_coordinates(values, stacked, order=order, mode="nearest")
+class _SupportGrid:
+    """The inverse map on the voxel grid, inside the support cylinder only:
+    outside it _inverse_rho returns rho, so every source is its voxel's own
+    position bit for bit.  Arrays are (S, nz), z innermost, over the S
+    in-plane points with rho < rho_s, built once per grid."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        x, y, self.z = (np.arange(d, dtype=np.float64) * s
+                        for d, s in zip(spec.dims, spec.spacing))
+        center = spec.center_mm
+        dx, dy = (x - center[0])[:, None], (y - center[1])[None, :]
+        rho = dx * dx + dy * dy
+        ix, iy = np.nonzero(rho < spec.profile_breaks[2])
+        self.x, self.y = x[ix, None], y[iy, None]
+        self.dx, self.dy = dx[ix], dy[0, iy, None]
+        self.rho = np.broadcast_to(rho[ix, iy, None], (ix.size, self.z.size))
+        nz = self.z.size
+        self.flat = (ix * spec.dims[1] + iy)[:, None] * nz + np.arange(nz)
+
+    def moved(self, t, also=False):
+        """(flat voxel indices, source points (n, 3)) of the support voxels
+        whose source at ``t`` is not their own position, or where ``also``
+        ((S, nz) bool) is set.  A source keeps its voxel's z."""
+        a_eff = self.spec.contraction_at(t) * _axial_window(self.spec, self.z)
+        ux, uy = _radial_displacement(self.dx, self.dy, self.rho, a_eff, self.spec, True)
+        sx, sy = self.x + ux, self.y + uy
+        sel = np.nonzero((sx != self.x) | (sy != self.y) | also)
+        return self.flat[sel], np.stack([sx[sel], sy[sel], self.z[sel[1]]], axis=-1)
 
 
 def warp_labels_analytic(ed_labels, t, spec):
     """Ground-truth label map at time ``t``: the analytic layout evaluated
-    at the exactly inverted positions.
+    at the exactly inverted positions.  ``ed_labels`` is the spec's ED label
+    grid (``build_ed_labels``); voxels the map leaves in place keep it, the
+    others get the layout at their source.
 
     Evaluating the continuous layout (rather than nearest-sampling the
     discrete ED grid) avoids the half-voxel aliasing that nearest lookup
     introduces whenever the displacement crosses half-integer voxel
     offsets; at t=0 it reproduces ``ed_labels`` bit for bit.
     """
-    pts = _world_points(spec).reshape(-1, 3)
-    src = analytic_inverse(pts, t, spec)
-    warped = _layout_labels(src.reshape(spec.dims + (3,)), spec)
+    if ed_labels.dims != spec.dims:
+        raise ValidationError(
+            f"ED labels dims {ed_labels.dims} do not match the spec's {spec.dims}")
+    flat, src = _SupportGrid(spec).moved(t)
+    # C order, so the flat view below writes into it (a loaded grid is x-fastest)
+    warped = np.array(ed_labels.labels, dtype=np.uint8, order="C")
+    warped.reshape(-1)[flat] = _layout_labels(src, spec)
     return LabelVolume(spec.dims, spec.spacing, warped)
 
 
@@ -280,17 +322,35 @@ def generate_phantom(spec):
     handle.
 
     Frame 0 is the constructed ED volume bit for bit; frame t samples frame
-    0 at the exactly inverted positions.  ED is frame 0 (time 0); ES is the
-    frame with the strongest contraction.
+    0 at the exactly inverted positions (order 1).  An order-1 sample at an
+    exact grid coordinate is the grid value, so only voxels whose source is
+    not their own position, or whose coordinate ``i * s / s`` is not exactly
+    ``i``, are resampled.  ED is frame 0 (time 0); ES is the frame with the
+    strongest contraction.
     """
     ed_labels = build_ed_labels(spec)
     ed = build_ed_volume(spec, ed_labels)
     times = np.linspace(0.0, 1.0, spec.frames)
-    pts = _world_points(spec).reshape(-1, 3)
+    grid = _SupportGrid(spec)
+    spacing = np.array(spec.spacing)
+    ex, ey, ez = (np.arange(d) * s / s == np.arange(d) for d, s in zip(spec.dims, spec.spacing))
+    inexact = ~(ex[:, None, None] & ey[:, None] & ez)
+
+    def sample(src):
+        return ndimage.map_coordinates(ed.values, (src / spacing).T, order=1, mode="nearest")
+
+    # every frame starts as ED, resampled once at the inexact voxels off the
+    # support, where the source is the voxel's own position at every time
+    static = ed.values.copy()
+    off_support = inexact.copy()
+    off_support.reshape(-1)[grid.flat] = False
+    static[off_support] = sample(np.argwhere(off_support) * spacing)
+    inexact_support = inexact.reshape(-1)[grid.flat]
     frames = [ed]
     for t in times[1:]:
-        src = analytic_inverse(pts, t, spec).reshape(spec.dims + (3,))
-        vals = _sample_at(np.asarray(ed.values, dtype=np.float64), src, spec, order=1)
+        flat, src = grid.moved(t, inexact_support)
+        vals = static.copy()
+        vals.reshape(-1)[flat] = sample(src)
         frames.append(VoxelVolume(spec.dims, spec.spacing, vals))
     es_index = int(np.argmax(spec.contraction_at(times)))
     seq = Sequence4D(frames, times, ed_index=0, es_index=es_index)

@@ -461,7 +461,10 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys):
                  '{"peak_contraction": %s}' % huge, '{"spacing": [3, 3, %s]}' % huge,
                  # radii whose squares overflow a float
                  '{"inner_radius_mm": 1e200, "outer_radius_mm": 2e200,'
-                 ' "support_radius_mm": 4e200}'):
+                 ' "support_radius_mm": 4e200}',
+                 # a 7.11 PiB grid: malloc refuses it at once (a grid of a few
+                 # GiB could be overcommitted and then run out of memory)
+                 '{"dims": [100000, 100000, 100000]}'):
         path = tmp_path / "spec.json"
         path.write_text(spec)
         _one_line_failure(capsys, ["phantom", "--spec", str(path),

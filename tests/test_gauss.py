@@ -361,9 +361,9 @@ _DETERMINISM_SCRIPT = """
 import hashlib, numpy as np
 from gausstrack.gauss import GaussianSet, render_backward, render_with_cache
 rng = np.random.default_rng(17)
-n, dims = 1500, (28, 28, 28)
-g = GaussianSet(rng.random((n, 3)), rng.normal(size=(n, 4)),
-                np.log(rng.uniform(0.03, 0.08, (n, 3))), rng.uniform(-1, 1, n))
+n, dims, lo, hi, s_lo, s_hi = {scene}
+g = GaussianSet(rng.uniform(lo, hi, (n, 3)), rng.normal(size=(n, 4)),
+                np.log(rng.uniform(s_lo, s_hi, (n, 3))), rng.uniform(-1, 1, n))
 values, cache = render_with_cache(g, dims)
 grads = render_backward(g, dims, rng.normal(size=dims), cache=cache)
 h = hashlib.sha256(values.tobytes())
@@ -375,14 +375,20 @@ print(h.hexdigest())
 
 def test_render_bits_do_not_depend_on_blas_threads():
     src = str(Path(gauss_mod.__file__).resolve().parent.parent)
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.append(run.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+    # (count, dims, center range, scale range); the second scene's chunk
+    # products reach about 1.1M multiply-adds, where a threaded OpenBLAS GEMM
+    # sums in a different order than one thread
+    for scene in [(1500, (28, 28, 28), 0, 1, 0.03, 0.08),
+                  (600, (48, 48, 48), 0.2, 0.8, 0.03, 0.05)]:
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            script = _DETERMINISM_SCRIPT.format(scene=scene)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1], scene
 
 
 # --- analytic backward vs finite differences ---------------------------------

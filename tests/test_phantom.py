@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from gausstrack.errors import ValidationError
 from gausstrack.metrics import DisplacementField, jacobian_stats
 from gausstrack.phantom import (
     PhantomField,
     PhantomSpec,
+    _axial_window,
+    _forward_rho,
+    _inverse_rho,
+    _layout_labels,
+    _SupportGrid,
+    _world_points,
     analytic_displacement,
     analytic_inverse,
     build_ed_labels,
@@ -13,7 +20,8 @@ from gausstrack.phantom import (
     generate_phantom,
     warp_labels_analytic,
 )
-from gausstrack.volgrid import LABEL_LV, LABEL_MYO, LABEL_RV, voxel_centers_normalized
+from gausstrack.volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, load_volume, save_volume,
+                                voxel_centers_normalized)
 
 
 def small_spec(**over):
@@ -249,3 +257,120 @@ def test_generation_deterministic():
     assert np.array_equal(la.labels, lb.labels)
     for fa, fb in zip(a.frames, b.frames):
         assert np.array_equal(fa.values, fb.values)
+
+
+# --- byte-identity oracle: the whole-grid generator ---------------------------------
+#
+# The generator maps and resamples only the voxels inside the support cylinder
+# that move; these references map every point and resample every voxel.
+
+def reference_map(points_mm, t, spec, inverse):
+    """In-plane displacement of the radial map at every point, support or not."""
+    pts = np.atleast_2d(np.asarray(points_mm, dtype=np.float64))
+    center = spec.center_mm
+    dx = pts[:, 0] - center[0]
+    dy = pts[:, 1] - center[1]
+    rho = dx * dx + dy * dy
+    a_eff = spec.contraction_at(t) * _axial_window(spec, pts[:, 2])
+    rho_new = _inverse_rho(rho, a_eff, spec) if inverse else _forward_rho(rho, a_eff, spec)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.sqrt(rho_new / rho)
+    factor = np.where(rho > 0, scale - 1.0, 0.0)
+    u = np.zeros_like(pts)
+    u[:, 0] = dx * factor
+    u[:, 1] = dy * factor
+    return u
+
+
+def reference_sources(t, spec):
+    pts = _world_points(spec).reshape(-1, 3)
+    return pts, pts + reference_map(pts, t, spec, inverse=True)
+
+
+def reference_frames(spec):
+    """Every frame's values: ED, then ED sampled at every voxel's source."""
+    ed = build_ed_volume(spec, build_ed_labels(spec)).values
+    frames = [ed]
+    for t in np.linspace(0.0, 1.0, spec.frames)[1:]:
+        coords = reference_sources(t, spec)[1] / np.array(spec.spacing)
+        frames.append(ndimage.map_coordinates(ed, list(coords.T), order=1, mode="nearest")
+                      .reshape(spec.dims))
+    return frames
+
+
+def reference_warp_labels(t, spec):
+    return _layout_labels(reference_sources(t, spec)[1].reshape(spec.dims + (3,)), spec)
+
+
+ORACLE_SPECS = {
+    "default": {},
+    "anisotropic": dict(dims=(40, 36, 24), spacing=(2.2, 2.6, 3.1)),
+    # i * 1.3 / 1.3 != i for i = 7, 13, 14, ...: resampled even where unmoved
+    "inexact-1.3mm": dict(dims=(40, 40, 40), spacing=(1.3, 1.3, 1.3)),
+    # foreground off the support, where inexact voxels are resampled once
+    "rv-past-the-support": dict(dims=(40, 36, 24), spacing=(2.2, 2.6, 3.1),
+                                rv_thickness_mm=15.0),
+    "two-frames": dict(frames=2),
+    "support-past-the-grid": dict(dims=(32, 32, 32), spacing=(3.0, 3.0, 3.0),
+                                  support_radius_mm=60.0),
+}
+
+
+@pytest.mark.parametrize("over", list(ORACLE_SPECS.values()), ids=list(ORACLE_SPECS))
+def test_phantom_is_byte_identical_to_the_whole_grid_reference(over, tmp_path):
+    spec = PhantomSpec(texture_seed=1, **over)
+    seq, ed_labels, _ = generate_phantom(spec)
+    assert ed_labels.labels.tobytes() == _layout_labels(_world_points(spec), spec).tobytes()
+    want = reference_frames(spec)
+    assert len(seq.frames) == len(want)
+    for got, ref in zip(seq.frames, want):
+        assert got.values.dtype == ref.dtype and got.values.tobytes() == ref.tobytes()
+    # the ED labels as built, and as read back from disk (x-fastest order)
+    save_volume(ed_labels, tmp_path / "ed_labels")
+    for labels in (ed_labels, load_volume(tmp_path / "ed_labels")):
+        for t in (seq.times[seq.es_index], 0.37):
+            got = warp_labels_analytic(labels, t, spec).labels
+            assert got.tobytes() == reference_warp_labels(t, spec).tobytes()
+
+
+def test_warp_labels_refuses_labels_of_another_grid():
+    with pytest.raises(ValidationError, match="do not match"):
+        warp_labels_analytic(build_ed_labels(small_spec()), 0.5, PhantomSpec())
+
+
+@pytest.mark.parametrize("over", list(ORACLE_SPECS.values()), ids=list(ORACLE_SPECS))
+def test_support_grid_holds_every_voxel_the_map_moves(over):
+    # outside the support cylinder the whole-grid map returns each voxel's
+    # own position bit for bit, so skipping those voxels loses nothing
+    spec = PhantomSpec(**over)
+    grid = _SupportGrid(spec)
+    inside = np.zeros(int(np.prod(spec.dims)), dtype=bool)
+    inside[grid.flat.ravel()] = True
+    pts = _world_points(spec).reshape(-1, 3)
+    c = spec.center_mm
+    rho = (pts[:, 0] - c[0]) ** 2 + (pts[:, 1] - c[1]) ** 2
+    assert np.array_equal(inside, rho < spec.support_radius_mm ** 2)
+    for t in (0.2, 0.5, 1.0):
+        pts, src = reference_sources(t, spec)
+        assert np.array_equal(src[~inside], pts[~inside])
+        flat, moved = grid.moved(t)
+        changed = np.flatnonzero(np.any(src != pts, axis=1))
+        assert np.array_equal(np.sort(flat), changed)
+        assert np.array_equal(moved[np.argsort(flat)], src[changed])
+
+
+def test_point_maps_equal_the_whole_array_reference_off_grid():
+    spec = PhantomSpec()
+    c = spec.center_mm
+    rng = np.random.default_rng(5)
+    r = np.concatenate([rng.uniform(0.0, spec.support_radius_mm, 400),
+                        rng.uniform(spec.support_radius_mm, 60.0, 200),
+                        [0.0, spec.support_radius_mm]])
+    ang = rng.uniform(0, 2 * np.pi, r.size)
+    z = rng.uniform(-10.0, 110.0, r.size)
+    pts = np.stack([c[0] + r * np.cos(ang), c[1] + r * np.sin(ang), z], axis=1)
+    for t in (0.0, 0.2, 0.5, 0.93, 1.0):
+        assert np.array_equal(analytic_inverse(pts, t, spec),
+                              pts + reference_map(pts, t, spec, inverse=True))
+        assert np.array_equal(analytic_displacement(pts, t, spec),
+                              reference_map(pts, t, spec, inverse=False))
