@@ -160,33 +160,42 @@ def _knn_tree(queries, node_positions, k):
 def _knn_rows(tree, pos, q, k):
     """knn_indices of the rows of q, one slice of rows."""
     m = pos.shape[0]
-    out = np.empty((q.shape[0], k), dtype=np.int64)
-    rows = np.arange(q.shape[0])
     c = min(k + _KNN_SLACK, m)
+    dist, cand = (a.reshape(q.shape[0], c) for a in tree.query(q, k=c))
+    out = cand[:, :k].astype(np.int64)
+    # rows whose first k + 1 tree distances rise by the settle margin keep the
+    # tree's order; the others are re-sorted exactly
+    near = dist[:, :k + 1]
+    rows = np.flatnonzero(np.any(near[:, 1:] <= near[:, :-1] * (1 + 1e-9), axis=1))
+    dist, cand = dist[rows], cand[rows]
     while rows.size:
-        dist, cand = tree.query(q[rows], k=c)
-        cand = cand.reshape(rows.size, c)
         # per axis on (rows, c) arrays, added (x + y) + z as a sum over an
         # axis of three would add them
         dx, dy, dz = (q[rows, a, None] - pos[cand, a] for a in range(3))
         d2 = (dx * dx + dy * dy) + dz * dz
         order = np.lexsort((cand, d2), axis=-1)[:, :k]
         kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
-        done = (kth < dist.reshape(rows.size, c)[:, -1] ** 2 * (1 - 1e-9)) | (c == m)
+        done = (kth < dist[:, -1] ** 2 * (1 - 1e-9)) | (c == m)
         out[rows[done]] = np.take_along_axis(cand, order, axis=1)[done]
         rows = rows[~done]
-        c = min(2 * c, m)
+        if rows.size:
+            c = min(2 * c, m)
+            dist, cand = (a.reshape(rows.size, c) for a in tree.query(q[rows], k=c))
     return out
 
 
 def knn_indices(queries, node_positions, k):
     """Exact k nearest nodes per query, ties broken by lower node index.
 
-    KD-tree candidates are re-sorted by (exact squared distance
-    ``((q - p) ** 2).sum()``, index), 4096 rows at a time in the calling
-    thread.  A row is settled once its k-th distance is inside the farthest
-    candidate's by a 1e-9 relative margin, so no other node can reach or tie
-    it; other rows retry with twice the candidates, up to all nodes.
+    4096 rows at a time in the calling thread.  A row whose first k + 1
+    KD-tree distances each rise by a 1e-9 relative margin keeps the tree's
+    first k: its set and order are those of the exact distances, which the
+    tree's match to about 1e-16.  Only the other rows (ties, near ties,
+    duplicate nodes) re-sort the candidates by (exact squared distance
+    ``((q - p) ** 2).sum()``, index).  Such a row is settled once its k-th
+    distance is inside the farthest candidate's by the same margin, so no
+    other node can reach or tie it; otherwise it retries with twice the
+    candidates, up to all nodes.
     """
     queries, pos, tree = _knn_tree(queries, node_positions, k)
     out = np.empty((queries.shape[0], k), dtype=np.int64)
@@ -200,9 +209,9 @@ def _blend(queries, node_positions, log_radii, idx):
     """Softmax weights of u = -d^2 / (2 o^2), built in place, plus the
     offsets, squared distances and radii that motion_backward reads."""
     weights = np.empty(idx.shape)
-    diff = queries[:, None, :] - node_positions[idx]          # (Q, k, 3)
+    diff = queries[:, None, :] - np.take(node_positions, idx, axis=0)  # (Q, k, 3)
     d2 = np.einsum("qki,qki->qk", diff, diff)
-    o = np.exp(log_radii[idx])
+    o = np.exp(np.take(log_radii, idx))
     np.divide(d2, -2.0 * o * o, out=weights)
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
@@ -223,7 +232,7 @@ def blend_weights(queries, node_positions, log_radii, idx):
 def blend_transforms(weights, idx, t6):
     """Convex combination of the neighbours' rows of the (M, 6) node
     transforms, channelwise: the blended translation and scale factor."""
-    mixed = np.einsum("qk,qkc->qc", weights, t6[idx])
+    mixed = np.einsum("qk,qkc->qc", weights, np.take(t6, idx, axis=0))
     return mixed[:, :3], mixed[:, 3:]
 
 
@@ -271,7 +280,7 @@ def dense_displacement(queries, nodes, net, t, k):
         with np.errstate(**errstate):
             idx = _knn_rows(tree, pos, queries[rows], k)
             weights, *_ = _blend(queries[rows], pos, nodes.log_radii, idx)
-            out[rows] = np.einsum("qk,qkc->qc", weights, translations[idx])
+            out[rows] = np.einsum("qk,qkc->qc", weights, np.take(translations, idx, axis=0))
 
     starts = range(0, queries.shape[0], _KNN_CHUNK)
     with ThreadPoolExecutor(max(1, min(_pool_size(), len(starts)))) as pool:
@@ -344,7 +353,7 @@ def motion_backward(cache, nodes, net, render_grads):
     # node transforms accumulate w_ij * gB_i
     g_t6 = _scatter_rows(idx, weights[:, :, None] * g_b6[:, None, :], m)
     # blend-weight path through the softmax of u = -d2 / (2 o^2)
-    g_w = np.einsum("qc,qkc->qk", g_b6, cache.t6[idx])
+    g_w = np.einsum("qc,qkc->qk", g_b6, np.take(cache.t6, idx, axis=0))
     g_u = weights * (g_w - np.einsum("qk,qk->q", g_w, weights)[:, None])
     g_d2 = -g_u / (2.0 * cache.o ** 2)
     g_diff = 2.0 * g_d2[:, :, None] * cache.diff

@@ -21,8 +21,10 @@ differences see the exact region, not the kinks.
 Frames are backward-warped from frame 0 through the exact inverse, so the
 ground-truth displacement, the inverse, and the per-frame labels are all
 mutually consistent by construction.  Only voxels inside the support
-cylinder can move, so the warps map and resample those alone; the bytes
-are those of mapping and resampling the whole grid.
+cylinder can move, so the warps map and resample those alone, and only the
+box around the shell and crescent can hold a label, so the ED labels and
+class intensities are built there alone; the bytes are those of the whole
+grid.
 """
 
 from __future__ import annotations
@@ -219,10 +221,23 @@ class PhantomField:
 # Volume construction
 # ---------------------------------------------------------------------------
 
-def _world_points(spec):
-    """(nx, ny, nz, 3) world coordinates of the voxel centers."""
-    axes = [np.arange(d, dtype=np.float64) * s for d, s in zip(spec.dims, spec.spacing)]
+def _world_points(spec, box=(slice(None),) * 3):
+    """(nx, ny, nz, 3) world coordinates of the voxel centers in ``box``."""
+    axes = [(np.arange(d, dtype=np.float64) * s)[sl]
+            for d, s, sl in zip(spec.dims, spec.spacing, box)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _label_box(spec):
+    """Index slices of the box that can hold a label, widened by one voxel
+    and clipped to the grid: x, y within the RV's reach of the axis, z within
+    half the shell height of the centre.  Every voxel outside it is 0."""
+    reach = spec.outer_radius_mm + max(spec.rv_thickness_mm, 0.0)
+    reach = np.array([reach, reach, spec.shell_height_mm / 2.0])
+    c, s = spec.center_mm, np.array(spec.spacing)
+    lo = np.clip(np.floor((c - reach) / s) - 1, 0, spec.dims)
+    hi = np.clip(np.ceil((c + reach) / s) + 2, 0, spec.dims)
+    return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
 
 
 def _layout_labels(points_mm, spec):
@@ -245,13 +260,18 @@ def _layout_labels(points_mm, spec):
 
 
 def build_ed_labels(spec):
-    """Reference-phase label grid: the analytic layout at voxel centers."""
-    return LabelVolume(spec.dims, spec.spacing, _layout_labels(_world_points(spec), spec))
+    """Reference-phase label grid: the analytic layout at voxel centers,
+    evaluated on the label box (``_label_box``) and 0 elsewhere."""
+    box = _label_box(spec)
+    labels = np.zeros(spec.dims, dtype=np.uint8)
+    labels[box] = _layout_labels(_world_points(spec, box), spec)
+    return LabelVolume(spec.dims, spec.spacing, labels)
 
 
 def build_ed_volume(spec, labels):
     """Reference frame: per-class base intensity plus band-limited texture
-    inside the foreground, zero background, clipped to [0, 1]."""
+    inside the foreground, zero background, clipped to [0, 1].  Of the spec's
+    ED labels (``build_ed_labels``) only the label box is read."""
     rng = np.random.default_rng(spec.texture_seed)
     noise = rng.standard_normal(spec.dims)
     tex = ndimage.gaussian_filter(noise, 1.2) + 0.5 * ndimage.gaussian_filter(noise, 3.0)
@@ -259,10 +279,13 @@ def build_ed_volume(spec, labels):
     if peak > 0:
         tex = tex / peak * spec.texture_amplitude
     values = np.zeros(spec.dims, dtype=np.float64)
+    box = _label_box(spec)
+    inside, tex, lab_box = values[box], tex[box], labels.labels[box]
     for lab, base in _BASE_INTENSITY.items():
-        m = labels.labels == lab
-        values[m] = base + tex[m]
-    return VoxelVolume(spec.dims, spec.spacing, np.clip(values, 0.0, 1.0))
+        m = lab_box == lab
+        inside[m] = base + tex[m]
+    np.clip(inside, 0.0, 1.0, out=inside)
+    return VoxelVolume(spec.dims, spec.spacing, values)
 
 
 class _SupportGrid:

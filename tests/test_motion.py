@@ -457,6 +457,82 @@ def test_lattice_ties_on_both_sides_of_a_chunk_boundary():
         public_field(q, nodes, net, 0.7, 8).tobytes()
 
 
+def full_sort(q, pos):
+    """Every node per query, by (squared distance, index)."""
+    d2 = ((q[:, None, :] - pos[None]) ** 2).sum(axis=-1)
+    return np.lexsort((np.broadcast_to(np.arange(len(pos)), d2.shape), d2), axis=-1)
+
+
+def counting_resorts(monkeypatch):
+    """Rows that reach the exact (squared distance, index) re-sort, one
+    entry per np.lexsort call, from whichever thread makes it."""
+    rows, lexsort = [], np.lexsort
+
+    def counted(keys, axis=-1):
+        rows.append(len(keys[0]))
+        return lexsort(keys, axis=axis)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return rows
+
+
+def test_rows_whose_tree_distances_are_apart_skip_the_re_sort(monkeypatch):
+    q, nodes, net = field_scene(2 * C + 9)
+    want = full_sort(q, nodes.positions)
+    resorted = counting_resorts(monkeypatch)
+    for k in (1, 4, 12):
+        assert np.array_equal(knn_indices(q, nodes.positions, k), want[:, :k])
+        dense_displacement(q, nodes, net, 0.3, k)
+    assert resorted == []
+
+
+def test_lattice_tie_rows_alone_reach_the_re_sort(monkeypatch):
+    xs = np.array([0.0, 0.5, 1.0])
+    pos = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    half = np.arange(5) / 4
+    lattice = np.stack(np.meshgrid(half, half, half, indexing="ij"), axis=-1).reshape(-1, 3)
+    # every query on the lattice's half steps has a tie within its first
+    # nine nodes; the random queries have none
+    q = np.concatenate([lattice, np.random.default_rng(6).random((50, 3))])
+    want = full_sort(q, pos)
+    resorted = counting_resorts(monkeypatch)
+    for k in (1, 4, 8):
+        resorted.clear()
+        assert np.array_equal(knn_indices(q, pos, k), want[:, :k])
+        assert 0 < resorted[0] <= len(lattice)
+
+
+def test_near_ties_inside_the_margin_equal_the_full_sort(monkeypatch):
+    # nodes 0.1 from q0 along each axis, each moved out by 0 to 2 ulp, those
+    # at distances the tree tells apart kept: their distances to q0 differ
+    # by a few ulp, far inside the 1e-9 margin, so q0's row is re-sorted
+    q0 = np.array([0.3, 0.55, 0.7])
+    near = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            p = q0.copy()
+            p[axis] += sign * 0.1
+            for _ in range(3):
+                near.append(p.copy())
+                p[axis] = np.nextafter(p[axis], sign * np.inf)
+    d, keep = np.unique(np.sqrt(((np.array(near) - q0) ** 2).sum(axis=1)), return_index=True)
+    assert len(d) >= 4 and d[-1] < d[0] * (1 + 1e-12)
+    rng = np.random.default_rng(8)
+    pos = np.concatenate([np.array(near)[keep], rng.random((6, 3))])
+    q = np.concatenate([[q0], rng.random((40, 3))])
+    want = full_sort(q, pos)
+    nodes = ControlNodeSet(pos, np.full(len(pos), np.log(0.3)))
+    _, _, net = field_scene(1)
+    resorted = counting_resorts(monkeypatch)
+    for k in range(1, len(pos) + 1):
+        resorted.clear()
+        assert np.array_equal(knn_indices(q[:1], pos, k), want[:1, :k])
+        assert resorted[:1] == [1]  # q0's row is re-sorted
+        assert np.array_equal(knn_indices(q, pos, k), want[:, :k])
+        assert dense_displacement(q, nodes, net, 0.4, k).tobytes() == \
+            public_field(q, nodes, net, 0.4, k).tobytes()
+
+
 def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
     threads, pools = counting_threads(monkeypatch)
     q, nodes, net = field_scene(2 * C)

@@ -262,7 +262,9 @@ def test_generation_deterministic():
 # --- byte-identity oracle: the whole-grid generator ---------------------------------
 #
 # The generator maps and resamples only the voxels inside the support cylinder
-# that move; these references map every point and resample every voxel.
+# that move, and builds the ED labels and volume on the box that can hold a
+# label; these references map every point, resample every voxel and build
+# the ED frame on the whole grid.
 
 def reference_map(points_mm, t, spec, inverse):
     """In-plane displacement of the radial map at every point, support or not."""
@@ -287,9 +289,27 @@ def reference_sources(t, spec):
     return pts, pts + reference_map(pts, t, spec, inverse=True)
 
 
+def reference_ed_labels(spec):
+    return _layout_labels(_world_points(spec), spec)
+
+
+def reference_ed_volume(spec):
+    """The ED frame from the whole-grid labels, every class mask and the clip
+    over the whole grid."""
+    rng = np.random.default_rng(spec.texture_seed)
+    noise = rng.standard_normal(spec.dims)
+    tex = ndimage.gaussian_filter(noise, 1.2) + 0.5 * ndimage.gaussian_filter(noise, 3.0)
+    tex = tex / np.max(np.abs(tex)) * spec.texture_amplitude
+    labels = reference_ed_labels(spec)
+    values = np.zeros(spec.dims)
+    for lab, base in ((LABEL_LV, 0.85), (LABEL_MYO, 0.5), (LABEL_RV, 0.75)):
+        values[labels == lab] = base + tex[labels == lab]
+    return np.clip(values, 0.0, 1.0)
+
+
 def reference_frames(spec):
     """Every frame's values: ED, then ED sampled at every voxel's source."""
-    ed = build_ed_volume(spec, build_ed_labels(spec)).values
+    ed = reference_ed_volume(spec)
     frames = [ed]
     for t in np.linspace(0.0, 1.0, spec.frames)[1:]:
         coords = reference_sources(t, spec)[1] / np.array(spec.spacing)
@@ -313,6 +333,12 @@ ORACLE_SPECS = {
     "two-frames": dict(frames=2),
     "support-past-the-grid": dict(dims=(32, 32, 32), spacing=(3.0, 3.0, 3.0),
                                   support_radius_mm=60.0),
+    # the label box clipped by the grid on every side
+    "labels-past-the-grid": dict(dims=(24, 24, 16), spacing=(3.0, 3.0, 3.0),
+                                 rv_thickness_mm=14.0, shell_height_mm=60.0,
+                                 support_radius_mm=40.0),
+    # a crescent of negative thickness is empty; the box still holds the shell
+    "no-rv": dict(dims=(40, 36, 24), spacing=(2.2, 2.6, 3.1), rv_thickness_mm=-10.0),
 }
 
 
@@ -320,8 +346,8 @@ ORACLE_SPECS = {
 def test_phantom_is_byte_identical_to_the_whole_grid_reference(over, tmp_path):
     spec = PhantomSpec(texture_seed=1, **over)
     seq, ed_labels, _ = generate_phantom(spec)
-    assert ed_labels.labels.tobytes() == _layout_labels(_world_points(spec), spec).tobytes()
-    want = reference_frames(spec)
+    assert ed_labels.labels.tobytes() == reference_ed_labels(spec).tobytes()
+    want = reference_frames(spec)  # frame 0 is the whole-grid reference ED
     assert len(seq.frames) == len(want)
     for got, ref in zip(seq.frames, want):
         assert got.values.dtype == ref.dtype and got.values.tobytes() == ref.tobytes()
