@@ -24,7 +24,6 @@ print("gamma(0.5, L=2) =", positional_encoding(0.5, 2))
 nodes = ControlNodeSet(positions=rng.random((64, 3)),
                        log_radii=np.log(np.full(64, 0.15)))
 net = DeformNet.create(l_space=6, l_time=4, hidden_width=32, hidden_depth=3, seed=0)
-print("network parameters:", net.num_parameters)
 
 # One (M, 6) array per time: translation, then scale factor exp(raw).  The
 # zero-initialized head makes the motion start as the exact identity.

@@ -12,13 +12,9 @@ from .volgrid import (
     LabelVolume,
     Sequence4D,
     VoxelVolume,
-    center_crop,
     load_sequence,
     load_volume,
-    normalize_intensity,
     normalized_to_world,
-    resample_nearest,
-    resample_trilinear,
     save_sequence,
     save_volume,
     world_to_normalized,

@@ -157,8 +157,8 @@ def cmd_render(args):
     g, nodes, net, grid, config = _load_fitted(args.fitted)
     idx = motion.knn_indices(g.centers, nodes.positions, config.k_neighbors)
     deformed, _ = motion.apply_motion(g, nodes, net, args.time, idx)
-    vol = gauss.render_volume(deformed, grid, config.cutoff_multiplier)
-    volgrid.save_volume(vol, args.out)
+    values = gauss.render_values(deformed, grid.dims, config.cutoff_multiplier)
+    volgrid.save_volume(volgrid.VoxelVolume(grid.dims, grid.spacing, values), args.out)
     return EXIT_OK
 
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort, ValidationError
-from .volgrid import (VoxelVolume, _axis_denoms, _check_kinds, _read_container,
-                      _write_container, voxel_centers_normalized)
+from .volgrid import (_axis_denoms, _check_kinds, _read_container, _write_container,
+                      voxel_centers_normalized)
 
 # Box pairs per renderer chunk, a cache size (the sphere test's r^2 is 1 MB),
 # not a memory cap: 2^17-2^20 tie on 64^3 sets, 2^17 is fastest at 128^3.
@@ -329,12 +329,6 @@ def render_values(gaussians, dims, cutoff_multiplier=3.0):
     reproducible run to run."""
     values, _ = render_with_cache(gaussians, dims, cutoff_multiplier)
     return values
-
-
-def render_volume(gaussians, grid, cutoff_multiplier=3.0):
-    """Render into the geometry of ``grid`` (anything with dims/spacing)."""
-    vals = render_values(gaussians, grid.dims, cutoff_multiplier)
-    return VoxelVolume(grid.dims, grid.spacing, vals)
 
 
 def render_values_bruteforce(gaussians, dims):

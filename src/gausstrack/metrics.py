@@ -68,13 +68,6 @@ class MetricReport:
             d["psnr_db"] = "inf"
         return json.dumps(d, indent=1)
 
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        if d.get("psnr_db") == "inf":
-            d["psnr_db"] = math.inf
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # Label propagation

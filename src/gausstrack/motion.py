@@ -95,10 +95,6 @@ class DeformNet:
     def input_width(self):
         return 6 * self.l_space + 2 * self.l_time
 
-    @property
-    def num_parameters(self):
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     @classmethod
     def create(cls, l_space, l_time, hidden_width, hidden_depth, seed=0):
         rng = np.random.default_rng(seed)

@@ -88,8 +88,7 @@ class AdamState:
 
 @dataclass
 class FitSchedule:
-    """Iteration plan; defaults match the full-scale recipe, `scaled` shrinks
-    everything proportionally for desk-size runs."""
+    """Iteration plan; defaults match the full-scale recipe."""
 
     total_iters: int = 20000
     canonical_only_until: int = 1000
@@ -105,18 +104,6 @@ class FitSchedule:
                 " < total_iters")
         if self.densify_interval < 1 or self.densify_start < 1:
             raise ValidationError("densify interval/start must be >= 1")
-
-    @classmethod
-    def scaled(cls, total_iters):
-        full = cls()
-        f = total_iters / full.total_iters
-        return cls(
-            total_iters=total_iters,
-            canonical_only_until=max(1, round(full.canonical_only_until * f)),
-            node_unfreeze_at=max(2, round(full.node_unfreeze_at * f)),
-            densify_interval=max(1, round(full.densify_interval * f)),
-            densify_start=max(1, round(full.densify_start * f)),
-        )
 
 
 @dataclass(frozen=True)
@@ -254,16 +241,6 @@ class FitReport:
 
     def to_json(self):
         return json.dumps(asdict(self), indent=1)
-
-    def identity_digest(self):
-        """Everything except wall clock, for determinism comparisons."""
-        record = asdict(self)
-        del record["wall_clock_s"]
-        return json.dumps(record)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 @dataclass

@@ -23,7 +23,6 @@ from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NumericalAbort, ValidationError
 
@@ -82,11 +81,6 @@ class VoxelVolume:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def extent_mm(self):
-        """Physical size of the voxel-center bounding box per axis."""
-        return tuple((d - 1) * s for d, s in zip(self.dims, self.spacing))
-
 
 @dataclass(frozen=True)
 class LabelVolume:
@@ -104,8 +98,6 @@ class LabelVolume:
         labels = labels.astype(np.uint8)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-
-    extent_mm = VoxelVolume.extent_mm
 
 
 @dataclass(frozen=True)
@@ -129,6 +121,8 @@ class Sequence4D:
         times = np.asarray(self.times, dtype=np.float64)
         if times.shape != (len(frames),):
             raise ValidationError("one normalized time per frame required")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("times must be strictly increasing")
         if not (0 <= self.ed_index < len(frames) and 0 <= self.es_index < len(frames)):
@@ -366,23 +360,8 @@ def load_sequence(dirpath):
 
 
 # ---------------------------------------------------------------------------
-# Intensity and coordinate transforms
+# Coordinate transforms
 # ---------------------------------------------------------------------------
-
-def normalize_intensity(volume):
-    """Affine map of intensities onto [0, 1]; min -> 0 and max -> 1.
-
-    Raises ValidationError for constant volumes (degenerate range).
-    """
-    if not np.all(np.isfinite(volume.values)):
-        raise ValidationError("cannot normalize a volume with non-finite values")
-    lo = float(volume.values.min())
-    hi = float(volume.values.max())
-    if hi == lo:
-        raise ValidationError("cannot normalize a constant volume (max == min)")
-    scaled = (volume.values.astype(np.float64) - lo) / (hi - lo)
-    return VoxelVolume(volume.dims, volume.spacing, scaled.astype(volume.values.dtype))
-
 
 def _axis_denoms(dims):
     # i/(n-1) per axis; a single-voxel axis maps to coordinate 0
@@ -416,54 +395,3 @@ def voxel_centers_normalized(dims):
     denoms = _axis_denoms(dims)
     axes = [np.arange(d, dtype=np.float64) / denoms[i] for i, d in enumerate(dims)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Resampling and cropping
-# ---------------------------------------------------------------------------
-
-def _resample_coords(src_dims, src_spacing, new_dims, new_spacing):
-    # Source and target grids share the same physical center; returns the
-    # fractional source-index coordinate of every target voxel center.
-    coords = []
-    for ax in range(3):
-        tgt = np.arange(new_dims[ax], dtype=np.float64) * new_spacing[ax]
-        offset = (
-            (src_dims[ax] - 1) * src_spacing[ax] - (new_dims[ax] - 1) * new_spacing[ax]
-        ) / 2.0
-        coords.append((tgt + offset) / src_spacing[ax])
-    return np.stack(np.meshgrid(*coords, indexing="ij"), axis=0)
-
-
-def resample_trilinear(volume, new_dims, new_spacing):
-    """Trilinear resample onto a new centered grid; samples beyond the
-    source support clamp to the border value."""
-    new_dims, new_spacing = _check_geometry(new_dims, new_spacing)
-    coords = _resample_coords(volume.dims, volume.spacing, new_dims, new_spacing)
-    out = ndimage.map_coordinates(
-        volume.values.astype(np.float64), coords, order=1, mode="nearest"
-    )
-    return VoxelVolume(new_dims, new_spacing, out)
-
-
-def resample_nearest(labelvol, new_dims, new_spacing):
-    """Nearest-neighbor resample for label grids (same centering as above)."""
-    new_dims, new_spacing = _check_geometry(new_dims, new_spacing)
-    coords = _resample_coords(labelvol.dims, labelvol.spacing, new_dims, new_spacing)
-    out = ndimage.map_coordinates(labelvol.labels, coords, order=0, mode="nearest")
-    return LabelVolume(new_dims, new_spacing, out)
-
-
-def center_crop(volume, crop_dims):
-    """Extract the centered sub-grid; odd remainders drop the extra voxel
-    from the high side."""
-    crop_dims = tuple(int(d) for d in crop_dims)
-    if any(c > d for c, d in zip(crop_dims, volume.dims)):
-        raise ValidationError(f"crop {crop_dims} exceeds volume dims {volume.dims}")
-    if any(c < 1 for c in crop_dims):
-        raise ValidationError("crop dims must be >= 1")
-    lo = [(d - c) // 2 for d, c in zip(volume.dims, crop_dims)]
-    sl = tuple(slice(o, o + c) for o, c in zip(lo, crop_dims))
-    if isinstance(volume, LabelVolume):
-        return LabelVolume(crop_dims, volume.spacing, volume.labels[sl])
-    return VoxelVolume(crop_dims, volume.spacing, volume.values[sl])

@@ -238,6 +238,7 @@ def test_untrained_render_matches_canonical_and_field_is_zero(tmp_path):
                "--out", str(tmp_path / "r0")])
     assert rc == 0
     rendered = volgrid.load_volume(tmp_path / "r0")
+    assert rendered.dims == (10, 10, 10) and rendered.spacing == (2.0, 2.0, 2.0)
     g = gauss_mod.load_gaussians(state / "gaussians")
     canonical = gauss_mod.render_values(g, (10, 10, 10), 3.0)
     # zero-initialized head: the deformed render IS the canonical render

@@ -22,7 +22,6 @@ from gausstrack.gauss import (
     render_backward,
     render_values,
     render_values_bruteforce,
-    render_volume,
     render_with_cache,
     save_gaussians,
 )
@@ -187,10 +186,14 @@ def test_render_linear_in_intensities():
 
 
 def test_render_volume_wraps_geometry():
+    # the render command's path: values over the grid's dims, wrapped with the
+    # grid's own spacing (anisotropic and non-cubic here)
     g = random_set(4, seed=1, labels=False)
-    grid = VoxelVolume((6, 6, 6), (1.5, 1.5, 3.0), np.zeros((6, 6, 6)))
-    out = render_volume(g, grid)
+    grid = VoxelVolume((6, 7, 5), (1.5, 1.5, 3.0), np.zeros((6, 7, 5)))
+    values = render_values(g, grid.dims)
+    out = VoxelVolume(grid.dims, grid.spacing, values)
     assert out.dims == grid.dims and out.spacing == grid.spacing
+    assert np.array_equal(out.values, values)
 
 
 def _render_and_grads(g, dims, upstream):

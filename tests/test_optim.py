@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -7,7 +10,6 @@ from gausstrack.gauss import DensifyConfig
 from gausstrack.optim import (
     AdamState,
     FitConfig,
-    FitReport,
     FitSchedule,
     NetworkConfig,
     fit,
@@ -139,18 +141,11 @@ def test_schedule_validation():
         FitSchedule(total_iters=100, canonical_only_until=90, node_unfreeze_at=80)
 
 
-def test_schedule_scaled_quarter():
-    s = FitSchedule.scaled(5000)
-    assert s.canonical_only_until == 250
-    assert s.node_unfreeze_at == 1250
-    assert s.densify_interval == 125
-    assert s.densify_start == 125
-    assert FitSchedule.scaled(20000) == FitSchedule()
-
-
 def test_config_round_trip_and_unknown_keys(tmp_path):
     cfg = FitConfig(n_init=128, node_budget=32, seed=9,
-                    schedule=FitSchedule.scaled(2000),
+                    schedule=FitSchedule(total_iters=2000, canonical_only_until=100,
+                                         node_unfreeze_at=500, densify_interval=50,
+                                         densify_start=50),
                     network=NetworkConfig(l_space=4, l_time=2, hidden_width=16,
                                           hidden_depth=2))
     cfg.save(tmp_path / "run.json")
@@ -271,7 +266,9 @@ def test_fit_deterministic_across_runs():
     cfg = toy_config(total=70)
     r1 = fit(seq, mask, cfg)
     r2 = fit(seq, mask, cfg)
-    assert r1.report.identity_digest() == r2.report.identity_digest()
+    # everything the report holds except the wall clock
+    assert ({**asdict(r1.report), "wall_clock_s": None}
+            == {**asdict(r2.report), "wall_clock_s": None})
     assert np.array_equal(r1.gaussians.centers, r2.gaussians.centers)
     assert all(np.array_equal(a, b)
                for a, b in zip(r1.net.weights, r2.net.weights))
@@ -311,5 +308,4 @@ def test_fit_validates_geometry_and_budgets():
 def test_fit_report_round_trip():
     seq, mask = toy_problem()
     result = fit(seq, mask, toy_config(total=70))
-    back = FitReport.from_json(result.report.to_json())
-    assert back == result.report
+    assert json.loads(result.report.to_json()) == asdict(result.report)

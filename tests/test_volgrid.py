@@ -14,13 +14,9 @@ from gausstrack.volgrid import (
     LabelVolume,
     Sequence4D,
     VoxelVolume,
-    center_crop,
     load_volume,
     load_sequence,
-    normalize_intensity,
     normalized_to_world,
-    resample_nearest,
-    resample_trilinear,
     save_sequence,
     save_volume,
     world_to_normalized,
@@ -166,35 +162,11 @@ def test_sequence_times_must_increase():
     frames = [make_volume(seed=i) for i in range(2)]
     with pytest.raises(ValidationError, match="strictly increasing"):
         Sequence4D(frames, [0.5, 0.5], 0, 1)
-
-
-# --- intensity -------------------------------------------------------------
-
-def test_normalize_affine():
-    vol = VoxelVolume((3, 1, 1), (1, 1, 1), np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1))
-    out = normalize_intensity(vol)
-    assert np.allclose(out.values.ravel(), [0.0, 0.5, 1.0])
-
-
-def test_normalize_identity_on_unit_range():
-    vals = np.linspace(0, 1, 8).reshape(2, 2, 2)
-    vol = VoxelVolume((2, 2, 2), (1, 1, 1), vals)
-    out = normalize_intensity(vol)
-    assert np.allclose(out.values, vals)
-
-
-def test_normalize_constant_rejected():
-    vol = VoxelVolume((2, 2, 2), (1, 1, 1), np.full((2, 2, 2), 3.0))
-    with pytest.raises(ValidationError, match="constant"):
-        normalize_intensity(vol)
-
-
-def test_normalize_spans_unit_interval():
-    rng = np.random.default_rng(7)
-    vol = VoxelVolume((6, 5, 4), (1, 1, 1), rng.normal(size=(6, 5, 4)))
-    out = normalize_intensity(vol)
-    assert out.values.min() == 0.0
-    assert out.values.max() == 1.0
+    # NaN compares False under `diff <= 0`, so finiteness is checked on its own
+    frames = [make_volume(seed=i) for i in range(3)]
+    for times in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
+        with pytest.raises(ValidationError, match="finite"):
+            Sequence4D(frames, times, 0, 2)
 
 
 # --- coordinates -----------------------------------------------------------
@@ -217,66 +189,6 @@ def test_coordinate_round_trip(seed):
     pts = rng.uniform(-10, 50, (16, 3))
     back = normalized_to_world(world_to_normalized(pts, vol), vol)
     assert np.max(np.abs(back - pts)) < 1e-12 * max(1.0, np.max(np.abs(pts)))
-
-
-# --- resampling ------------------------------------------------------------
-
-def test_resample_identity():
-    vol = make_volume(dims=(6, 5, 4), spacing=(1.0, 2.0, 3.0), seed=5)
-    out = resample_trilinear(vol, vol.dims, vol.spacing)
-    assert np.max(np.abs(out.values - vol.values)) < 1e-6
-
-
-def test_resample_constant():
-    vol = VoxelVolume((4, 4, 4), (1, 1, 1), np.full((4, 4, 4), 0.75))
-    out = resample_trilinear(vol, (7, 3, 9), (0.5, 1.5, 0.25))
-    assert np.allclose(out.values, 0.75)
-
-
-def test_resample_linear_ramp():
-    # ramp(x) = x_mm along the first axis is reproduced exactly by trilinear
-    nx = 9
-    xs = np.arange(nx, dtype=np.float64) * 2.0
-    vals = np.broadcast_to(xs[:, None, None], (nx, 4, 4)).copy()
-    vol = VoxelVolume((nx, 4, 4), (2.0, 1.0, 1.0), vals)
-    out = resample_trilinear(vol, (2 * nx - 1, 4, 4), (1.0, 1.0, 1.0))
-    expect = np.arange(2 * nx - 1, dtype=np.float64) * 1.0
-    assert np.max(np.abs(out.values[:, 1, 2] - expect)) < 1e-5
-
-
-def test_resample_nearest_labels():
-    rng = np.random.default_rng(2)
-    lab = LabelVolume((6, 6, 6), (1, 1, 1), rng.integers(0, 4, (6, 6, 6)))
-    out = resample_nearest(lab, (6, 6, 6), (1, 1, 1))
-    assert np.array_equal(out.labels, lab.labels)
-    up = resample_nearest(lab, (12, 12, 12), (0.5, 0.5, 0.5))
-    assert set(np.unique(up.labels)) <= {0, 1, 2, 3}
-
-
-# --- cropping --------------------------------------------------------------
-
-def test_center_crop_identity():
-    vol = make_volume(dims=(4, 4, 4))
-    out = center_crop(vol, (4, 4, 4))
-    assert np.array_equal(out.values, vol.values)
-
-
-def test_center_crop_even_remainder():
-    vol = make_volume(dims=(4, 4, 4))
-    out = center_crop(vol, (2, 2, 2))
-    assert np.array_equal(out.values, vol.values[1:3, 1:3, 1:3])
-
-
-def test_center_crop_odd_remainder_drops_high_side():
-    vol = make_volume(dims=(4, 4, 4))
-    out = center_crop(vol, (3, 3, 3))
-    assert np.array_equal(out.values, vol.values[0:3, 0:3, 0:3])
-
-
-def test_center_crop_too_large_rejected():
-    vol = make_volume(dims=(4, 4, 4))
-    with pytest.raises(ValidationError, match="exceeds"):
-        center_crop(vol, (5, 4, 4))
 
 
 # --- the run-config and phantom-spec parsers ------------------------------------
