@@ -254,28 +254,29 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
 
     Deforms the Gaussians to ES once: their label map gives per-structure
     Dice and the mean Hausdorff distance, their render PSNR/SSIM against
-    the ES frame.  The Jacobian diagnostics run on the dense displacement
-    field at the ES time.
+    the ES frame, all on the calling thread while the other CPUs fill the
+    dense displacement field at ES for the Jacobian diagnostics.
     """
     if truth_es.dims != sequence.dims:
         raise ValidationError("truth mask geometry differs from the sequence")
     t_es = float(sequence.times[sequence.es_index])
     es_frame = sequence.frames[sequence.es_index]
-    idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
-    deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t_es, idx)
-    warped = _rasterize_labels(deformed, sequence.frames[0], cutoff_multiplier,
-                               occupancy_floor)
-    d_rv = dice(warped, truth_es, LABEL_RV)
-    d_myo = dice(warped, truth_es, LABEL_MYO)
-    d_lv = dice(warped, truth_es, LABEL_LV)
-    rendered = gauss_mod.render_values(deformed, sequence.dims, cutoff_multiplier)
-    psnr_db = psnr(rendered, es_frame)
-    ssim_val = ssim3d(rendered, es_frame)
-    hds = [hausdorff(warped, truth_es, lab) for lab in _STRUCTURES]
-    field = dense_field_on_grid(nodes, net, t_es, es_frame, k)
-    fold_fraction, jac_dev = jacobian_stats(field)
-    return MetricReport(
-        dice_rv=d_rv, dice_lv=d_lv, dice_myo=d_myo,
-        dice_avg=float(np.mean([d_rv, d_myo, d_lv])),
-        psnr_db=psnr_db, ssim=ssim_val, hd_mm=float(np.mean(hds)),
-        jac_dev=jac_dev, fold_fraction=fold_fraction)
+
+    def deformed_scores():
+        idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
+        deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t_es, idx)
+        warped = _rasterize_labels(deformed, sequence.frames[0], cutoff_multiplier, occupancy_floor)
+        d_rv, d_myo, d_lv = (dice(warped, truth_es, lab) for lab in _STRUCTURES)
+        rendered = gauss_mod.render_values(deformed, sequence.dims, cutoff_multiplier)
+        return dict(dice_rv=d_rv, dice_lv=d_lv, dice_myo=d_myo,
+                    dice_avg=float(np.mean([d_rv, d_myo, d_lv])),
+                    psnr_db=psnr(rendered, es_frame), ssim=ssim3d(rendered, es_frame),
+                    hd_mm=float(np.mean([hausdorff(warped, truth_es, lab) for lab in _STRUCTURES])))
+
+    u, field_tasks = motion_mod._field_tasks(
+        voxel_centers_normalized(es_frame.dims).reshape(-1, 3), nodes, net, t_es, k)
+    scores = motion_mod._run_tasks([deformed_scores, *field_tasks])[0]
+    fold_fraction, jac_dev = jacobian_stats(DisplacementField(
+        tuple(es_frame.dims), tuple(es_frame.spacing),
+        u.reshape(tuple(es_frame.dims) + (3,)), t_es))
+    return MetricReport(**scores, jac_dev=jac_dev, fold_fraction=fold_fraction)

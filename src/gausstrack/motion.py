@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
+from queue import SimpleQueue
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -32,7 +35,6 @@ from .gauss import GaussianSet, RenderGradients
 from .volgrid import _read_container, _write_container
 
 _KNN_CHUNK = 4096
-_KNN_SLACK = 2  # tree candidates per query beyond k
 
 
 @dataclass
@@ -156,7 +158,7 @@ def _knn_tree(queries, node_positions, k):
 def _knn_rows(tree, pos, q, k):
     """knn_indices of the rows of q, one slice of rows."""
     m = pos.shape[0]
-    c = min(k + _KNN_SLACK, m)
+    c = min(k + 1, m)
     dist, cand = (a.reshape(q.shape[0], c) for a in tree.query(q, k=c))
     out = cand[:, :k].astype(np.int64)
     # rows whose first k + 1 tree distances rise by the settle margin keep the
@@ -256,31 +258,62 @@ def _pool_size():
         else os.cpu_count() or 1
 
 
+def _run_tasks(tasks):
+    """Results of the callables in ``tasks``, in task order.  The calling
+    thread runs the first, then drains the rest with one thread per further
+    CPU of ``_pool_size``, all under its floating-point error state; if tasks
+    fail, the error of the first failing one in task order is raised."""
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+    workers = max(min(_pool_size(), len(tasks)) - 1, 0)
+    queue = SimpleQueue()  # the tasks after the first, then one stop per thread
+    for i in [*range(1, len(tasks)), *[None] * (workers + 1)]:
+        queue.put(i)
+
+    def drain(i):
+        with np.errstate(**errstate):
+            while i is not None:
+                try:
+                    results[i] = tasks[i]()
+                except Exception as e:  # raised below, in task order
+                    errors[i] = e
+                i = queue.get()
+
+    with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
+        helpers = [pool.submit(lambda: drain(queue.get())) for _ in range(workers)]
+        drain(0 if tasks else None)
+        for helper in helpers:
+            helper.result()
+    for e in filter(None, errors):
+        raise e
+    return results
+
+
+def _field_tasks(queries, nodes, net, t, k):
+    """The dense field's output array and its 4096-row slice tasks; the input
+    checks, node transforms and allocation run here, on the calling thread."""
+    queries, pos, tree = _knn_tree(queries, nodes.positions, k)
+    translations = node_transforms(net, nodes.positions, t)[0][:, :3]
+    out = np.empty((queries.shape[0], 3))
+
+    def field_rows(rows):
+        idx = _knn_rows(tree, pos, queries[rows], k)
+        weights, *_ = _blend(queries[rows], pos, nodes.log_radii, idx)
+        out[rows] = np.einsum("qk,qkc->qc", weights, np.take(translations, idx, axis=0))
+
+    return out, [partial(field_rows, slice(start, start + _KNN_CHUNK))
+                 for start in range(0, queries.shape[0], _KNN_CHUNK)]
+
+
 def dense_displacement(queries, nodes, net, t, k):
     """Blended translation at arbitrary query points (each using its own
     KNN set); defines the dense motion field phi(X, t) = X + u(X, t).
 
-    Byte-equal to knn_indices -> blend_weights -> blend_transforms.  After
-    the input checks, slices of 4096 rows go to one thread per CPU in the
-    process's affinity mask; each runs under the caller's floating-point
-    error state and writes only its own rows, so any thread count gives
-    the same bytes.
+    Byte-equal to knn_indices -> blend_weights -> blend_transforms for any
+    thread count: the ``_field_tasks`` slices run through ``_run_tasks``.
     """
-    queries, pos, tree = _knn_tree(queries, nodes.positions, k)
-    translations = node_transforms(net, nodes.positions, t)[0][:, :3]
-    out = np.empty((queries.shape[0], 3))
-    errstate = dict(np.geterr(), call=np.geterrcall())
-
-    def field_rows(start):
-        rows = slice(start, start + _KNN_CHUNK)
-        with np.errstate(**errstate):
-            idx = _knn_rows(tree, pos, queries[rows], k)
-            weights, *_ = _blend(queries[rows], pos, nodes.log_radii, idx)
-            out[rows] = np.einsum("qk,qkc->qc", weights, np.take(translations, idx, axis=0))
-
-    starts = range(0, queries.shape[0], _KNN_CHUNK)
-    with ThreadPoolExecutor(max(1, min(_pool_size(), len(starts)))) as pool:
-        list(pool.map(field_rows, starts))
+    out, tasks = _field_tasks(queries, nodes, net, t, k)
+    _run_tasks(tasks)
     return out
 
 

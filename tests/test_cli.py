@@ -324,7 +324,7 @@ def test_collapsed_node_radii_exit_2_with_one_line_and_no_warning(
         tmp_path, capsys, monkeypatch, command):
     # four nodes of zero radius at the far corner, while every Gaussian keeps
     # a live neighbour: the weights of the voxels there are 0/0, computed in
-    # the second of two slices, which goes to a worker thread
+    # the second of two slices, on whichever thread takes it
     from gausstrack import motion as motion_mod
 
     monkeypatch.setattr(motion_mod, "_pool_size", lambda: 2)
@@ -351,6 +351,31 @@ def test_collapsed_node_radii_exit_2_with_one_line_and_no_warning(
     assert "non-finite" in err
     assert "RuntimeWarning" not in err
     assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
+        tmp_path, capsys, monkeypatch):
+    # the deformed set's scale factors fail first (exit 3), ahead of the
+    # field's non-finite voxels (exit 2), for any number of CPUs
+    from gausstrack import motion as motion_mod
+
+    state = untrained_state_dir(tmp_path)
+    nodes = motion_mod.load_nodes(state / "nodes")
+    motion_mod.save_nodes(motion_mod.ControlNodeSet(
+        nodes.positions, np.full(nodes.count, -1e30)), state / "nodes")
+    manifest = json.loads((state / "run_manifest.json").read_text())
+    manifest["grid"]["dims"] = [20, 20, 16]
+    (state / "run_manifest.json").write_text(json.dumps(manifest))
+    main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(tmp_path / "ph")])
+    capsys.readouterr()
+    for pool in (1, 2, 3):
+        monkeypatch.setattr(motion_mod, "_pool_size", lambda: pool)
+        err = _one_line_failure(capsys, [
+            "eval", "--fitted", str(state), "--sequence", str(tmp_path / "ph" / "sequence"),
+            "--truth", str(tmp_path / "ph" / "ed_labels.vjson"),
+            "--out", str(tmp_path / "out.json")], code=3)
+        assert "blended scale factors" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_missing_artifact_manifest_exits_4(tmp_path, capsys):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from gausstrack import motion
 from gausstrack.errors import ValidationError
-from gausstrack.gauss import GaussianSet, initialize_from_mask
+from gausstrack.gauss import GaussianSet, initialize_from_mask, render_values
 from gausstrack.metrics import (
     DisplacementField,
     MetricReport,
@@ -20,7 +21,8 @@ from gausstrack.metrics import (
     ssim3d,
     warp_labels,
 )
-from gausstrack.motion import ControlNodeSet, DeformNet, init_control_nodes
+from gausstrack.motion import (ControlNodeSet, DeformNet, apply_motion, init_control_nodes,
+                               knn_indices)
 from gausstrack.optim import FitConfig
 from gausstrack.volgrid import (
     LabelVolume,
@@ -370,6 +372,36 @@ def test_evaluate_run_identity_on_static_sequence():
     assert report.dice_avg >= 0.9
     assert report.hd_mm >= 0.0
     assert 0 < report.ssim <= 1.0
+
+
+def serial_report(g, nodes, net, seq, truth, k, cutoff_multiplier, occupancy_floor):
+    """evaluate_run's report composed from the public steps, one at a time."""
+    t_es = float(seq.times[seq.es_index])
+    es_frame = seq.frames[seq.es_index]
+    warped = warp_labels(g, nodes, net, t_es, seq.frames[0], k, cutoff_multiplier,
+                         occupancy_floor)
+    deformed, _ = apply_motion(g, nodes, net, t_es, knn_indices(g.centers, nodes.positions, k))
+    rendered = render_values(deformed, seq.dims, cutoff_multiplier)
+    d_rv, d_myo, d_lv = (dice(warped, truth, lab) for lab in (1, 2, 3))
+    hds = [hausdorff(warped, truth, lab) for lab in (1, 2, 3)]
+    fold_fraction, jac_dev = jacobian_stats(dense_field_on_grid(nodes, net, t_es, es_frame, k))
+    return MetricReport(d_rv, d_lv, d_myo, float(np.mean([d_rv, d_myo, d_lv])),
+                        psnr(rendered, es_frame), ssim3d(rendered, es_frame),
+                        float(np.mean(hds)), jac_dev, fold_fraction)
+
+
+@pytest.mark.parametrize("pool", [1, 2, 3])
+def test_evaluate_run_report_is_byte_equal_to_the_serial_steps(monkeypatch, pool):
+    # 16 x 16 x 40 voxels: three field slices, the last one partial
+    mask, ref = labeled_cube_scene(dims=(16, 16, 40))
+    g, nodes, net = identity_state(mask, ref)
+    rng = np.random.default_rng(5)
+    net.weights[-1] = 0.2 * rng.normal(size=net.weights[-1].shape)
+    net.biases[-1] = 0.05 * rng.normal(size=6)
+    seq = Sequence4D([ref, ref, ref], [0.0, 0.5, 1.0], ed_index=0, es_index=1)
+    want = serial_report(g, nodes, net, seq, mask, **QUERY).to_json()
+    monkeypatch.setattr(motion, "_pool_size", lambda: pool)
+    assert evaluate_run(g, nodes, net, seq, mask, **QUERY).to_json() == want
 
 
 def test_metric_report_round_trip():

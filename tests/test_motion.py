@@ -1,6 +1,8 @@
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -436,7 +438,8 @@ def test_dense_displacement_is_byte_equal_for_any_pool_size(monkeypatch, n):
         assert dense_displacement(q, nodes, net, 0.3, 4).tobytes() == want
         assert len(threads) == chunks
         assert len(set(threads)) <= min(workers, chunks)
-    assert pools == [min(w, chunks) for w in (1, 2, 3)]
+    # the caller takes a share: min(w, chunks) - 1 workers, no pool for none
+    assert pools == [min(w, chunks) - 1 for w in (1, 2, 3) if min(w, chunks) > 1]
 
 
 def test_lattice_ties_on_both_sides_of_a_chunk_boundary():
@@ -551,7 +554,8 @@ def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
 
 def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatch):
     # zero radii make every kernel exponent d^2 / 0: division by zero, then
-    # -inf - (-inf) in the softmax shift
+    # -inf - (-inf) in the softmax shift; the caller's own slice fails too, so
+    # the workers' error state is shown by the _run_tasks tests below
     q, nodes, net = field_scene(2 * C)
     nodes.log_radii[:] = -1e30
     monkeypatch.setattr(motion, "_pool_size", lambda: 2)
@@ -560,6 +564,107 @@ def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatc
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.all(np.isnan(dense_displacement(q, nodes, net, 0.3, 4)))
+
+
+@pytest.mark.parametrize("pool", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_run_tasks_returns_in_task_order_with_task_0_on_the_caller(monkeypatch, pool, n):
+    monkeypatch.setattr(motion, "_pool_size", lambda: pool)
+    threads, finished, others_done = [None] * n, [], threading.Event()
+
+    def task(i):
+        threads[i] = threading.get_ident()
+        if i == 0 and min(pool, n) > 1:  # the others go to the workers
+            assert others_done.wait(10)
+        finished.append(i)
+        if len(finished) == n - 1 and 0 not in finished:
+            others_done.set()
+        return i * i
+
+    assert motion._run_tasks([partial(task, i) for i in range(n)]) == [i * i for i in range(n)]
+    assert threads[0] == threading.get_ident()
+    assert 1 <= len(set(threads)) <= min(pool, n)
+    assert (len(set(threads)) > 1) == (min(pool, n) > 1)
+
+
+def test_run_tasks_caller_takes_the_tasks_left_after_its_first(monkeypatch):
+    # the one worker holds task 1 until task 2 has run, so the caller runs it
+    monkeypatch.setattr(motion, "_pool_size", lambda: 2)
+    threads, started_1, ran_2 = [None] * 3, threading.Event(), threading.Event()
+
+    def task(i):
+        threads[i] = threading.get_ident()
+        if i == 0:
+            assert started_1.wait(10)
+        elif i == 1:
+            started_1.set()
+            assert ran_2.wait(10)
+        else:
+            ran_2.set()
+        return i
+
+    assert motion._run_tasks([partial(task, i) for i in range(3)]) == [0, 1, 2]
+    assert threads[0] == threads[2] == threading.get_ident() != threads[1]
+
+
+def test_run_tasks_runs_each_task_once_with_more_threads_than_cpus(monkeypatch):
+    monkeypatch.setattr(motion, "_pool_size", lambda: 8)
+    n, runs = 300, [0] * 300
+
+    def task(i):
+        runs[i] += 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert motion._run_tasks([partial(task, i) for i in range(n)]) == list(range(n))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [1] * n
+
+
+@pytest.mark.parametrize("pool", [1, 2, 3])
+def test_run_tasks_raises_the_first_failing_task_in_task_order(monkeypatch, pool):
+    monkeypatch.setattr(motion, "_pool_size", lambda: pool)
+    later_failed = threading.Event()
+
+    def first():
+        if pool > 1:  # task 0 fails only after task 2 has
+            assert later_failed.wait(10)
+        raise ValidationError("task 0")
+
+    def later():
+        later_failed.set()
+        raise NumericalAbort("task 2")
+
+    with pytest.raises(ValidationError, match="task 0"):
+        motion._run_tasks([first, lambda: 1, later])
+    with pytest.raises(NumericalAbort, match="task 2"):
+        motion._run_tasks([lambda: 0, lambda: 1, later])
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_run_tasks_workers_run_under_the_callers_error_state(monkeypatch, pool):
+    monkeypatch.setattr(motion, "_pool_size", lambda: pool)
+    divided, threads = threading.Event(), []
+
+    def caller():
+        assert divided.wait(10)
+
+    def divide():
+        threads.append(threading.get_ident())
+        try:
+            return np.ones(1) / np.zeros(1)
+        finally:
+            divided.set()
+
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        motion._run_tasks([caller, divide])
+    assert threads[0] != threading.get_ident()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert motion._run_tasks([caller, divide])[1][0] == np.inf
 
 
 # --- backward: finite-difference oracles ----------------------------------------
