@@ -13,6 +13,7 @@ from gausstrack.gauss import (
     render_backward,
     render_values,
     render_values_bruteforce,
+    render_with_cache,
 )
 
 rng = np.random.default_rng(3)
@@ -32,16 +33,17 @@ scene = GaussianSet(
     intensities=rng.uniform(0.2, 0.8, n),
 )
 dims = (24, 24, 24)
-fast = render_values(scene, dims, cutoff_multiplier=3.0)
+fast, cache = render_with_cache(scene, dims)    # default cutoff, 3 sigma_max
 exact = render_values_bruteforce(scene, dims)
 print("max |cutoff render - bruteforce|:", float(np.abs(fast - exact).max()))
-uncut = render_values(scene, dims, cutoff_multiplier=None)
+uncut = render_values(scene, dims, cutoff_multiplier=np.inf)
 print("max |uncut render - bruteforce|:", float(np.abs(uncut - exact).max()))
 assert np.abs(uncut - exact).max() < 1e-12
 
-# The analytic backward pass gives partials for every parameter group.
+# The analytic backward pass reads the forward's cache and gives partials
+# for every parameter group.
 upstream = np.sign(fast - exact + 0.1)  # any per-voxel loss gradient
-grads = render_backward(scene, dims, upstream)
+grads = render_backward(scene, dims, upstream, cache)
 print("gradient shapes:", grads.centers.shape, grads.rotations.shape,
       grads.log_scales.shape, grads.intensities.shape)
 
@@ -50,7 +52,7 @@ i, h = 7, 1e-4
 
 
 def loss(g):
-    return float(np.sum(upstream * render_values(g, dims, 3.0)))
+    return float(np.sum(upstream * render_values(g, dims)))
 
 
 scene.intensities[i] += h

@@ -13,7 +13,7 @@ with b the middle minus the center, q = (b + o)^T P (b + o) is the product of
 [b^T P b, 2 P b, upper P with doubled off-diagonals] with the offset moments
 [1, o, o_i o_j].  The backward pass sums dL/dV against the same moments, so
 the forward cache holds only exp(-q/2) per Gaussian-voxel pair, plus per
-render the live Gaussians' b, P, R and canonical quaternions.  Each box
+render the live Gaussians' b, P, R and unit quaternions.  Each box
 shape's offsets and moments are built once per process (``_box_geometry``,
 read-only).  A shape's Gaussians run in cache-sized chunks (``_CHUNK_ELEMS``
 box pairs).  A chunk tests its box offsets against its cutoff spheres with
@@ -23,8 +23,8 @@ sums run on those columns alone.  The backward's covariance chain runs once
 per render over every Gaussian with a non-empty box.  A set with a scale at
 0 or infinity (a non-finite precision) raises NumericalAbort.
 
-Quaternions are stored unconstrained and canonicalized (unit norm, w >= 0)
-inside every covariance build; gradients chain through that normalization.
+Quaternions are stored unconstrained and normalized (q and -q give one
+rotation) inside every covariance build; gradients chain through that.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ _CHUNK_ELEMS = 2 ** 17
 # threads, which changes the bits of the sums; the chunk products run in
 # row blocks within it, so renders do not depend on the BLAS thread count.
 _GEMM_MNK = 2 ** 18
+# cutoff radius in standard deviations along a Gaussian's longest axis
+CUTOFF_MULTIPLIER = 3.0
 _FIELDS = ["centers", "rotations", "log_scales", "intensities"]
 # upper-triangle pairs (i <= j) and the offset-moment column of each (i, j)
 _IU = np.triu_indices(3)
@@ -90,9 +92,14 @@ class GaussianSet:
     def count(self):
         return self.centers.shape[0]
 
+    def take(self, rows):
+        """A new set holding copies of the given rows, in their order, with
+        their labels when this set has them."""
+        return GaussianSet(*(getattr(self, f)[rows] for f in _FIELDS),
+                           None if self.labels is None else self.labels[rows])
+
     def copy(self):
-        return GaussianSet(*(getattr(self, f).copy() for f in _FIELDS),
-                           None if self.labels is None else self.labels.copy())
+        return self.take(np.arange(self.count))
 
 
 @dataclass(frozen=True)
@@ -123,15 +130,15 @@ class RenderGradients:
 # ---------------------------------------------------------------------------
 
 def canonicalize_quaternions(q):
-    """Return (q_hat, norm, sign): unit quaternions with w >= 0 plus the
-    factors needed to chain gradients back to the raw storage."""
+    """Return (q_hat, norm): unit quaternions plus the norms needed to chain
+    gradients back to the raw storage.  The sign is kept: every entry of
+    quaternions_to_matrices is a product of two components, so q and -q give
+    the same matrix bit for bit."""
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     norm = np.linalg.norm(q, axis=1)
     if np.any(norm == 0):
         raise ValidationError("cannot canonicalize a zero quaternion")
-    unit = q / norm[:, None]
-    sign = np.where(unit[:, 0] < 0, -1.0, 1.0)
-    return unit * sign[:, None], norm, sign
+    return q / norm[:, None], norm
 
 
 def quaternions_to_matrices(q_hat):
@@ -170,7 +177,8 @@ def _rotmat_backward(q_hat, g_R):
 
 def _covariance_batch(gaussians, cutoff_multiplier):
     """Vectorized covariance build: (q, R, s, inverse, radii) for all
-    Gaussians, q = (q_hat, norm, sign) from canonicalize_quaternions.
+    Gaussians, q = (q_hat, norm) from canonicalize_quaternions.  A cutoff of
+    ``np.inf`` gives infinite radii (no cutoff).
 
     The inverse uses the factorization directly (R S^-2 R^T, as a sum of
     per-axis outer products), so it is exact for any finite log_scales.
@@ -180,14 +188,10 @@ def _covariance_batch(gaussians, cutoff_multiplier):
     s = np.exp(gaussians.log_scales)
     Rw = R / (s * s)[:, None, :]
     inv = sum(Rw[:, :, None, k] * R[:, None, :, k] for k in range(3))
-    if cutoff_multiplier is None:
-        radii = np.full(gaussians.count, np.inf)
-    else:
-        radii = cutoff_multiplier * s.max(axis=1)
-    return q, R, s, inv, radii
+    return q, R, s, inv, cutoff_multiplier * s.max(axis=1)
 
 
-def covariance_from_params(rot, log_scale, cutoff_multiplier=3.0):
+def covariance_from_params(rot, log_scale, cutoff_multiplier=CUTOFF_MULTIPLIER):
     """Build sigma = R S S^T R^T, its inverse and the cutoff radius for one
     Gaussian.  Invariant to quaternion sign and scale."""
     g = GaussianSet(np.zeros((1, 3)), np.asarray(rot, dtype=np.float64).reshape(1, 4),
@@ -200,7 +204,7 @@ def covariance_from_params(rot, log_scale, cutoff_multiplier=3.0):
 
 def eval_gaussian(center, rot, log_scale, intensity, point):
     """Density of one Gaussian at one point: I * exp(-0.5 d^T sigma^-1 d)."""
-    cov = covariance_from_params(rot, log_scale, cutoff_multiplier=None)
+    cov = covariance_from_params(rot, log_scale, cutoff_multiplier=np.inf)
     d = np.asarray(point, dtype=np.float64) - np.asarray(center, dtype=np.float64)
     return float(intensity) * float(np.exp(-0.5 * d @ cov.inverse @ d))
 
@@ -263,7 +267,7 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
     chunk: (rows, flat, feats, e, live).  ``live`` = (order, base, inv, R, q)
     is built once per render: the Gaussians with a non-empty box, grouped by
     shape, with their box middles minus centers, precisions, rotations and
-    canonical quaternions (q_hat, norm, sign).  ``rows`` slices it to the
+    unit quaternions with their norms (q_hat, norm).  ``rows`` slices it to the
     chunk; of the chunk's box offsets only the C that some of its Gaussians
     reach are kept, with (G, C) voxel indices ``flat``, (C, 10) offset
     moments ``feats`` and (G, C) exponentials ``e``, zero off the sphere."""
@@ -310,7 +314,7 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
             yield rows, flat_lo[rows, None] + flat_off[cols], fc, e, live
 
 
-def render_with_cache(gaussians, dims, cutoff_multiplier=3.0):
+def render_with_cache(gaussians, dims, cutoff_multiplier=CUTOFF_MULTIPLIER):
     """Forward render plus the per-chunk intermediates the backward pass
     needs (see _iter_support_chunks).  Sharing the cache guarantees forward
     and backward use the identical cutoff set."""
@@ -323,7 +327,7 @@ def render_with_cache(gaussians, dims, cutoff_multiplier=3.0):
     return out, chunks
 
 
-def render_values(gaussians, dims, cutoff_multiplier=3.0):
+def render_values(gaussians, dims, cutoff_multiplier=CUTOFF_MULTIPLIER):
     """Sum of Gaussian densities at every voxel center; returns an array of
     shape ``dims`` (float64).  Accumulation order is fixed, so results are
     reproducible run to run."""
@@ -338,7 +342,7 @@ def render_values_bruteforce(gaussians, dims):
     dims = tuple(int(d) for d in dims)
     pts = voxel_centers_normalized(dims).reshape(-1, 3)
     out = np.zeros(pts.shape[0])
-    q_hat, _, _ = canonicalize_quaternions(gaussians.rotations)
+    q_hat, _ = canonicalize_quaternions(gaussians.rotations)
     Rs = quaternions_to_matrices(q_hat)
     for i in range(gaussians.count):
         S = np.diag(np.exp(gaussians.log_scales[i]))
@@ -351,25 +355,24 @@ def render_values_bruteforce(gaussians, dims):
     return out.reshape(dims)
 
 
-def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None):
+def render_backward(gaussians, dims, upstream, cache):
     """Analytic adjoint of render_values.
 
-    ``upstream`` is dL/dV per voxel (shape ``dims``).  Returns exact partials
-    w.r.t. centers, raw quaternions, log_scales and intensities, using the
-    same cutoff set as the forward pass (pass the forward's ``cache`` to
-    share it instead of recomputing).
+    ``upstream`` is dL/dV per voxel (shape ``dims``) and ``cache`` the
+    second result of ``render_with_cache`` on the same set and grid; the
+    backward reads it alone, so it sums over the forward's cutoff set.
+    Returns exact partials w.r.t. centers, raw quaternions, log_scales and
+    intensities.
     """
     dims = tuple(int(d) for d in dims)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != dims:
         raise ValidationError("upstream gradient shape must match the grid")
-    if cache is None:
-        _, cache = render_with_cache(gaussians, dims, cutoff_multiplier)
     grads = RenderGradients.zeros(gaussians.count)
     if not cache:
         return grads
     # the chain runs over the live rows; Gaussians with an empty box keep 0
-    order, base, inv, R, (q_hat, q_norm, q_sign) = cache[0][4]
+    order, base, inv, R, (q_hat, q_norm) = cache[0][4]
     up = upstream.ravel()
     # moments of dL/dV * exp term against [1, o, o_i o_j]
     m = np.empty((order.size, 10))
@@ -389,7 +392,7 @@ def render_backward(gaussians, dims, upstream, cutoff_multiplier=3.0, cache=None
     grads.log_scales[order] += np.einsum("gik,gik->gk", R, gR)
     g_qhat = _rotmat_backward(q_hat, gR)
     radial = np.einsum("gc,gc->g", q_hat, g_qhat)
-    grads.rotations[order] += (q_sign / q_norm)[:, None] * (
+    grads.rotations[order] += (1.0 / q_norm)[:, None] * (
         g_qhat - q_hat * radial[:, None])
     return grads
 
@@ -468,30 +471,20 @@ def densify_and_prune(gaussians, grad_mean, config):
     clone = hot & (sigma_max <= SIZE_THRESHOLD)
     split = hot & (sigma_max > SIZE_THRESHOLD)
     kept = np.flatnonzero(alive & ~split)
-    if kept.size == 0 and not np.any(split):
+    split = np.flatnonzero(split)
+    if kept.size == 0 and split.size == 0:
         raise ValidationError("densify/prune would remove every Gaussian")
-
-    def rows(mask):
-        i = np.flatnonzero(mask)
-        return (gaussians.centers[i], gaussians.rotations[i],
-                gaussians.log_scales[i], gaussians.intensities[i],
-                None if gaussians.labels is None else gaussians.labels[i])
-
-    parts = [rows(alive & ~split), rows(clone)]
-    c, r, ls, inten, lab = rows(split)
-    q_hat, _, _ = canonicalize_quaternions(r)
-    R = quaternions_to_matrices(q_hat)
+    out = gaussians.take(np.concatenate([kept, np.flatnonzero(clone), split, split]))
+    # a split parent's children sit half its longest sigma from it along
+    # that axis, on the + side first, then on the - side
+    ls = gaussians.log_scales[split]
+    R = quaternions_to_matrices(canonicalize_quaternions(gaussians.rotations[split])[0])
     axis = np.argmax(ls, axis=1)
     sig = np.exp(ls[np.arange(len(axis)), axis])
-    direction = R[np.arange(len(axis)), :, axis]
-    offset = direction * (0.5 * sig)[:, None]
-    ls_child = ls - np.log(SPLIT_FACTOR)
-    for side in (+1.0, -1.0):
-        parts.append((c + side * offset, r.copy(), ls_child.copy(),
-                      inten.copy(), None if lab is None else lab.copy()))
-    # field by field: centers, rotations, log_scales, intensities, labels
-    out = GaussianSet(*(None if col[0] is None else np.concatenate(col)
-                        for col in zip(*parts)))
+    offset = R[np.arange(len(axis)), :, axis] * (0.5 * sig)[:, None]
+    children = slice(out.count - 2 * split.size, out.count)
+    out.centers[children] += np.concatenate([offset, -offset])
+    out.log_scales[children] -= np.log(SPLIT_FACTOR)
     return DensifyResult(out, kept=kept, n_children=out.count - kept.size)
 
 

@@ -105,9 +105,8 @@ def _rasterize_labels(deformed, grid, cutoff_multiplier, occupancy_floor):
         sel = np.flatnonzero(deformed.labels == lab)
         if sel.size == 0:
             continue
-        part = gauss_mod.GaussianSet(
-            deformed.centers[sel], deformed.rotations[sel],
-            deformed.log_scales[sel], np.ones(sel.size))
+        part = deformed.take(sel)
+        part.intensities[:] = 1.0
         raw = gauss_mod.render_values(part, grid.dims, cutoff_multiplier)
         # normalize by this class's own interior level (median occupancy at
         # its deformed centers) so thin structures are not out-thresholded

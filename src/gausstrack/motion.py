@@ -31,7 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import NumericalAbort, ValidationError
-from .gauss import GaussianSet, RenderGradients
+from .gauss import RenderGradients
 from .volgrid import _read_container, _write_container
 
 _KNN_CHUNK = 4096
@@ -243,13 +243,10 @@ def deform_gaussians(gaussians, delta, alpha):
         raise ValidationError("blended transforms misaligned with Gaussian order")
     if not np.all(alpha > 0):
         raise NumericalAbort("blended scale factors must stay positive and finite")
-    return GaussianSet(
-        gaussians.centers + delta,
-        gaussians.rotations.copy(),
-        gaussians.log_scales + np.log(alpha),
-        gaussians.intensities.copy(),
-        None if gaussians.labels is None else gaussians.labels.copy(),
-    )
+    out = gaussians.copy()
+    out.centers += delta
+    out.log_scales += np.log(alpha)
+    return out
 
 
 def _pool_size():

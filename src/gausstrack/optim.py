@@ -191,7 +191,7 @@ class FitConfig:
     n_init: int = 4096
     node_budget: int = 2048
     k_neighbors: int = 4
-    cutoff_multiplier: float = 3.0
+    cutoff_multiplier: float = gauss.CUTOFF_MULTIPLIER
     occupancy_floor: float = 0.5
     seed: int = 0
 
@@ -304,8 +304,7 @@ def fit(sequence, mask, config, inspect_hook=None):
                 fi, deformed = sequence.ed_index, g
             rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier)
             loss, lgrad = l1_loss(rendered, frames[fi])
-            canonical = rg = gauss.render_backward(deformed, dims, lgrad,
-                                                   config.cutoff_multiplier, cache=rcache)
+            canonical = rg = gauss.render_backward(deformed, dims, lgrad, rcache)
             if stage2:
                 mg = motion_mod.motion_backward(cache, nodes, net, rg)
                 canonical = mg.canonical

@@ -160,7 +160,7 @@ def test_render_matches_bruteforce():
     dims = (16, 16, 16)
     exact = render_values_bruteforce(g, dims)
     with_cut = render_values(g, dims, cutoff_multiplier=3.0)
-    no_cut = render_values(g, dims, cutoff_multiplier=None)
+    no_cut = render_values(g, dims, cutoff_multiplier=np.inf)
     assert np.max(np.abs(no_cut - exact)) < 1e-12
     assert np.max(np.abs(with_cut - exact)) < 1e-3
 
@@ -172,7 +172,7 @@ def test_render_cutoff_beyond_diagonal_is_exact():
     # so the cutoff excludes nothing and the disabled-cutoff render matches
     # bit for bit; the independent oracle agrees to float accumulation order
     a = render_values(g, dims, cutoff_multiplier=40.0)
-    assert np.array_equal(a, render_values(g, dims, cutoff_multiplier=None))
+    assert np.array_equal(a, render_values(g, dims, cutoff_multiplier=np.inf))
     assert np.max(np.abs(a - render_values_bruteforce(g, dims))) < 1e-12
 
 
@@ -197,8 +197,9 @@ def test_render_volume_wraps_geometry():
 
 
 def _render_and_grads(g, dims, upstream):
-    grads = render_backward(g, dims, upstream)
-    return [render_values(g, dims)] + [getattr(grads, f) for f in
+    values, cache = render_with_cache(g, dims)
+    grads = render_backward(g, dims, upstream, cache)
+    return [values] + [getattr(grads, f) for f in
                                        ("centers", "rotations", "log_scales", "intensities")]
 
 
@@ -290,7 +291,7 @@ def test_gaussian_reaching_no_voxel_of_its_box_renders_zero_with_zero_gradients(
     assert np.all(values == 0)
     assert np.array_equal(render_values(both, dims), render_values(others, dims))
     for g in (lone, both):
-        grads = render_backward(g, dims, upstream)
+        grads = render_backward(g, dims, upstream, render_with_cache(g, dims)[1])
         for f in ("centers", "rotations", "log_scales", "intensities"):
             assert np.all(getattr(grads, f)[-1] == 0), f
 
@@ -401,11 +402,11 @@ def loss_and_upstream(dims, seed=0):
     return rng.normal(size=dims)
 
 
-def fd_check(g, dims, upstream, attr, shape, h=1e-4, cutoff=None):
+def fd_check(g, dims, upstream, attr, shape, h=1e-4, cutoff=np.inf):
     def loss(gs):
         return float(np.sum(upstream * render_values(gs, dims, cutoff)))
 
-    analytic = render_backward(g, dims, upstream, cutoff)
+    analytic = render_backward(g, dims, upstream, render_with_cache(g, dims, cutoff)[1])
     got = getattr(analytic, attr)
     fd = np.zeros(shape)
     flat_param = getattr(g, attr)
@@ -425,7 +426,8 @@ def fd_check(g, dims, upstream, attr, shape, h=1e-4, cutoff=None):
 
 def test_backward_zero_upstream():
     g = random_set(5, seed=2, labels=False)
-    grads = render_backward(g, (6, 6, 6), np.zeros((6, 6, 6)))
+    grads = render_backward(g, (6, 6, 6), np.zeros((6, 6, 6)),
+                            render_with_cache(g, (6, 6, 6))[1])
     assert np.all(grads.centers == 0) and np.all(grads.rotations == 0)
     assert np.all(grads.log_scales == 0) and np.all(grads.intensities == 0)
 
@@ -436,7 +438,7 @@ def test_backward_intensity_partial_at_center():
     g = GaussianSet(c[None, :], [[1, 0, 0, 0]], np.log(0.05) * np.ones((1, 3)), [0.5])
     upstream = np.zeros(dims)
     upstream[2, 2, 2] = 1.0
-    grads = render_backward(g, dims, upstream, cutoff_multiplier=3.0)
+    grads = render_backward(g, dims, upstream, render_with_cache(g, dims, 3.0)[1])
     assert grads.intensities[0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -472,13 +474,28 @@ def test_backward_respects_cutoff_set():
     g = random_set(6, seed=8, labels=False)
     dims = (10, 10, 10)
     upstream = np.ones(dims)
-    grads = render_backward(g, dims, upstream, cutoff_multiplier=3.0)
+    grads = render_backward(g, dims, upstream, render_with_cache(g, dims, 3.0)[1])
     # oracle: d(sum V)/dI_i computed from rendering each Gaussian alone
     for i in range(g.count):
         solo = GaussianSet(g.centers[i:i + 1], g.rotations[i:i + 1],
                            g.log_scales[i:i + 1], np.ones(1))
         expect = render_values(solo, dims, cutoff_multiplier=3.0).sum()
         assert grads.intensities[i] == pytest.approx(expect, rel=1e-10)
+
+
+def test_negated_quaternions_render_the_same_bits_and_negate_the_rotation_gradient():
+    g = random_set(10, seed=46)
+    neg = g.copy()
+    neg.rotations = -g.rotations
+    dims = (11, 10, 9)
+    upstream = loss_and_upstream(dims, seed=5)
+    (v, cache), (v_neg, cache_neg) = render_with_cache(g, dims), render_with_cache(neg, dims)
+    grads = render_backward(g, dims, upstream, cache=cache)
+    grads_neg = render_backward(neg, dims, upstream, cache=cache_neg)
+    assert np.array_equal(v, v_neg)
+    for f in ("centers", "log_scales", "intensities"):
+        assert np.array_equal(getattr(grads, f), getattr(grads_neg, f)), f
+    assert np.array_equal(grads_neg.rotations, -grads.rotations)
 
 
 # --- initialization ----------------------------------------------------------
@@ -579,6 +596,35 @@ def test_densify_split_replaces_with_two_smaller():
     assert np.allclose(children, g.log_scales[1] - np.log(1.6))
     assert np.all(res.gaussians.labels[2:] == g.labels[1])
     assert np.all(np.isfinite(res.gaussians.centers))
+
+
+def test_densify_event_orders_rows_and_places_split_children():
+    # rows: 0 pruned, 1 survives, 2 is cloned, 3 and 4 split; the split
+    # parents are rotated (one with w < 0) and anisotropic, with their
+    # longest axes on different columns of R
+    g = GaussianSet(
+        [[0.2, 0.3, 0.4], [0.5, 0.5, 0.5], [0.6, 0.4, 0.3], [0.4, 0.6, 0.5], [0.3, 0.5, 0.7]],
+        [[1, 0, 0, 0], [0.8, 0.1, -0.3, 0.2], [0.9, 0.2, 0.1, -0.1],
+         [-0.7, 0.2, 0.5, 0.3], [0.9, -0.3, 0.1, 0.4]],
+        np.log([[0.02, 0.02, 0.02], [0.03, 0.02, 0.01], [0.004, 0.006, 0.005],
+                [0.02, 0.05, 0.03], [0.04, 0.02, 0.06]]),
+        [0.0, 0.7, 0.5, 0.9, -0.6], np.array([1, 2, 3, 1, 2], dtype=np.uint8))
+    res = densify_and_prune(g, np.array([1.0, 0.0, 1.0, 1.0, 1.0]), DensifyConfig())
+    out, parents = res.gaussians, [1, 2, 2, 3, 4, 3, 4]
+    assert res.kept.tolist() == [1, 2] and res.n_children == 5
+    assert out.count == len(parents)
+    for f in ("rotations", "intensities", "labels"):
+        assert np.array_equal(getattr(out, f), getattr(g, f)[parents]), f
+    assert np.array_equal(out.centers[:3], g.centers[[1, 2, 2]])
+    assert np.array_equal(out.log_scales[:3], g.log_scales[[1, 2, 2]])
+    assert np.array_equal(out.log_scales[3:], g.log_scales[[3, 4, 3, 4]] - np.log(1.6))
+    q = g.rotations / np.linalg.norm(g.rotations, axis=1)[:, None]
+    R = gauss_mod.quaternions_to_matrices(q)
+    for row, p, side in [(3, 3, 1), (4, 4, 1), (5, 3, -1), (6, 4, -1)]:
+        axis = int(np.argmax(g.log_scales[p]))
+        offset = 0.5 * np.exp(g.log_scales[p, axis]) * R[p, :, axis]
+        assert np.array_equal(out.centers[row], g.centers[p] + side * offset), row
+    assert np.argmax(g.log_scales[3]) != np.argmax(g.log_scales[4])
 
 
 def test_densify_prunes_zero_intensity():

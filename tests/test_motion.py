@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gausstrack import motion
 from gausstrack.errors import NumericalAbort, ValidationError
-from gausstrack.gauss import GaussianSet, render_backward, render_values
+from gausstrack.gauss import GaussianSet, render_backward, render_values, render_with_cache
 from gausstrack.motion import (
     ControlNodeSet,
     DeformNet,
@@ -261,7 +261,8 @@ def test_blend_weight_underflow_keeps_the_largest_kernel():
     deformed, cache = apply_motion(g, nodes, net, 0.4, idx)
     t6, _ = node_transforms(net, nodes.positions, 0.4)
     assert np.array_equal(deformed.centers, g.centers + t6[:1, :3])
-    rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS), None)
+    rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS),
+                         render_with_cache(deformed, DIMS, np.inf)[1])
     mg = motion_backward(cache, nodes, net, rg)
     for a in mg.weight_grads + mg.bias_grads + [mg.node_positions, mg.node_log_radii,
                                                 mg.canonical.centers]:
@@ -350,11 +351,11 @@ def test_deform_scale_widens_render_along_x():
     out = deform_gaussians(g, np.zeros((1, 3)), np.array([[2.0, 1.0, 1.0]]))
     oracle = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]],
                          np.log([[0.12, 0.06, 0.06]]), [1.0])
-    a = render_values(out, (9, 9, 9), None)
-    b = render_values(oracle, (9, 9, 9), None)
+    a = render_values(out, (9, 9, 9), np.inf)
+    b = render_values(oracle, (9, 9, 9), np.inf)
     assert np.max(np.abs(a - b)) < 1e-12
     # widened along x only: farther x-voxels gain density
-    base = render_values(g, (9, 9, 9), None)
+    base = render_values(g, (9, 9, 9), np.inf)
     assert a[6, 4, 4] > base[6, 4, 4]
     assert abs(a[4, 4, 6] - base[4, 4, 6]) < 1e-12
 
@@ -679,12 +680,12 @@ def pipeline_loss(g, nodes, net, t, idx, upstream, encoded=None):
     weights = blend_weights(g.centers, nodes.positions, nodes.log_radii, idx)
     delta, alpha = blend_transforms(weights, idx, t6)
     deformed = deform_gaussians(g, delta, alpha)
-    return float(np.sum(upstream * render_values(deformed, DIMS, None)))
+    return float(np.sum(upstream * render_values(deformed, DIMS, np.inf)))
 
 
 def analytic_motion_grads(g, nodes, net, t, idx, upstream):
     deformed, cache = apply_motion(g, nodes, net, t, idx)
-    rg = render_backward(deformed, DIMS, upstream, None)
+    rg = render_backward(deformed, DIMS, upstream, render_with_cache(deformed, DIMS, np.inf)[1])
     return motion_backward(cache, nodes, net, rg)
 
 
@@ -859,7 +860,8 @@ def test_motion_backward_leaves_its_cache_and_inputs_as_they_were():
     g, nodes, net, k = tiny_scene(seed=23, n=12, m=5, k=3)
     idx = knn_indices(g.centers, nodes.positions, k)
     deformed, cache = apply_motion(g, nodes, net, 0.55, idx)
-    rg = render_backward(deformed, DIMS, np.random.default_rng(7).normal(size=DIMS), None)
+    rg = render_backward(deformed, DIMS, np.random.default_rng(7).normal(size=DIMS),
+                         render_with_cache(deformed, DIMS, np.inf)[1])
 
     def read():
         return [a.tobytes() for a in (cache.t6, cache.weights, cache.alpha_blend, cache.diff,
