@@ -83,7 +83,7 @@ class AdamState:
 
 
 # ---------------------------------------------------------------------------
-# Schedule and parameter groups
+# Schedule and learning rates
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -106,20 +106,6 @@ class FitSchedule:
             raise ValidationError("densify interval/start must be >= 1")
 
 
-@dataclass(frozen=True)
-class ParamGroup:
-    name: str
-    lr_init: float
-    decays: bool = False
-
-    def __post_init__(self):
-        # a decaying rate is a geometric curve through lr_init, so it must be > 0
-        above_floor = self.lr_init > 0 if self.decays else self.lr_init >= 0
-        if not (above_floor and math.isfinite(self.lr_init)):
-            raise ValidationError(f"learning rate of '{self.name}' must be finite and "
-                                  f"{'> 0' if self.decays else '>= 0'}, got {self.lr_init}")
-
-
 # initial learning rates of the five groups (the full-scale recipe)
 DEFAULT_LEARNING_RATES = {
     "positions": 1e-4,
@@ -128,38 +114,39 @@ DEFAULT_LEARNING_RATES = {
     "nodes": 1e-4,
     "network": 1e-6,
 }
+# the groups whose rate decays geometrically; the others stay constant
+DECAYING = ("positions", "nodes")
 # the rate every decaying group reaches at the last iteration
 LR_DECAY_END = 1e-7
 
 
-def parameter_groups(learning_rates=None):
-    """The five optimization groups with their initial rates and decay
-    flags.  ``learning_rates`` may override individual groups (the run
-    config carries them, defaulting to the full-scale recipe)."""
+def learning_rates(overrides=None):
+    """Initial rate of each of the five groups: the full-scale recipe with
+    ``overrides`` (the run config's per-group values) merged in."""
     lrs = dict(DEFAULT_LEARNING_RATES)
-    if learning_rates:
-        unknown = set(learning_rates) - set(lrs)
+    if overrides:
+        unknown = set(overrides) - set(lrs)
         if unknown:
             raise ValidationError(f"unknown learning-rate groups: {sorted(unknown)}")
-        lrs.update(learning_rates)
-    return {
-        "positions": ParamGroup("positions", lrs["positions"], decays=True),
-        "intensity": ParamGroup("intensity", lrs["intensity"]),
-        "rotscale": ParamGroup("rotscale", lrs["rotscale"]),
-        "nodes": ParamGroup("nodes", lrs["nodes"], decays=True),
-        "network": ParamGroup("network", lrs["network"]),
-    }
+        lrs.update(overrides)
+    for name, lr in lrs.items():
+        # a decaying rate is a geometric curve through lr, so it must be > 0
+        decays = name in DECAYING
+        if not ((lr > 0 if decays else lr >= 0) and math.isfinite(lr)):
+            raise ValidationError(f"learning rate of '{name}' must be finite and "
+                                  f"{'> 0' if decays else '>= 0'}, got {lr}")
+    return lrs
 
 
-def lr_at(iteration, group, schedule):
-    """Learning rate at an iteration: geometric decay to LR_DECAY_END at the
-    schedule's end for decaying groups, constant otherwise."""
+def lr_at(iteration, name, lr_init, schedule):
+    """Learning rate of group ``name`` at an iteration: geometric decay from
+    ``lr_init`` to LR_DECAY_END at the schedule's end for the DECAYING
+    groups, constant otherwise."""
     if not 0 <= iteration <= schedule.total_iters:
         raise ValidationError("iteration outside the schedule")
-    if not group.decays:
-        return group.lr_init
-    frac = iteration / schedule.total_iters
-    return group.lr_init * (LR_DECAY_END / group.lr_init) ** frac
+    if name not in DECAYING:
+        return lr_init
+    return lr_init * (LR_DECAY_END / lr_init) ** (iteration / schedule.total_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +162,9 @@ class NetworkConfig:
 
     def __post_init__(self):
         _check_kinds(self)
-        if self.hidden_width < 1:
-            raise ValidationError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        for name, value in asdict(self).items():
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -197,10 +185,12 @@ class FitConfig:
 
     def __post_init__(self):
         _check_kinds(self)
-        parameter_groups(self.learning_rates)
-        if self.n_init < 1 or self.node_budget < 1:
-            raise ValidationError(f"n_init and node_budget must be >= 1, "
-                                  f"got {self.n_init} and {self.node_budget}")
+        learning_rates(self.learning_rates)
+        if not 1 <= self.k_neighbors <= self.node_budget <= self.n_init:
+            raise ValidationError(
+                "k_neighbors, node_budget and n_init must be ordered 1 <= k_neighbors <="
+                f" node_budget <= n_init, got {self.k_neighbors}, {self.node_budget}"
+                f" and {self.n_init}")
         if not self.cutoff_multiplier > 0:
             raise ValidationError(f"cutoff_multiplier must be > 0, got {self.cutoff_multiplier}")
         if not 0 < self.occupancy_floor < 1:
@@ -269,8 +259,6 @@ def fit(sequence, mask, config, inspect_hook=None):
         raise ValidationError("mask geometry differs from the sequence")
     if abs(float(sequence.times[sequence.ed_index])) > 1e-12:
         raise ValidationError("canonical fitting expects time 0 at the ED frame")
-    if config.node_budget > config.n_init:
-        raise ValidationError("node budget may not exceed the initial Gaussian count")
     dims = sequence.dims
     n_voxels = float(np.prod(dims))
     frames = [np.asarray(f.values, dtype=np.float64) for f in sequence.frames]
@@ -282,8 +270,8 @@ def fit(sequence, mask, config, inspect_hook=None):
     net = DeformNet.create(**asdict(config.network), seed=config.seed + 2)
     knn = knn_indices(g.centers, nodes.positions, config.k_neighbors)
 
-    groups = parameter_groups(config.learning_rates)
-    opts = {name: AdamState() for name in groups}
+    lrs = learning_rates(config.learning_rates)
+    opts = {name: AdamState() for name in lrs}
     accum = np.zeros(g.count)
     accum_n = 0
     losses = []
@@ -316,11 +304,11 @@ def fit(sequence, mask, config, inspect_hook=None):
             accum += np.linalg.norm(canonical.centers, axis=1) / n_voxels
             accum_n += 1
 
-            opts["positions"].step(lr_at(it, groups["positions"], sched),
+            opts["positions"].step(lr_at(it, "positions", lrs["positions"], sched),
                                    {"centers": (g.centers, canonical.centers)})
-            opts["intensity"].step(lr_at(it, groups["intensity"], sched),
+            opts["intensity"].step(lr_at(it, "intensity", lrs["intensity"], sched),
                                    {"intensities": (g.intensities, canonical.intensities)})
-            opts["rotscale"].step(lr_at(it, groups["rotscale"], sched),
+            opts["rotscale"].step(lr_at(it, "rotscale", lrs["rotscale"], sched),
                                   {"rotations": (g.rotations, canonical.rotations),
                                    "log_scales": (g.log_scales, canonical.log_scales)})
             if stage2:
@@ -328,12 +316,12 @@ def fit(sequence, mask, config, inspect_hook=None):
                 for li, (wg, bg) in enumerate(zip(mg.weight_grads, mg.bias_grads)):
                     net_updates[f"w{li}"] = (net.weights[li], wg)
                     net_updates[f"b{li}"] = (net.biases[li], bg)
-                opts["network"].step(lr_at(it, groups["network"], sched), net_updates)
+                opts["network"].step(lr_at(it, "network", lrs["network"], sched), net_updates)
                 if it == sched.node_unfreeze_at:
                     events.append([it, "nodes_unfrozen", "control points now learnable"])
                     knn = knn_indices(g.centers, nodes.positions, config.k_neighbors)
                 if it >= sched.node_unfreeze_at:
-                    opts["nodes"].step(lr_at(it, groups["nodes"], sched),
+                    opts["nodes"].step(lr_at(it, "nodes", lrs["nodes"], sched),
                                        {"positions": (nodes.positions, mg.node_positions),
                                         "log_radii": (nodes.log_radii, mg.node_log_radii)})
         except NumericalAbort as e:

@@ -439,8 +439,22 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
     dict(TINY_FIT, occupancy_floor=-1.0),
     dict(TINY_FIT, occupancy_floor=1.0),
     dict(TINY_FIT, occupancy_floor=2.0),
+    # network and neighbour settings fit used to check only when it first
+    # used them: a traceback (exit 1), or an exit 2 after stage 1
+    dict(TINY_FIT, network=dict(TINY_FIT["network"], l_space=0, l_time=0)),
+    dict(TINY_FIT, network=dict(TINY_FIT["network"], l_space=0, l_time=-1)),
+    dict(TINY_FIT, network=dict(TINY_FIT["network"], l_space=0)),
+    dict(TINY_FIT, network=dict(TINY_FIT["network"], hidden_depth=0)),
+    dict(TINY_FIT, k_neighbors=0),
+    dict(TINY_FIT, k_neighbors=17, node_budget=16),
+    dict(TINY_FIT, node_budget=49, n_init=48),
 ])
-def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, config):
+def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, monkeypatch,
+                                                         config):
+    def refused_fit(*args, **kwargs):
+        pytest.fail("a refused config reached optim.fit")
+
+    monkeypatch.setattr("gausstrack.optim.fit", refused_fit)
     ph = tmp_path / "ph"
     main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
     bad_cfg = tmp_path / "bad.json"

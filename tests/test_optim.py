@@ -3,19 +3,23 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from gausstrack.errors import NumericalAbort, ValidationError
 from gausstrack.gauss import DensifyConfig
 from gausstrack.optim import (
+    DECAYING,
+    LR_DECAY_END,
     AdamState,
     FitConfig,
     FitSchedule,
     NetworkConfig,
     fit,
     l1_loss,
+    learning_rates,
     lr_at,
-    parameter_groups,
 )
 from gausstrack.volgrid import LabelVolume, Sequence4D, VoxelVolume
 
@@ -110,30 +114,32 @@ def test_adam_remap_after_densify():
 
 def test_lr_decay_endpoints_and_midpoint():
     sched = FitSchedule()
-    groups = parameter_groups()
-    pos = groups["positions"]
-    assert lr_at(0, pos, sched) == pytest.approx(1e-4)
-    assert lr_at(20000, pos, sched) == pytest.approx(1e-7)
-    assert lr_at(10000, pos, sched) == pytest.approx(10 ** -5.5, rel=1e-12)
+    lr = learning_rates()["positions"]
+    assert lr_at(0, "positions", lr, sched) == pytest.approx(1e-4)
+    assert lr_at(20000, "positions", lr, sched) == pytest.approx(1e-7)
+    assert lr_at(10000, "positions", lr, sched) == pytest.approx(10 ** -5.5, rel=1e-12)
+    # the closed form, bit for bit
+    for it in (0, 1, 10000, 20000):
+        assert lr_at(it, "positions", lr, sched) == lr * (LR_DECAY_END / lr) ** (it / 20000)
 
 
 def test_constant_groups_do_not_decay():
     sched = FitSchedule()
-    groups = parameter_groups()
+    lrs = learning_rates()
     for name in ("intensity", "rotscale", "network"):
-        assert lr_at(0, groups[name], sched) == lr_at(17000, groups[name], sched)
+        assert lr_at(0, name, lrs[name], sched) == lr_at(17000, name, lrs[name], sched)
 
 
 def test_group_table_matches_recipe():
-    groups = parameter_groups()
-    assert groups["intensity"].lr_init == pytest.approx(5e-3)
-    assert groups["network"].lr_init == pytest.approx(1e-6)
-    assert groups["positions"].lr_init == pytest.approx(1e-4)
-    assert groups["rotscale"].lr_init == pytest.approx(1e-4)
-    assert groups["nodes"].lr_init == pytest.approx(1e-4)
+    lrs = learning_rates()
+    assert lrs["intensity"] == pytest.approx(5e-3)
+    assert lrs["network"] == pytest.approx(1e-6)
+    assert lrs["positions"] == pytest.approx(1e-4)
+    assert lrs["rotscale"] == pytest.approx(1e-4)
+    assert lrs["nodes"] == pytest.approx(1e-4)
     assert FitSchedule().node_unfreeze_at == 5000
-    assert groups["positions"].decays and groups["nodes"].decays
-    assert not groups["network"].decays
+    assert "positions" in DECAYING and "nodes" in DECAYING
+    assert "network" not in DECAYING
 
 
 def test_schedule_validation():
@@ -164,6 +170,12 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     lambda: FitConfig(cutoff_multiplier=float("nan")),
     lambda: FitConfig(seed=-1),
     lambda: NetworkConfig(hidden_width=0),
+    lambda: NetworkConfig(l_space=0),
+    lambda: NetworkConfig(l_time=-1),
+    lambda: NetworkConfig(hidden_depth=0),
+    lambda: FitConfig(k_neighbors=0),
+    lambda: FitConfig(n_init=64, node_budget=3),
+    lambda: FitConfig(n_init=64, node_budget=65),
     lambda: FitConfig(n_init=0),
     lambda: FitConfig(node_budget=-5),
     # values of the wrong kind: each used to be built, or to raise OverflowError
@@ -182,7 +194,7 @@ def test_out_of_range_settings_are_refused_without_json(make):
 
 
 def test_a_constant_group_may_have_rate_zero():
-    assert parameter_groups(learning_rates={"network": 0.0})["network"].lr_init == 0.0
+    assert learning_rates({"network": 0.0})["network"] == 0.0
 
 
 # --- fit smoke run -----------------------------------------------------------------
@@ -303,6 +315,36 @@ def test_fit_validates_geometry_and_budgets():
     cfg.node_budget = cfg.n_init + 1
     with pytest.raises(ValidationError, match="node budget"):
         fit(seq, mask, cfg)
+
+
+_SIZE = st.integers(-1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(network=st.fixed_dictionaries({"l_space": _SIZE, "l_time": _SIZE,
+                                      "hidden_width": _SIZE, "hidden_depth": _SIZE}),
+       n_init=st.integers(0, 40), node_budget=st.integers(0, 40),
+       k_neighbors=st.integers(-1, 8), total=st.integers(4, 6))
+@example(network={"l_space": 1, "l_time": 1, "hidden_width": 2, "hidden_depth": 1},
+         n_init=40, node_budget=8, k_neighbors=8, total=5)
+def test_a_config_that_builds_runs_fit_to_the_end(network, n_init, node_budget,
+                                                  k_neighbors, total):
+    # every setting is checked when the config is built, so fit refuses none
+    try:
+        cfg = FitConfig(schedule=FitSchedule(total_iters=total, canonical_only_until=1,
+                                             node_unfreeze_at=2, densify_interval=2,
+                                             densify_start=2),
+                        network=NetworkConfig(**network), n_init=n_init,
+                        node_budget=node_budget, k_neighbors=k_neighbors)
+    except ValidationError:
+        return
+    seq, mask = toy_problem(dims=(10, 10, 10))
+    assert np.count_nonzero(mask.labels) >= 40
+    try:
+        result = fit(seq, mask, cfg)
+    except NumericalAbort:
+        return
+    assert len(result.report.losses) == total
 
 
 def test_fit_report_round_trip():
