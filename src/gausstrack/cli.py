@@ -165,11 +165,12 @@ def cmd_render(args):
 def cmd_export_field(args):
     _check_time(args.time)
     _, nodes, net, grid, config = _load_fitted(args.fitted)
-    field = metrics.dense_field_on_grid(nodes, net, args.time, grid, config.k_neighbors)
+    queries = volgrid.voxel_centers_normalized(grid.dims).reshape(-1, 3)
+    u = motion.dense_displacement(queries, nodes, net, args.time, config.k_neighbors)
     out = Path(args.out)
     names = {}
     for i, comp in enumerate(("ux", "uy", "uz")):
-        vol = volgrid.VoxelVolume(grid.dims, grid.spacing, field.vectors[..., i])
+        vol = volgrid.VoxelVolume(grid.dims, grid.spacing, u[:, i].reshape(grid.dims))
         volgrid.save_volume(vol, out.parent / f"{out.name}_{comp}")
         names[comp] = f"{out.name}_{comp}.vjson"
     index = {"kind": "gausstrack-field", "t": float(args.time),

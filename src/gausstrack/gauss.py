@@ -434,8 +434,8 @@ SIZE_THRESHOLD, SPLIT_FACTOR = 0.01, 1.6
 class DensifyConfig:
     """Thresholds for periodic clone/split/prune of Gaussians.
 
-    grad_threshold   mean positional-gradient magnitude that triggers growth
-    intensity_floor  Gaussians with |I| below this are removed
+    grad_threshold   mean positional-gradient magnitude that triggers growth (> 0)
+    intensity_floor  Gaussians with |I| below this are removed (>= 0)
     """
 
     grad_threshold: float = 2e-4
@@ -443,6 +443,10 @@ class DensifyConfig:
 
     def __post_init__(self):
         _check_kinds(self)
+        if not (self.grad_threshold > 0 and self.intensity_floor >= 0):
+            raise ValidationError(
+                "densify thresholds must be grad_threshold > 0 and intensity_floor >= 0,"
+                f" got {self.grad_threshold} and {self.intensity_floor}")
 
 
 @dataclass

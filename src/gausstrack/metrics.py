@@ -1,11 +1,13 @@
 """Tracking-quality evaluation: label warping, Dice, PSNR, 3D SSIM,
 Hausdorff distance, and displacement-field Jacobian diagnostics.
 
-All metrics are pure functions over immutable inputs.  Labels propagate by
-rendering one unit-intensity occupancy volume per anatomical class from the
-deformed, labeled Gaussians and taking the per-voxel argmax over a floor —
-the same differentiable representation used for fitting decides where each
-structure went.
+All metrics are pure functions over immutable inputs.  PSNR and SSIM score
+two intensity arrays; the Jacobian diagnostics score the (nx, ny, nz, 3)
+array of ``motion.dense_displacement`` at the voxel centers, in normalized
+units.  Labels propagate by rendering one unit-intensity occupancy volume
+per anatomical class from the deformed, labeled Gaussians and taking the
+per-voxel argmax over a floor — the same differentiable representation used
+for fitting decides where each structure went.
 """
 
 from __future__ import annotations
@@ -30,22 +32,6 @@ _STRUCTURES = (LABEL_RV, LABEL_MYO, LABEL_LV)
 DATA_RANGE = 1.0
 # Wang et al.'s SSIM: Gaussian window (width, sigma) and stabilizers K1, K2
 SSIM_WINDOW, SSIM_SIGMA, SSIM_K1, SSIM_K2 = 7, 1.5, 0.01, 0.03
-
-
-@dataclass(frozen=True)
-class DisplacementField:
-    """Dense per-voxel displacement in normalized units at one time."""
-
-    dims: tuple
-    spacing: tuple
-    vectors: np.ndarray  # (nx, ny, nz, 3)
-    t: float
-
-    def __post_init__(self):
-        if self.vectors.shape != tuple(self.dims) + (3,):
-            raise ValidationError("displacement array must be (nx, ny, nz, 3)")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValidationError("displacement field contains non-finite entries")
 
 
 @dataclass
@@ -139,11 +125,9 @@ def dice(pred, truth, class_id):
 
 def psnr(pred, truth):
     """10 log10(DATA_RANGE^2 / MSE) in dB; identical volumes report +inf."""
-    p = pred.values if hasattr(pred, "values") else np.asarray(pred)
-    t = truth.values if hasattr(truth, "values") else np.asarray(truth)
-    if p.shape != t.shape:
+    if pred.shape != truth.shape:
         raise ValidationError("psnr needs matching grids")
-    mse = float(np.mean((p.astype(np.float64) - t.astype(np.float64)) ** 2))
+    mse = float(np.mean((pred.astype(np.float64) - truth.astype(np.float64)) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(DATA_RANGE ** 2 / mse)
@@ -163,14 +147,12 @@ def ssim3d(pred, truth):
     least SSIM_WINDOW per axis), which keeps the statistic independent of
     any boundary-padding convention.
     """
-    p = pred.values if hasattr(pred, "values") else np.asarray(pred)
-    t = truth.values if hasattr(truth, "values") else np.asarray(truth)
-    if p.shape != t.shape:
+    if pred.shape != truth.shape:
         raise ValidationError("ssim needs matching grids")
-    if any(s < SSIM_WINDOW for s in p.shape):
+    if any(s < SSIM_WINDOW for s in pred.shape):
         raise ValidationError(f"volume smaller than the {SSIM_WINDOW}^3 ssim window")
-    p = p.astype(np.float64)
-    t = t.astype(np.float64)
+    p = pred.astype(np.float64)
+    t = truth.astype(np.float64)
     half = SSIM_WINDOW // 2
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1, dtype=np.float64) / SSIM_SIGMA) ** 2)
     kernel /= kernel.sum()
@@ -211,22 +193,25 @@ def hausdorff(pred, truth, class_id):
     return float(max(d_ab, d_ba))
 
 
-def jacobian_stats(field):
-    """Fold fraction and incompressibility deviation of a displacement field.
+def jacobian_stats(vectors):
+    """Fold fraction and incompressibility deviation of a displacement field,
+    given as its (nx, ny, nz, 3) array in normalized units.
 
     The Jacobian of phi(X) = X + u(X) is formed with finite differences in
     normalized coordinates, central on the interior voxels, which are the only
     ones the statistics cover: the fraction with det <= 0 and the mean
     |det - 1|, the determinant taken by cofactors.
     """
-    dims = field.dims
+    if vectors.ndim != 4 or vectors.shape[3] != 3:
+        raise ValidationError("displacement array must be (nx, ny, nz, 3)")
+    dims = vectors.shape[:3]
     if any(d < 3 for d in dims):
         raise ValidationError("jacobian diagnostics need dims >= 3 per axis")
     steps = [1.0 / (d - 1) for d in dims]
     inner = (slice(1, -1),) * 3
     # jac[i][a] = d phi_i / d X_a
     jac = [[g[inner] + float(i == a)
-            for a, g in enumerate(np.gradient(field.vectors[..., i], *steps))]
+            for a, g in enumerate(np.gradient(vectors[..., i], *steps))]
            for i in range(3)]
     (a, b, c), (d, e, f), (g, h, k) = jac
     det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
@@ -238,14 +223,6 @@ def jacobian_stats(field):
 # ---------------------------------------------------------------------------
 # Full evaluation
 # ---------------------------------------------------------------------------
-
-def dense_field_on_grid(nodes, net, t, grid, k):
-    """Evaluate the motion model's displacement at every voxel center."""
-    queries = voxel_centers_normalized(grid.dims).reshape(-1, 3)
-    u = motion_mod.dense_displacement(queries, nodes, net, t, k)
-    return DisplacementField(tuple(grid.dims), tuple(grid.spacing),
-                             u.reshape(tuple(grid.dims) + (3,)), float(t))
-
 
 def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier,
                  occupancy_floor):
@@ -269,13 +246,11 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
         rendered = gauss_mod.render_values(deformed, sequence.dims, cutoff_multiplier)
         return dict(dice_rv=d_rv, dice_lv=d_lv, dice_myo=d_myo,
                     dice_avg=float(np.mean([d_rv, d_myo, d_lv])),
-                    psnr_db=psnr(rendered, es_frame), ssim=ssim3d(rendered, es_frame),
+                    psnr_db=psnr(rendered, es_frame.values), ssim=ssim3d(rendered, es_frame.values),
                     hd_mm=float(np.mean([hausdorff(warped, truth_es, lab) for lab in _STRUCTURES])))
 
     u, field_tasks = motion_mod._field_tasks(
         voxel_centers_normalized(es_frame.dims).reshape(-1, 3), nodes, net, t_es, k)
     scores = motion_mod._run_tasks([deformed_scores, *field_tasks])[0]
-    fold_fraction, jac_dev = jacobian_stats(DisplacementField(
-        tuple(es_frame.dims), tuple(es_frame.spacing),
-        u.reshape(tuple(es_frame.dims) + (3,)), t_es))
+    fold_fraction, jac_dev = jacobian_stats(u.reshape(tuple(es_frame.dims) + (3,)))
     return MetricReport(**scores, jac_dev=jac_dev, fold_fraction=fold_fraction)

@@ -288,7 +288,8 @@ def _run_tasks(tasks):
 
 def _field_tasks(queries, nodes, net, t, k):
     """The dense field's output array and its 4096-row slice tasks; the input
-    checks, node transforms and allocation run here, on the calling thread."""
+    checks, node transforms and allocation run here, on the calling thread;
+    a slice that fills a non-finite row raises ValidationError."""
     queries, pos, tree = _knn_tree(queries, nodes.positions, k)
     translations = node_transforms(net, nodes.positions, t)[0][:, :3]
     out = np.empty((queries.shape[0], 3))
@@ -297,6 +298,8 @@ def _field_tasks(queries, nodes, net, t, k):
         idx = _knn_rows(tree, pos, queries[rows], k)
         weights, *_ = _blend(queries[rows], pos, nodes.log_radii, idx)
         out[rows] = np.einsum("qk,qkc->qc", weights, np.take(translations, idx, axis=0))
+        if not np.all(np.isfinite(out[rows])):
+            raise ValidationError("displacement field contains non-finite entries")
 
     return out, [partial(field_rows, slice(start, start + _KNN_CHUNK))
                  for start in range(0, queries.shape[0], _KNN_CHUNK)]
@@ -308,6 +311,7 @@ def dense_displacement(queries, nodes, net, t, k):
 
     Byte-equal to knn_indices -> blend_weights -> blend_transforms for any
     thread count: the ``_field_tasks`` slices run through ``_run_tasks``.
+    A field with a non-finite entry raises ValidationError.
     """
     out, tasks = _field_tasks(queries, nodes, net, t, k)
     _run_tasks(tasks)

@@ -179,6 +179,8 @@ def test_queries_take_their_settings_from_the_run_config(tmp_path):
 
 
 def test_render_and_export_field(tmp_path):
+    from gausstrack import motion as motion_mod
+
     ph, fit_dir = fitted_run(tmp_path)
     rc = main(["render", "--fitted", str(fit_dir), "--time", "0.5",
                "--out", str(tmp_path / "r_es")])
@@ -192,6 +194,14 @@ def test_render_and_export_field(tmp_path):
     comps = [volgrid.load_volume(tmp_path / "field" / index["components"][c])
              for c in ("ux", "uy", "uz")]
     assert all(c.dims == (20, 20, 16) for c in comps)
+    # each component is the trained field at the voxel centers, element for element
+    u = motion_mod.dense_displacement(
+        volgrid.voxel_centers_normalized((20, 20, 16)).reshape(-1, 3),
+        motion_mod.load_nodes(fit_dir / "nodes"), motion_mod.load_network(fit_dir / "network"),
+        0.5, TINY_FIT["k_neighbors"]).astype(np.float32)
+    assert np.any(u != 0.0)
+    for i, comp in enumerate(comps):
+        assert np.array_equal(comp.values, u[:, i].reshape(20, 20, 16))
     # lossless round trip through the container
     volgrid.save_volume(comps[0], tmp_path / "field" / "again")
     assert (tmp_path / "field" / "u_es_ux.raw").read_bytes() == \
@@ -448,6 +458,11 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
     dict(TINY_FIT, k_neighbors=0),
     dict(TINY_FIT, k_neighbors=17, node_budget=16),
     dict(TINY_FIT, node_budget=49, n_init=48),
+    # densify thresholds out of range (a grad_threshold <= 0 clones or splits
+    # every live Gaussian at each event)
+    dict(TINY_FIT, densify={"grad_threshold": -1.0}),
+    dict(TINY_FIT, densify={"grad_threshold": 0.0}),
+    dict(TINY_FIT, densify={"intensity_floor": -1e-3}),
 ])
 def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, monkeypatch,
                                                          config):

@@ -10,9 +10,7 @@ from gausstrack import motion
 from gausstrack.errors import ValidationError
 from gausstrack.gauss import GaussianSet, initialize_from_mask, render_values
 from gausstrack.metrics import (
-    DisplacementField,
     MetricReport,
-    dense_field_on_grid,
     dice,
     evaluate_run,
     hausdorff,
@@ -21,8 +19,8 @@ from gausstrack.metrics import (
     ssim3d,
     warp_labels,
 )
-from gausstrack.motion import (ControlNodeSet, DeformNet, apply_motion, init_control_nodes,
-                               knn_indices)
+from gausstrack.motion import (ControlNodeSet, DeformNet, apply_motion, dense_displacement,
+                               init_control_nodes, knn_indices)
 from gausstrack.optim import FitConfig
 from gausstrack.volgrid import (
     LabelVolume,
@@ -282,8 +280,7 @@ def test_hausdorff_empty_structure_rejected():
 # --- jacobian ----------------------------------------------------------------------
 
 def field_from_fn(dims, fn):
-    pts = voxel_centers_normalized(dims)
-    return DisplacementField(dims, (1, 1, 1), fn(pts), 0.5)
+    return fn(voxel_centers_normalized(dims))
 
 
 def test_jacobian_zero_displacement():
@@ -323,11 +320,11 @@ def test_jacobian_affine_matches_closed_form():
     assert fold == (1.0 if det <= 0 else 0.0)
 
 
-def det_reference(field):
+def det_reference(vectors):
     """Jacobian statistics through np.gradient on the whole grid and
     np.linalg.det per voxel, trimmed to the interior afterwards."""
-    steps = [1.0 / (d - 1) for d in field.dims]
-    grad = np.stack([np.stack(np.gradient(field.vectors[..., i], *steps), axis=-1)
+    steps = [1.0 / (d - 1) for d in vectors.shape[:3]]
+    grad = np.stack([np.stack(np.gradient(vectors[..., i], *steps), axis=-1)
                      for i in range(3)], axis=-2)
     det = np.linalg.det(grad + np.eye(3))[1:-1, 1:-1, 1:-1]
     return float(np.mean(det <= 0)), float(np.mean(np.abs(det - 1.0)))
@@ -353,8 +350,11 @@ def test_jacobian_cofactors_match_linalg_det():
 
 def test_jacobian_small_grid_rejected():
     with pytest.raises(ValidationError, match="dims"):
-        jacobian_stats(DisplacementField((2, 6, 6), (1, 1, 1),
-                                         np.zeros((2, 6, 6, 3)), 0.0))
+        jacobian_stats(np.zeros((2, 6, 6, 3)))
+    # a field of two components, and a scalar volume, are not (nx, ny, nz, 3)
+    for shape in ((6, 6, 6, 2), (6, 6, 6)):
+        with pytest.raises(ValidationError, match=r"must be \(nx, ny, nz, 3\)"):
+            jacobian_stats(np.zeros(shape))
 
 
 # --- evaluate_run ---------------------------------------------------------------------
@@ -384,9 +384,10 @@ def serial_report(g, nodes, net, seq, truth, k, cutoff_multiplier, occupancy_flo
     rendered = render_values(deformed, seq.dims, cutoff_multiplier)
     d_rv, d_myo, d_lv = (dice(warped, truth, lab) for lab in (1, 2, 3))
     hds = [hausdorff(warped, truth, lab) for lab in (1, 2, 3)]
-    fold_fraction, jac_dev = jacobian_stats(dense_field_on_grid(nodes, net, t_es, es_frame, k))
+    u = dense_displacement(voxel_centers_normalized(seq.dims).reshape(-1, 3), nodes, net, t_es, k)
+    fold_fraction, jac_dev = jacobian_stats(u.reshape(seq.dims + (3,)))
     return MetricReport(d_rv, d_lv, d_myo, float(np.mean([d_rv, d_myo, d_lv])),
-                        psnr(rendered, es_frame), ssim3d(rendered, es_frame),
+                        psnr(rendered, es_frame.values), ssim3d(rendered, es_frame.values),
                         float(np.mean(hds)), jac_dev, fold_fraction)
 
 
@@ -415,8 +416,9 @@ def test_metric_report_round_trip():
     assert json.loads(finite.to_json()) == asdict(finite)
 
 
-def test_dense_field_on_grid_zero_for_identity_net():
+def test_dense_displacement_on_the_voxel_grid_is_zero_for_identity_net():
     mask, ref = labeled_cube_scene()
     _, nodes, net = identity_state(mask, ref)
-    field = dense_field_on_grid(nodes, net, 0.7, ref, QUERY["k"])
-    assert np.all(field.vectors == 0.0)
+    u = dense_displacement(voxel_centers_normalized(ref.dims).reshape(-1, 3), nodes, net, 0.7,
+                           QUERY["k"])
+    assert u.shape == (np.prod(ref.dims), 3) and np.all(u == 0.0)

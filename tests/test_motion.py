@@ -556,15 +556,19 @@ def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
 def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatch):
     # zero radii make every kernel exponent d^2 / 0: division by zero, then
     # -inf - (-inf) in the softmax shift; the caller's own slice fails too, so
-    # the workers' error state is shown by the _run_tasks tests below
+    # the workers' error state is shown by the _run_tasks tests below.  With
+    # the errors ignored, the NaN field is refused, for any number of CPUs
     q, nodes, net = field_scene(2 * C)
     nodes.log_radii[:] = -1e30
-    monkeypatch.setattr(motion, "_pool_size", lambda: 2)
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        dense_displacement(q, nodes, net, 0.3, 4)
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.all(np.isnan(dense_displacement(q, nodes, net, 0.3, 4)))
+    for pool in (1, 2, 3):
+        monkeypatch.setattr(motion, "_pool_size", lambda: pool)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            dense_displacement(q, nodes, net, 0.3, 4)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="^displacement field contains non-finite entries$"):
+                dense_displacement(q, nodes, net, 0.3, 4)
 
 
 @pytest.mark.parametrize("pool", [1, 2, 3])

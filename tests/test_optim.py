@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -187,6 +188,10 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     lambda: FitSchedule(total_iters=4.5, canonical_only_until=1, node_unfreeze_at=2),
     lambda: NetworkConfig(l_space=2.0),
     lambda: DensifyConfig(grad_threshold="2e-4"),
+    # densify thresholds out of range: each used to be built
+    lambda: DensifyConfig(grad_threshold=-1.0),
+    lambda: DensifyConfig(grad_threshold=0.0),
+    lambda: DensifyConfig(intensity_floor=-1e-3),
 ])
 def test_out_of_range_settings_are_refused_without_json(make):
     with pytest.raises(ValidationError, match="must be"):
@@ -195,6 +200,12 @@ def test_out_of_range_settings_are_refused_without_json(make):
 
 def test_a_constant_group_may_have_rate_zero():
     assert learning_rates({"network": 0.0})["network"] == 0.0
+
+
+def test_densify_thresholds_in_use_build():
+    # the defaults, the densifying benchmark's threshold and a no-growth pair
+    for kw in ({}, {"grad_threshold": 8e-4}, {"grad_threshold": 1e9, "intensity_floor": 0.0}):
+        DensifyConfig(**kw)
 
 
 # --- fit smoke run -----------------------------------------------------------------
@@ -318,22 +329,37 @@ def test_fit_validates_geometry_and_budgets():
 
 
 _SIZE = st.integers(-1, 3)
+# the densify thresholds' whole ranges: tiny thresholds grow every live
+# Gaussian at each event, large floors prune every one
+_GRAD_THRESHOLD = st.floats(0.0, sys.float_info.max, exclude_min=True)
+_INTENSITY_FLOOR = st.floats(0.0, sys.float_info.max)
 
 
 @settings(max_examples=60, deadline=None)
 @given(network=st.fixed_dictionaries({"l_space": _SIZE, "l_time": _SIZE,
                                       "hidden_width": _SIZE, "hidden_depth": _SIZE}),
        n_init=st.integers(0, 40), node_budget=st.integers(0, 40),
-       k_neighbors=st.integers(-1, 8), total=st.integers(4, 6))
+       k_neighbors=st.integers(-1, 8), total=st.integers(4, 6),
+       densify=st.fixed_dictionaries({"grad_threshold": _GRAD_THRESHOLD,
+                                      "intensity_floor": _INTENSITY_FLOOR}))
 @example(network={"l_space": 1, "l_time": 1, "hidden_width": 2, "hidden_depth": 1},
-         n_init=40, node_budget=8, k_neighbors=8, total=5)
+         n_init=40, node_budget=8, k_neighbors=8, total=5,
+         densify={"grad_threshold": 2e-4, "intensity_floor": 1e-3})
+@example(network={"l_space": 1, "l_time": 1, "hidden_width": 2, "hidden_depth": 1},
+         n_init=40, node_budget=8, k_neighbors=4, total=6,
+         densify={"grad_threshold": 5e-324, "intensity_floor": 0.0})
+@example(network={"l_space": 1, "l_time": 1, "hidden_width": 2, "hidden_depth": 1},
+         n_init=40, node_budget=8, k_neighbors=4, total=4,
+         densify={"grad_threshold": 2e-4, "intensity_floor": 1e300})
 def test_a_config_that_builds_runs_fit_to_the_end(network, n_init, node_budget,
-                                                  k_neighbors, total):
+                                                  k_neighbors, total, densify):
     # every setting is checked when the config is built, so fit refuses none
+    # but the floor that depends on the frames' intensities
     try:
         cfg = FitConfig(schedule=FitSchedule(total_iters=total, canonical_only_until=1,
                                              node_unfreeze_at=2, densify_interval=2,
                                              densify_start=2),
+                        densify=DensifyConfig(**densify),
                         network=NetworkConfig(**network), n_init=n_init,
                         node_budget=node_budget, k_neighbors=k_neighbors)
     except ValidationError:
@@ -343,6 +369,9 @@ def test_a_config_that_builds_runs_fit_to_the_end(network, n_init, node_budget,
     try:
         result = fit(seq, mask, cfg)
     except NumericalAbort:
+        return
+    except ValidationError as e:
+        assert str(e) == "densify/prune would remove every Gaussian"
         return
     assert len(result.report.losses) == total
 
