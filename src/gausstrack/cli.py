@@ -139,9 +139,6 @@ def cmd_eval(args):
     truth = volgrid.load_volume(args.truth)
     if not isinstance(truth, volgrid.LabelVolume):
         raise ValidationError(f"{args.truth}: truth mask must be a u8 label volume")
-    if truth.dims != sequence.dims:
-        raise ValidationError(
-            f"truth dims {truth.dims} do not match sequence dims {sequence.dims}")
     report = metrics.evaluate_run(
         g, nodes, net, sequence, truth, k=config.k_neighbors,
         cutoff_multiplier=config.cutoff_multiplier,

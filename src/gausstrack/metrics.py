@@ -183,9 +183,12 @@ def _boundary_points_mm(labelvol, class_id):
 
 def hausdorff(pred, truth, class_id):
     """Symmetric Hausdorff distance (exact maximum) between class boundaries,
-    in mm.  Boundary voxels are face-connected surface voxels."""
+    in mm.  Boundary voxels are face-connected surface voxels.  A class neither
+    map holds scores 0.0, as dice scores it 1.0; one map alone raises."""
     if pred.dims != truth.dims:
         raise ValidationError("hausdorff needs matching grids")
+    if not ((pred.labels == class_id).any() or (truth.labels == class_id).any()):
+        return 0.0
     a = _boundary_points_mm(pred, class_id)
     b = _boundary_points_mm(truth, class_id)
     d_ab = cKDTree(b).query(a)[0].max()
@@ -234,7 +237,7 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
     dense displacement field at ES for the Jacobian diagnostics.
     """
     if truth_es.dims != sequence.dims:
-        raise ValidationError("truth mask geometry differs from the sequence")
+        raise ValidationError(f"truth dims {truth_es.dims} != sequence dims {sequence.dims}")
     t_es = float(sequence.times[sequence.es_index])
     es_frame = sequence.frames[sequence.es_index]
 

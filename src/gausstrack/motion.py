@@ -8,7 +8,9 @@ Dense motion at any point is the convex combination of its k nearest
 nodes' rows, weighted by normalized RBF kernels ``exp(-d^2 / (2 o_j^2))``:
 a softmax over the neighbours of ``u_j = -d_j^2 / (2 o_j^2)``, shifted by
 the row maximum, so every row sums to 1 and its largest kernel weighs most
-even where every kernel underflows.
+even where every kernel underflows.  Each layer's adjoint sits beside its
+forward: ``motion_backward``, the blend's, ends at the (M, 6) node-transform
+gradient, and ``node_transforms_backward`` takes that gradient to the MLP.
 
 Two gradient rules from the model definition are honored throughout:
 
@@ -111,7 +113,7 @@ class DeformNet:
 
 def node_transforms(net, positions, t):
     """Per-node transforms at time ``t`` as one (M, 6) array (translation,
-    then scale = exp(raw)), and the activations ``_mlp_backward`` reads.  The
+    then scale = exp(raw)), and the activations its adjoint reads.  The
     encoded positions and time are constants: the stop-gradient boundary."""
     m = positions.shape[0]
     t_enc = positional_encoding(np.float64(t), net.l_time)
@@ -126,11 +128,13 @@ def node_transforms(net, positions, t):
     return t6, acts
 
 
-def _mlp_backward(net, acts, g_out):
-    """Gradients of all weights/biases from d(loss)/d(output).  Input
-    gradients are intentionally not produced (stop-gradient)."""
+def node_transforms_backward(net, acts, t6, g_t6):
+    """Adjoint of node_transforms: the weight and bias gradients from
+    d(loss)/d(t6), through scale = exp(raw) (in a copy of ``g_t6``) and the
+    MLP.  Input gradients are intentionally not produced (stop-gradient)."""
     g_w, g_b = [None] * len(net.weights), [None] * len(net.biases)
-    g = g_out
+    g = g_t6.copy()
+    g[:, 3:] *= t6[:, 3:]
     for i in range(len(net.weights) - 1, -1, -1):
         g_w[i] = acts[i].T @ g
         g_b[i] = g.sum(axis=0)
@@ -156,7 +160,7 @@ def _knn_tree(queries, node_positions, k):
 
 
 def _knn_rows(tree, pos, q, k):
-    """knn_indices of the rows of q, one slice of rows."""
+    """knn_indices of the rows of q."""
     m = pos.shape[0]
     c = min(k + 1, m)
     dist, cand = (a.reshape(q.shape[0], c) for a in tree.query(q, k=c))
@@ -185,7 +189,7 @@ def _knn_rows(tree, pos, q, k):
 def knn_indices(queries, node_positions, k):
     """Exact k nearest nodes per query, ties broken by lower node index.
 
-    4096 rows at a time in the calling thread.  A row whose first k + 1
+    All rows in one call on the calling thread.  A row whose first k + 1
     KD-tree distances each rise by a 1e-9 relative margin keeps the tree's
     first k: its set and order are those of the exact distances, which the
     tree's match to about 1e-16.  Only the other rows (ties, near ties,
@@ -196,11 +200,7 @@ def knn_indices(queries, node_positions, k):
     candidates, up to all nodes.
     """
     queries, pos, tree = _knn_tree(queries, node_positions, k)
-    out = np.empty((queries.shape[0], k), dtype=np.int64)
-    for start in range(0, queries.shape[0], _KNN_CHUNK):
-        rows = slice(start, start + _KNN_CHUNK)
-        out[rows] = _knn_rows(tree, pos, queries[rows], k)
-    return out
+    return _knn_rows(tree, pos, queries, k)
 
 
 def _blend(queries, node_positions, log_radii, idx):
@@ -319,12 +319,12 @@ def dense_displacement(queries, nodes, net, t, k):
 
 
 # ---------------------------------------------------------------------------
-# Fused forward/backward used by the fitting loop
+# Blend forward and adjoint used by the fitting loop
 # ---------------------------------------------------------------------------
 
 @dataclass
 class MotionCache:
-    """What motion_backward reads of an apply_motion call."""
+    """What motion_backward and node_transforms_backward read of an apply_motion call."""
 
     acts: list
     t6: np.ndarray
@@ -338,8 +338,7 @@ class MotionCache:
 
 @dataclass
 class MotionGradients:
-    weight_grads: list
-    bias_grads: list
+    node_transforms: np.ndarray
     node_positions: np.ndarray
     node_log_radii: np.ndarray
     canonical: RenderGradients
@@ -366,9 +365,9 @@ def _scatter_rows(idx, vals, m):
                      for c in range(vals.shape[1])], axis=1)
 
 
-def motion_backward(cache, nodes, net, render_grads):
-    """Chain rule from gradients on the deformed Gaussians back to the
-    network parameters, node positions/radii and canonical parameters.
+def motion_backward(cache, nodes, render_grads):
+    """Adjoint of the blend: render gradients to the node positions/radii, the
+    canonical set and the (M, 6) d(loss)/d(t6), where it ends.
 
     Node positions receive gradients only through the blend-weight
     distances (the encoding input is stop-gradient); neighbor sets are
@@ -389,12 +388,8 @@ def motion_backward(cache, nodes, net, render_grads):
     g_diff = 2.0 * g_d2[:, :, None] * cache.diff
     g_node_pos = _scatter_rows(idx, -g_diff, m)
     g_log_radii = _scatter_rows(idx, g_u * cache.d2 / cache.o ** 2, m)[:, 0]
-    # through scale = exp(raw) into the head, in a copy of the scatter result
-    g_raw = g_t6.copy()
-    g_raw[:, 3:] *= cache.t6[:, 3:]
-    g_weights, g_biases = _mlp_backward(net, cache.acts, g_raw)
     canonical = replace(render_grads, centers=render_grads.centers + g_diff.sum(axis=1))
-    return MotionGradients(g_weights, g_biases, g_node_pos, g_log_radii, canonical)
+    return MotionGradients(g_t6, g_node_pos, g_log_radii, canonical)
 
 
 # ---------------------------------------------------------------------------

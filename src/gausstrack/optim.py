@@ -294,7 +294,9 @@ def fit(sequence, mask, config, inspect_hook=None):
             loss, lgrad = l1_loss(rendered, frames[fi])
             canonical = rg = gauss.render_backward(deformed, dims, lgrad, rcache)
             if stage2:
-                mg = motion_mod.motion_backward(cache, nodes, net, rg)
+                mg = motion_mod.motion_backward(cache, nodes, rg)
+                g_w, g_b = motion_mod.node_transforms_backward(net, cache.acts, cache.t6,
+                                                               mg.node_transforms)
                 canonical = mg.canonical
             if not np.isfinite(loss):
                 raise NumericalAbort("non-finite loss")
@@ -313,9 +315,8 @@ def fit(sequence, mask, config, inspect_hook=None):
                                    "log_scales": (g.log_scales, canonical.log_scales)})
             if stage2:
                 net_updates = {}
-                for li, (wg, bg) in enumerate(zip(mg.weight_grads, mg.bias_grads)):
-                    net_updates[f"w{li}"] = (net.weights[li], wg)
-                    net_updates[f"b{li}"] = (net.biases[li], bg)
+                for li, (w, wg, b, bg) in enumerate(zip(net.weights, g_w, net.biases, g_b)):
+                    net_updates.update({f"w{li}": (w, wg), f"b{li}": (b, bg)})
                 opts["network"].step(lr_at(it, "network", lrs["network"], sched), net_updates)
                 if it == sched.node_unfreeze_at:
                     events.append([it, "nodes_unfrozen", "control points now learnable"])

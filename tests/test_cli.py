@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,24 @@ def test_eval_creates_the_missing_parent_of_its_output(tmp_path):
                "--truth", str(ph / "ed_labels.vjson"), "--out", str(out)])
     assert rc == 0
     assert "dice_avg" in json.loads(out.read_text())
+
+
+def test_eval_scores_the_phantom_without_an_rv(tmp_path):
+    # rv_thickness_mm <= 0 leaves no RV voxel in the truth or the warped
+    # labels: Dice scores the RV 1.0 and Hausdorff 0.0, and eval exits 0
+    spec = tmp_path / "no_rv.json"
+    replace(PhantomSpec.load(tiny_phantom_spec(tmp_path)), rv_thickness_mm=-10.0).save(spec)
+    assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "ph")]) == 0
+    truth = str(tmp_path / "ph" / "ed_labels.vjson")
+    assert not np.any(volgrid.load_volume(truth).labels == volgrid.LABEL_RV)
+    assert main(["fit", "--sequence", str(tmp_path / "ph" / "sequence"), "--mask", truth,
+                 "--config", str(tiny_fit_config(tmp_path)), "--out", str(tmp_path / "fit")]) == 0
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--fitted", str(tmp_path / "fit"), "--sequence",
+               str(tmp_path / "ph" / "sequence"), "--truth", truth, "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["dice_rv"] == 1.0 and np.isfinite(report["hd_mm"])
 
 
 def test_eval_mismatched_mask_dims(tmp_path):

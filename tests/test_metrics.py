@@ -270,6 +270,14 @@ def test_hausdorff_matches_bruteforce_and_symmetric():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_hausdorff_of_a_class_neither_map_holds_is_zero():
+    # as dice scores it 1.0; the class on one side only still raises below
+    mask, _ = labeled_cube_scene()
+    empty = LabelVolume(mask.dims, mask.spacing, np.zeros(mask.dims, dtype=np.uint8))
+    assert hausdorff(empty, empty, 1) == 0.0
+    assert hausdorff(mask, mask, 7) == 0.0 and dice(mask, mask, 7) == 1.0
+
+
 def test_hausdorff_empty_structure_rejected():
     mask, _ = labeled_cube_scene()
     empty = LabelVolume(mask.dims, mask.spacing, np.zeros(mask.dims, dtype=np.uint8))

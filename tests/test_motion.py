@@ -26,6 +26,7 @@ from gausstrack.motion import (
     load_nodes,
     motion_backward,
     node_transforms,
+    node_transforms_backward,
     positional_encoding,
     save_network,
     save_nodes,
@@ -263,9 +264,10 @@ def test_blend_weight_underflow_keeps_the_largest_kernel():
     assert np.array_equal(deformed.centers, g.centers + t6[:1, :3])
     rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS),
                          render_with_cache(deformed, DIMS, np.inf)[1])
-    mg = motion_backward(cache, nodes, net, rg)
-    for a in mg.weight_grads + mg.bias_grads + [mg.node_positions, mg.node_log_radii,
-                                                mg.canonical.centers]:
+    mg = motion_backward(cache, nodes, rg)
+    g_w, g_b = node_transforms_backward(net, cache.acts, cache.t6, mg.node_transforms)
+    for a in g_w + g_b + [mg.node_transforms, mg.node_positions, mg.node_log_radii,
+                          mg.canonical.centers]:
         assert np.all(np.isfinite(a))
     assert np.all(mg.node_log_radii == 0) and np.all(mg.node_positions == 0)
 
@@ -688,9 +690,12 @@ def pipeline_loss(g, nodes, net, t, idx, upstream, encoded=None):
 
 
 def analytic_motion_grads(g, nodes, net, t, idx, upstream):
+    """The blend adjoint's gradients, then the network's (weights, biases)
+    from its node-transform gradient, as fit chains them."""
     deformed, cache = apply_motion(g, nodes, net, t, idx)
     rg = render_backward(deformed, DIMS, upstream, render_with_cache(deformed, DIMS, np.inf)[1])
-    return motion_backward(cache, nodes, net, rg)
+    mg = motion_backward(cache, nodes, rg)
+    return mg, node_transforms_backward(net, cache.acts, cache.t6, mg.node_transforms)
 
 
 def rel_err(a, b):
@@ -700,8 +705,8 @@ def rel_err(a, b):
 def test_motion_backward_zero_upstream():
     g, nodes, net, k = tiny_scene(seed=4)
     idx = knn_indices(g.centers, nodes.positions, k)
-    mg = analytic_motion_grads(g, nodes, net, 0.5, idx, np.zeros(DIMS))
-    assert all(np.all(w == 0) for w in mg.weight_grads)
+    mg, (g_w, _) = analytic_motion_grads(g, nodes, net, 0.5, idx, np.zeros(DIMS))
+    assert all(np.all(w == 0) for w in g_w)
     assert np.all(mg.node_positions == 0) and np.all(mg.node_log_radii == 0)
     assert np.all(mg.canonical.centers == 0)
 
@@ -711,7 +716,7 @@ def test_network_gradients_match_fd():
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(2).normal(size=DIMS)
     t = 0.35
-    mg = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    _, (g_w, g_b) = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     h = 1e-4
     for layer in range(len(net.weights)):
         fd = np.zeros_like(net.weights[layer])
@@ -725,7 +730,7 @@ def test_network_gradients_match_fd():
             lm = pipeline_loss(g, nodes, net, t, idx, upstream)
             net.weights[layer][i] = orig
             fd[i] = (lp - lm) / (2 * h)
-        assert rel_err(mg.weight_grads[layer], fd) < 1e-4, f"layer {layer}"
+        assert rel_err(g_w[layer], fd) < 1e-4, f"layer {layer}"
         fdb = np.zeros_like(net.biases[layer])
         for j in range(fdb.size):
             orig = net.biases[layer][j]
@@ -735,7 +740,36 @@ def test_network_gradients_match_fd():
             lm = pipeline_loss(g, nodes, net, t, idx, upstream)
             net.biases[layer][j] = orig
             fdb[j] = (lp - lm) / (2 * h)
-        assert rel_err(mg.bias_grads[layer], fdb) < 1e-4, f"bias {layer}"
+        assert rel_err(g_b[layer], fdb) < 1e-4, f"bias {layer}"
+
+
+def test_node_transform_gradients_match_fd():
+    # the blend adjoint ends at d(loss)/d(t6), before the network backward:
+    # the gradient that node-level terms and per-node solves read
+    g, nodes, net, k = tiny_scene(seed=29, n=12)
+    idx = knn_indices(g.centers, nodes.positions, k)
+    upstream = np.random.default_rng(8).normal(size=DIMS)
+    t = 0.6
+    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    t6, _ = node_transforms(net, nodes.positions, t)
+    w = blend_weights(g.centers, nodes.positions, nodes.log_radii, idx)
+
+    def loss(t6):
+        deformed = deform_gaussians(g, *blend_transforms(w, idx, t6))
+        return float(np.sum(upstream * render_values(deformed, DIMS, np.inf)))
+
+    h = 1e-4
+    fd = np.zeros_like(t6)
+    for i in np.ndindex(t6.shape):
+        orig = t6[i]
+        t6[i] = orig + h
+        lp = loss(t6)
+        t6[i] = orig - h
+        lm = loss(t6)
+        t6[i] = orig
+        fd[i] = (lp - lm) / (2 * h)
+    assert mg.node_transforms.shape == (nodes.count, 6) and np.all(fd != 0)
+    assert rel_err(mg.node_transforms, fd) < 1e-4
 
 
 def test_node_position_gradients_match_fd_with_frozen_encodings():
@@ -744,7 +778,7 @@ def test_node_position_gradients_match_fd_with_frozen_encodings():
     upstream = np.random.default_rng(3).normal(size=DIMS)
     t = 0.7
     frozen = nodes.positions.copy()
-    mg = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     h = 1e-4
     fd = np.zeros_like(nodes.positions)
     it = np.nditer(fd, flags=["multi_index"])
@@ -767,7 +801,7 @@ def test_stop_gradient_excludes_encoding_path():
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(3).normal(size=DIMS)
     t = 0.7
-    mg = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     h = 1e-4
     fd_full = np.zeros_like(nodes.positions)
     it = np.nditer(fd_full, flags=["multi_index"])
@@ -788,7 +822,7 @@ def test_node_radius_gradients_match_fd():
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(5).normal(size=DIMS)
     t = 0.25
-    mg = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     h = 1e-4
     fd = np.zeros_like(nodes.log_radii)
     for j in range(fd.size):
@@ -807,7 +841,7 @@ def test_canonical_gaussian_gradients_through_motion_match_fd():
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(6).normal(size=DIMS)
     t = 0.45
-    mg = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     # h below the acceptance default: the RBF weights are curved enough that
     # 1e-4 steps leave ~2e-4 truncation residue (verified to shrink as h^2)
     h = 1e-5
@@ -844,9 +878,9 @@ def test_motion_scatters_equal_add_at_with_repeated_neighbours(monkeypatch):
         scatters.append((idx, vals, m, out))
         return out.reshape(m, -1)
 
-    got = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
+    got, got_net = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
     monkeypatch.setattr(motion, "_scatter_rows", add_at)
-    ref = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
+    ref, ref_net = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
     # node transforms (6 columns), positions (3) and radii (1)
     assert [v.shape[2:] for _, v, _, _ in scatters] == [(6,), (3,), ()]
     monkeypatch.undo()
@@ -854,7 +888,7 @@ def test_motion_scatters_equal_add_at_with_repeated_neighbours(monkeypatch):
         assert np.array_equal(motion._scatter_rows(i, v, m), out.reshape(m, -1))
     assert np.array_equal(got.node_positions, ref.node_positions)
     assert np.array_equal(got.node_log_radii, ref.node_log_radii)
-    for a, b in zip(got.weight_grads + got.bias_grads, ref.weight_grads + ref.bias_grads):
+    for a, b in zip(got_net[0] + got_net[1], ref_net[0] + ref_net[1]):
         assert np.array_equal(a, b)
 
 
@@ -874,13 +908,16 @@ def test_motion_backward_leaves_its_cache_and_inputs_as_they_were():
                                       nodes.positions, nodes.log_radii, *net.weights)]
 
     def grads(mg):
-        return [a.tobytes() for a in (*mg.weight_grads, *mg.bias_grads, mg.node_positions,
+        g_t6 = mg.node_transforms.tobytes()
+        g_w, g_b = node_transforms_backward(net, cache.acts, cache.t6, mg.node_transforms)
+        assert mg.node_transforms.tobytes() == g_t6
+        return [a.tobytes() for a in (*g_w, *g_b, mg.node_transforms, mg.node_positions,
                                       mg.node_log_radii, mg.canonical.centers)]
 
     before = read()
-    first = grads(motion_backward(cache, nodes, net, rg))
+    first = grads(motion_backward(cache, nodes, rg))
     assert read() == before
-    assert grads(motion_backward(cache, nodes, net, rg)) == first
+    assert grads(motion_backward(cache, nodes, rg)) == first
     assert read() == before
 
 

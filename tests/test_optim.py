@@ -335,35 +335,39 @@ _GRAD_THRESHOLD = st.floats(0.0, sys.float_info.max, exclude_min=True)
 _INTENSITY_FLOOR = st.floats(0.0, sys.float_info.max)
 
 
+_DENSIFY = st.fixed_dictionaries({"grad_threshold": _GRAD_THRESHOLD,
+                                  "intensity_floor": _INTENSITY_FLOOR})
+_SCHEDULE = dict(canonical_only_until=1, node_unfreeze_at=2, densify_interval=2,
+                 densify_start=2)
+
+
+@st.composite
+def _ordered_sizes(draw):
+    """(n_init, node_budget, k_neighbors) with 1 <= k <= budget <= n_init <= 40."""
+    n_init = draw(st.integers(1, 40))
+    node_budget = draw(st.integers(1, n_init))
+    return n_init, node_budget, draw(st.integers(1, node_budget))
+
+
 @settings(max_examples=60, deadline=None)
-@given(network=st.fixed_dictionaries({"l_space": _SIZE, "l_time": _SIZE,
-                                      "hidden_width": _SIZE, "hidden_depth": _SIZE}),
-       n_init=st.integers(0, 40), node_budget=st.integers(0, 40),
-       k_neighbors=st.integers(-1, 8), total=st.integers(4, 6),
-       densify=st.fixed_dictionaries({"grad_threshold": _GRAD_THRESHOLD,
-                                      "intensity_floor": _INTENSITY_FLOOR}))
+@given(network=st.fixed_dictionaries({"l_space": st.integers(1, 3), "l_time": st.integers(1, 3),
+                                      "hidden_width": st.integers(1, 3),
+                                      "hidden_depth": st.integers(1, 3)}),
+       sizes=_ordered_sizes(), total=st.integers(4, 6), densify=_DENSIFY)
 @example(network={"l_space": 1, "l_time": 1, "hidden_width": 2, "hidden_depth": 1},
-         n_init=40, node_budget=8, k_neighbors=8, total=5,
-         densify={"grad_threshold": 2e-4, "intensity_floor": 1e-3})
+         sizes=(40, 8, 8), total=5, densify={"grad_threshold": 2e-4, "intensity_floor": 1e-3})
 @example(network={"l_space": 1, "l_time": 1, "hidden_width": 2, "hidden_depth": 1},
-         n_init=40, node_budget=8, k_neighbors=4, total=6,
-         densify={"grad_threshold": 5e-324, "intensity_floor": 0.0})
+         sizes=(40, 8, 4), total=6, densify={"grad_threshold": 5e-324, "intensity_floor": 0.0})
 @example(network={"l_space": 1, "l_time": 1, "hidden_width": 2, "hidden_depth": 1},
-         n_init=40, node_budget=8, k_neighbors=4, total=4,
-         densify={"grad_threshold": 2e-4, "intensity_floor": 1e300})
-def test_a_config_that_builds_runs_fit_to_the_end(network, n_init, node_budget,
-                                                  k_neighbors, total, densify):
+         sizes=(40, 8, 4), total=4, densify={"grad_threshold": 2e-4, "intensity_floor": 1e300})
+def test_a_config_that_builds_runs_fit_to_the_end(network, sizes, total, densify):
     # every setting is checked when the config is built, so fit refuses none
-    # but the floor that depends on the frames' intensities
-    try:
-        cfg = FitConfig(schedule=FitSchedule(total_iters=total, canonical_only_until=1,
-                                             node_unfreeze_at=2, densify_interval=2,
-                                             densify_start=2),
-                        densify=DensifyConfig(**densify),
-                        network=NetworkConfig(**network), n_init=n_init,
-                        node_budget=node_budget, k_neighbors=k_neighbors)
-    except ValidationError:
-        return
+    # but the floor that depends on the frames' intensities; every drawn
+    # config builds, so every example runs fit
+    n_init, node_budget, k_neighbors = sizes
+    cfg = FitConfig(schedule=FitSchedule(total_iters=total, **_SCHEDULE),
+                    densify=DensifyConfig(**densify), network=NetworkConfig(**network),
+                    n_init=n_init, node_budget=node_budget, k_neighbors=k_neighbors)
     seq, mask = toy_problem(dims=(10, 10, 10))
     assert np.count_nonzero(mask.labels) >= 40
     try:
@@ -374,6 +378,30 @@ def test_a_config_that_builds_runs_fit_to_the_end(network, n_init, node_budget,
         assert str(e) == "densify/prune would remove every Gaussian"
         return
     assert len(result.report.losses) == total
+
+
+def _in_documented_ranges(network, n_init, node_budget, k_neighbors, densify):
+    """Every network size >= 1, 1 <= k_neighbors <= node_budget <= n_init,
+    grad_threshold > 0 and intensity_floor >= 0."""
+    return (min(network.values()) >= 1 and 1 <= k_neighbors <= node_budget <= n_init
+            and densify["grad_threshold"] > 0 and densify["intensity_floor"] >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(network=st.fixed_dictionaries({"l_space": _SIZE, "l_time": _SIZE,
+                                      "hidden_width": _SIZE, "hidden_depth": _SIZE}),
+       n_init=st.integers(0, 40), node_budget=st.integers(0, 40),
+       k_neighbors=st.integers(-1, 8), total=st.integers(4, 6), densify=_DENSIFY)
+def test_a_config_builds_exactly_when_its_settings_are_in_range(network, n_init, node_budget,
+                                                                 k_neighbors, total, densify):
+    try:
+        FitConfig(schedule=FitSchedule(total_iters=total, **_SCHEDULE),
+                  densify=DensifyConfig(**densify), network=NetworkConfig(**network),
+                  n_init=n_init, node_budget=node_budget, k_neighbors=k_neighbors)
+        built = True
+    except ValidationError:
+        built = False
+    assert built == _in_documented_ranges(network, n_init, node_budget, k_neighbors, densify)
 
 
 def test_fit_report_round_trip():
