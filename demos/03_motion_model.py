@@ -5,13 +5,16 @@ Run:  python3 demos/03_motion_model.py
 
 import numpy as np
 
+from gausstrack.gauss import GaussianSet
 from gausstrack.motion import (
     ControlNodeSet,
     DeformNet,
+    apply_motion,
     blend_transforms,
     blend_weights,
     dense_displacement,
     knn_indices,
+    motion_forward,
     node_transforms,
     positional_encoding,
 )
@@ -51,3 +54,17 @@ print("blended translation:", delta[0].round(4), " scale factor:", alpha[0].roun
 u = dense_displacement(queries, nodes, net, t=0.5, k=4)
 print("dense displacement matches:", np.allclose(u, delta))
 assert np.array_equal(u, delta)
+
+# A Gaussian set moves in two layers, the way fit chains them: the network
+# gives the (M, 6) node transforms, then the blend's forward deforms the set
+# by them.  apply_motion is the same composition in one call.
+g = GaussianSet(rng.random((8, 3)), np.tile([1.0, 0, 0, 0], (8, 1)),
+                np.log(np.full((8, 3), 0.05)), rng.uniform(0.3, 1.0, 8))
+idx = knn_indices(g.centers, nodes.positions, k=4)
+t6, _ = node_transforms(net, nodes.positions, t=0.5)
+deformed, _ = motion_forward(g, nodes, t6, idx)
+print("first center moved by:", (deformed.centers[0] - g.centers[0]).round(4))
+composed, _ = apply_motion(g, nodes, net, 0.5, idx)
+print("apply_motion matches:", np.array_equal(composed.centers, deformed.centers))
+for name in ("centers", "rotations", "log_scales", "intensities"):
+    assert getattr(composed, name).tobytes() == getattr(deformed, name).tobytes()

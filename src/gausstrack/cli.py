@@ -118,8 +118,8 @@ def _load_fitted(fitted_dir):
     volgrid._check_keys(manifest_path, manifest, {
         "kind": ["gausstrack-fit"], "artifacts": "object", "grid": "object"})
     artifacts, grid = manifest["artifacts"], manifest["grid"]
-    volgrid._check_keys(manifest_path, artifacts, {
-        "gaussians": "str", "nodes": "str", "network": "str", "config": "str"})
+    volgrid._check_keys(manifest_path, artifacts, dict.fromkeys(
+        ["gaussians", "nodes", "network", "config"], "path inside the directory"))
     dims, spacing = volgrid._check_geometry(grid.get("dims"), grid.get("spacing"))
     config = optim.FitConfig.load(fitted / artifacts["config"])
     g = gauss.load_gaussians(fitted / artifacts["gaussians"])

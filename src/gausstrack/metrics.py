@@ -231,19 +231,22 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
                  occupancy_floor):
     """Score a fitted state at the ES frame.
 
-    Deforms the Gaussians to ES once: their label map gives per-structure
-    Dice and the mean Hausdorff distance, their render PSNR/SSIM against
-    the ES frame, all on the calling thread while the other CPUs fill the
-    dense displacement field at ES for the Jacobian diagnostics.
+    Deforms the Gaussians to ES once, by the node transforms the dense field
+    reads: their label map gives per-structure Dice and the mean Hausdorff
+    distance, their render PSNR/SSIM against the ES frame, all on the calling
+    thread while the other CPUs fill the field for the Jacobian diagnostics.
     """
     if truth_es.dims != sequence.dims:
         raise ValidationError(f"truth dims {truth_es.dims} != sequence dims {sequence.dims}")
     t_es = float(sequence.times[sequence.es_index])
     es_frame = sequence.frames[sequence.es_index]
 
+    t6, u, field_tasks = motion_mod._field_tasks(
+        voxel_centers_normalized(es_frame.dims).reshape(-1, 3), nodes, net, t_es, k)
+
     def deformed_scores():
         idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
-        deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t_es, idx)
+        deformed, _ = motion_mod.motion_forward(gaussians, nodes, t6, idx)
         warped = _rasterize_labels(deformed, sequence.frames[0], cutoff_multiplier, occupancy_floor)
         d_rv, d_myo, d_lv = (dice(warped, truth_es, lab) for lab in _STRUCTURES)
         rendered = gauss_mod.render_values(deformed, sequence.dims, cutoff_multiplier)
@@ -252,8 +255,6 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
                     psnr_db=psnr(rendered, es_frame.values), ssim=ssim3d(rendered, es_frame.values),
                     hd_mm=float(np.mean([hausdorff(warped, truth_es, lab) for lab in _STRUCTURES])))
 
-    u, field_tasks = motion_mod._field_tasks(
-        voxel_centers_normalized(es_frame.dims).reshape(-1, 3), nodes, net, t_es, k)
     scores = motion_mod._run_tasks([deformed_scores, *field_tasks])[0]
     fold_fraction, jac_dev = jacobian_stats(u.reshape(tuple(es_frame.dims) + (3,)))
     return MetricReport(**scores, jac_dev=jac_dev, fold_fraction=fold_fraction)

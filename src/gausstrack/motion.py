@@ -8,9 +8,10 @@ Dense motion at any point is the convex combination of its k nearest
 nodes' rows, weighted by normalized RBF kernels ``exp(-d^2 / (2 o_j^2))``:
 a softmax over the neighbours of ``u_j = -d_j^2 / (2 o_j^2)``, shifted by
 the row maximum, so every row sums to 1 and its largest kernel weighs most
-even where every kernel underflows.  Each layer's adjoint sits beside its
-forward: ``motion_backward``, the blend's, ends at the (M, 6) node-transform
-gradient, and ``node_transforms_backward`` takes that gradient to the MLP.
+even where every kernel underflows.  Each layer's forward sits beside its
+adjoint: ``node_transforms``/``node_transforms_backward`` for the MLP and
+``motion_forward``/``motion_backward`` for the blend, which starts from and
+ends at the (M, 6) node transforms; ``apply_motion`` composes the forwards.
 
 Two gradient rules from the model definition are honored throughout:
 
@@ -287,22 +288,22 @@ def _run_tasks(tasks):
 
 
 def _field_tasks(queries, nodes, net, t, k):
-    """The dense field's output array and its 4096-row slice tasks; the input
-    checks, node transforms and allocation run here, on the calling thread;
-    a slice that fills a non-finite row raises ValidationError."""
+    """Node transforms at ``t``, the field's output and its 4096-row slice
+    tasks; the input checks, then the transforms and allocation, run here on
+    the calling thread; a non-finite row in a slice raises ValidationError."""
     queries, pos, tree = _knn_tree(queries, nodes.positions, k)
-    translations = node_transforms(net, nodes.positions, t)[0][:, :3]
+    t6 = node_transforms(net, nodes.positions, t)[0]
     out = np.empty((queries.shape[0], 3))
 
     def field_rows(rows):
         idx = _knn_rows(tree, pos, queries[rows], k)
         weights, *_ = _blend(queries[rows], pos, nodes.log_radii, idx)
-        out[rows] = np.einsum("qk,qkc->qc", weights, np.take(translations, idx, axis=0))
+        out[rows] = np.einsum("qk,qkc->qc", weights, np.take(t6[:, :3], idx, axis=0))
         if not np.all(np.isfinite(out[rows])):
             raise ValidationError("displacement field contains non-finite entries")
 
-    return out, [partial(field_rows, slice(start, start + _KNN_CHUNK))
-                 for start in range(0, queries.shape[0], _KNN_CHUNK)]
+    return t6, out, [partial(field_rows, slice(start, start + _KNN_CHUNK))
+                     for start in range(0, queries.shape[0], _KNN_CHUNK)]
 
 
 def dense_displacement(queries, nodes, net, t, k):
@@ -313,7 +314,7 @@ def dense_displacement(queries, nodes, net, t, k):
     thread count: the ``_field_tasks`` slices run through ``_run_tasks``.
     A field with a non-finite entry raises ValidationError.
     """
-    out, tasks = _field_tasks(queries, nodes, net, t, k)
+    _, out, tasks = _field_tasks(queries, nodes, net, t, k)
     _run_tasks(tasks)
     return out
 
@@ -324,9 +325,8 @@ def dense_displacement(queries, nodes, net, t, k):
 
 @dataclass
 class MotionCache:
-    """What motion_backward and node_transforms_backward read of an apply_motion call."""
+    """What motion_backward reads of a motion_forward call."""
 
-    acts: list
     t6: np.ndarray
     idx: np.ndarray
     diff: np.ndarray
@@ -344,16 +344,20 @@ class MotionGradients:
     canonical: RenderGradients
 
 
-def apply_motion(gaussians, nodes, net, t, idx):
-    """Deform the whole GaussianSet at time ``t`` using the given (frozen)
-    KNN table.  Returns the deformed set plus the cache for the backward
-    pass; shares its blending code with dense_displacement."""
-    t6, acts = node_transforms(net, nodes.positions, t)
+def motion_forward(gaussians, nodes, t6, idx):
+    """The blend's forward: deform the whole GaussianSet by the (M, 6) node
+    transforms ``t6`` through the given (frozen) KNN table; returns the
+    deformed set and the cache for motion_backward."""
     weights, diff, d2, o = _blend(gaussians.centers, nodes.positions,
                                   nodes.log_radii, idx)
     delta, alpha = blend_transforms(weights, idx, t6)
     return (deform_gaussians(gaussians, delta, alpha),
-            MotionCache(acts, t6, idx, diff, d2, o, weights, alpha))
+            MotionCache(t6, idx, diff, d2, o, weights, alpha))
+
+
+def apply_motion(gaussians, nodes, net, t, idx):
+    """The whole motion model at ``t``: node_transforms, then motion_forward."""
+    return motion_forward(gaussians, nodes, node_transforms(net, nodes.positions, t)[0], idx)
 
 
 def _scatter_rows(idx, vals, m):

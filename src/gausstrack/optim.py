@@ -23,7 +23,7 @@ from .errors import NumericalAbort, ValidationError
 from . import gauss
 from .gauss import DensifyConfig, GaussianSet, densify_and_prune
 from . import motion as motion_mod
-from .motion import DeformNet, apply_motion, init_control_nodes, knn_indices
+from .motion import DeformNet, init_control_nodes, knn_indices, motion_forward, node_transforms
 from .volgrid import _check_kinds, _from_dict, _read_json, _write_json
 
 
@@ -287,7 +287,8 @@ def fit(sequence, mask, config, inspect_hook=None):
                 events.append([it, "stage2_start", "joint optimization begins"])
             if stage2:
                 fi = (it - sched.canonical_only_until) % len(frames)
-                deformed, cache = apply_motion(g, nodes, net, times[fi], knn)
+                t6, acts = node_transforms(net, nodes.positions, times[fi])
+                deformed, cache = motion_forward(g, nodes, t6, knn)
             else:
                 fi, deformed = sequence.ed_index, g
             rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier)
@@ -295,8 +296,7 @@ def fit(sequence, mask, config, inspect_hook=None):
             canonical = rg = gauss.render_backward(deformed, dims, lgrad, rcache)
             if stage2:
                 mg = motion_mod.motion_backward(cache, nodes, rg)
-                g_w, g_b = motion_mod.node_transforms_backward(net, cache.acts, cache.t6,
-                                                               mg.node_transforms)
+                g_w, g_b = motion_mod.node_transforms_backward(net, acts, t6, mg.node_transforms)
                 canonical = mg.canonical
             if not np.isfinite(loss):
                 raise NumericalAbort("non-finite loss")

@@ -164,9 +164,10 @@ def _read_json(path, what):
     return data
 
 
-# value checks by name: JSON kinds, and the dataclass field annotations of the
-# run config and the phantom spec ("dict" is a map of learning rates); a
-# "float" is a finite float or an integer within the float range
+# value checks by name: JSON kinds, names of files in a manifest's directory
+# (non-empty relative paths with no '..' part), and the dataclass field
+# annotations of the run config and the phantom spec ("dict" is a map of
+# learning rates); a "float" is a finite float or an integer within the float range
 _KINDS = {
     "int": lambda v: type(v) is int,
     "float": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
@@ -175,6 +176,10 @@ _KINDS = {
     "object": lambda v: isinstance(v, dict),
     "tuple": lambda v: isinstance(v, (list, tuple)) and all(map(_KINDS["float"], v)),
     "dict": lambda v: isinstance(v, dict) and all(map(_KINDS["float"], v.values())),
+    "path inside the directory": lambda v: isinstance(v, str) and Path(v).parts != () and not (
+        Path(v).is_absolute() or ".." in Path(v).parts),
+    "paths inside the directory": lambda v: isinstance(v, list) and all(
+        map(_KINDS["path inside the directory"], v)),
 }
 
 
@@ -267,7 +272,7 @@ def _read_container(path, suffix, required, parse):
     if path.suffix != suffix:
         path = path.with_name(path.name + suffix)
     manifest = _read_json(path, "manifest")
-    required = {**required, "payload": "str"}
+    required = {**required, "payload": "path inside the directory"}
     _check_keys(path, manifest, required)
     unknown = set(manifest) - set(required)
     if unknown:
@@ -346,10 +351,8 @@ def load_sequence(dirpath):
     if not index_path.exists():
         raise ValidationError(f"{dirpath}: no sequence.vjson found")
     index = _read_json(index_path, "sequence index")
-    _check_keys(index_path, index, {"frames": "list", "times": "tuple",
-                                    "ed_index": "int", "es_index": "int"})
-    if not all(isinstance(name, str) for name in index["frames"]):
-        raise ValidationError(f"{index_path}: frame names must be strings")
+    _check_keys(index_path, index, {"frames": "paths inside the directory",
+                                    "times": "tuple", "ed_index": "int", "es_index": "int"})
     frames = []
     for name in index["frames"]:
         vol = load_volume(dirpath / name)

@@ -407,6 +407,27 @@ def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("absolute", [False, True])
+@pytest.mark.parametrize("key,files", [
+    ("config", ["config.json"]), ("gaussians", ["gaussians.gjson", "gaussians.raw"]),
+    ("nodes", ["nodes.njson", "nodes.raw"]), ("network", ["network.wjson", "network.raw"])])
+def test_artifact_name_outside_the_fit_directory_exits_2(tmp_path, capsys, key, files,
+                                                        absolute):
+    # a whole copy of the artifact lies in a sibling directory
+    state = untrained_state_dir(tmp_path)
+    (tmp_path / "other").mkdir()
+    for name in files:
+        (tmp_path / "other" / name).write_bytes((state / name).read_bytes())
+    manifest = json.loads((state / "run_manifest.json").read_text())
+    manifest["artifacts"][key] = str(tmp_path / "other" / files[0]) if absolute \
+        else f"../other/{files[0]}"
+    (state / "run_manifest.json").write_text(json.dumps(manifest))
+    err = _one_line_failure(capsys, ["render", "--fitted", str(state), "--time", "0.5",
+                                     "--out", str(tmp_path / "out" / "q")])
+    assert f"'{key}' must be path inside the directory" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_artifact_manifest_exits_4(tmp_path, capsys):
     state = untrained_state_dir(tmp_path)
     (state / "gaussians.gjson").unlink()

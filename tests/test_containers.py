@@ -99,6 +99,25 @@ def test_damaged_container_is_a_validation_error(tmp_path, kind, what):
 
 
 @pytest.mark.parametrize("kind", FLOAT_KINDS)
+def test_payload_name_must_stay_inside_the_manifest_directory(tmp_path, kind):
+    # the payload is whole wherever it lies; only a name that leaves the
+    # manifest's directory, absolute or through '..', is refused
+    load, manifest_path, raw_path = _saved(tmp_path / "here", kind)
+    elsewhere = tmp_path / "elsewhere" / raw_path.name
+    elsewhere.parent.mkdir()
+    raw_path.rename(elsewhere)
+    for name in (str(elsewhere), f"../elsewhere/{raw_path.name}",
+                 f"sub/../../elsewhere/{raw_path.name}"):
+        _rewrite(manifest_path, payload=name)
+        with pytest.raises(ValidationError, match=f"{kind}.*'payload' must be path inside"):
+            load(manifest_path)
+    (tmp_path / "here" / "sub").mkdir()
+    elsewhere.rename(tmp_path / "here" / "sub" / raw_path.name)
+    _rewrite(manifest_path, payload=f"sub/{raw_path.name}")
+    load(manifest_path)
+
+
+@pytest.mark.parametrize("kind", FLOAT_KINDS)
 def test_dropped_or_mistyped_manifest_key_is_a_validation_error(tmp_path, kind):
     load, manifest_path, _ = _saved(tmp_path, kind)
     manifest = json.loads(manifest_path.read_text())

@@ -413,6 +413,18 @@ def test_evaluate_run_report_is_byte_equal_to_the_serial_steps(monkeypatch, pool
     assert evaluate_run(g, nodes, net, seq, mask, **QUERY).to_json() == want
 
 
+def test_evaluate_run_runs_the_network_once(monkeypatch):
+    # the dense field and the deformed set read one set of ES node transforms
+    mask, ref = labeled_cube_scene()
+    g, nodes, net = identity_state(mask, ref)
+    seq = Sequence4D([ref, ref, ref], [0.0, 0.5, 1.0], ed_index=0, es_index=1)
+    times, real = [], motion.node_transforms
+    monkeypatch.setattr(motion, "node_transforms",
+                        lambda net, positions, t: times.append(t) or real(net, positions, t))
+    evaluate_run(g, nodes, net, seq, mask, **QUERY)
+    assert times == [0.5]
+
+
 def test_metric_report_round_trip():
     r = MetricReport(0.9, 0.91, 0.88, 0.897, math.inf, 0.99, 3.2, 0.01, 0.0)
     d = json.loads(r.to_json())

@@ -25,6 +25,7 @@ from gausstrack.motion import (
     load_network,
     load_nodes,
     motion_backward,
+    motion_forward,
     node_transforms,
     node_transforms_backward,
     positional_encoding,
@@ -259,13 +260,13 @@ def test_blend_weight_underflow_keeps_the_largest_kernel():
     assert np.array_equal(w, [[1.0, 0.0, 0.0]])
     _, _, net, _ = tiny_scene(seed=2)
     g = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]], np.log([[0.1, 0.1, 0.1]]), [1.0])
+    t6, acts = node_transforms(net, nodes.positions, 0.4)
     deformed, cache = apply_motion(g, nodes, net, 0.4, idx)
-    t6, _ = node_transforms(net, nodes.positions, 0.4)
     assert np.array_equal(deformed.centers, g.centers + t6[:1, :3])
     rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS),
                          render_with_cache(deformed, DIMS, np.inf)[1])
     mg = motion_backward(cache, nodes, rg)
-    g_w, g_b = node_transforms_backward(net, cache.acts, cache.t6, mg.node_transforms)
+    g_w, g_b = node_transforms_backward(net, acts, cache.t6, mg.node_transforms)
     for a in g_w + g_b + [mg.node_transforms, mg.node_positions, mg.node_log_radii,
                           mg.canonical.centers]:
         assert np.all(np.isfinite(a))
@@ -388,6 +389,34 @@ def test_dense_displacement_agrees_with_fit_path():
     deformed, cache = apply_motion(g, nodes, net, 0.6, idx)
     u = dense_displacement(g.centers, nodes, net, 0.6, k)
     assert np.max(np.abs((deformed.centers - g.centers) - u)) < 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_motion_forward_with_identity_node_transforms_keeps_the_canonical_set(k):
+    # the network-free start: every node at translation 0 and scale factor 1.
+    # The blended scale factor is the sum of the row's weights, 1 only to
+    # rounding for k > 1, so the log-scales may move by a few ulps.
+    g, nodes, _, _ = tiny_scene(seed=29, n=40, m=8)
+    idx = knn_indices(g.centers, nodes.positions, k)
+    t6 = np.tile([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], (nodes.count, 1))
+    deformed, cache = motion_forward(g, nodes, t6, idx)
+    for name in ("centers", "rotations", "intensities"):
+        assert getattr(deformed, name).tobytes() == getattr(g, name).tobytes()
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(cache.alpha_blend - 1.0) <= k * eps)
+    assert np.all(np.abs(deformed.log_scales - g.log_scales)
+                  <= k * eps + np.spacing(np.abs(g.log_scales)))
+    if k == 1:
+        assert deformed.log_scales.tobytes() == g.log_scales.tobytes()
+
+
+def test_apply_motion_is_node_transforms_then_motion_forward():
+    g, nodes, net, k = tiny_scene(seed=31, n=12, m=5, k=3)
+    idx = knn_indices(g.centers, nodes.positions, k)
+    deformed, _ = apply_motion(g, nodes, net, 0.45, idx)
+    chained, _ = motion_forward(g, nodes, node_transforms(net, nodes.positions, 0.45)[0], idx)
+    for name in ("centers", "rotations", "log_scales", "intensities"):
+        assert getattr(deformed, name).tobytes() == getattr(chained, name).tobytes()
 
 
 def field_scene(n, seed=11):
@@ -692,10 +721,11 @@ def pipeline_loss(g, nodes, net, t, idx, upstream, encoded=None):
 def analytic_motion_grads(g, nodes, net, t, idx, upstream):
     """The blend adjoint's gradients, then the network's (weights, biases)
     from its node-transform gradient, as fit chains them."""
-    deformed, cache = apply_motion(g, nodes, net, t, idx)
+    t6, acts = node_transforms(net, nodes.positions, t)
+    deformed, cache = motion_forward(g, nodes, t6, idx)
     rg = render_backward(deformed, DIMS, upstream, render_with_cache(deformed, DIMS, np.inf)[1])
     mg = motion_backward(cache, nodes, rg)
-    return mg, node_transforms_backward(net, cache.acts, cache.t6, mg.node_transforms)
+    return mg, node_transforms_backward(net, acts, t6, mg.node_transforms)
 
 
 def rel_err(a, b):
@@ -897,19 +927,20 @@ def test_motion_backward_leaves_its_cache_and_inputs_as_they_were():
     # nothing it reads may change, so two calls on one cache agree to the byte
     g, nodes, net, k = tiny_scene(seed=23, n=12, m=5, k=3)
     idx = knn_indices(g.centers, nodes.positions, k)
-    deformed, cache = apply_motion(g, nodes, net, 0.55, idx)
+    t6, acts = node_transforms(net, nodes.positions, 0.55)
+    deformed, cache = motion_forward(g, nodes, t6, idx)
     rg = render_backward(deformed, DIMS, np.random.default_rng(7).normal(size=DIMS),
                          render_with_cache(deformed, DIMS, np.inf)[1])
 
     def read():
         return [a.tobytes() for a in (cache.t6, cache.weights, cache.alpha_blend, cache.diff,
-                                      cache.d2, cache.o, cache.idx, *cache.acts, rg.centers,
+                                      cache.d2, cache.o, cache.idx, *acts, rg.centers,
                                       rg.rotations, rg.log_scales, rg.intensities,
                                       nodes.positions, nodes.log_radii, *net.weights)]
 
     def grads(mg):
         g_t6 = mg.node_transforms.tobytes()
-        g_w, g_b = node_transforms_backward(net, cache.acts, cache.t6, mg.node_transforms)
+        g_w, g_b = node_transforms_backward(net, acts, cache.t6, mg.node_transforms)
         assert mg.node_transforms.tobytes() == g_t6
         return [a.tobytes() for a in (*g_w, *g_b, mg.node_transforms, mg.node_positions,
                                       mg.node_log_radii, mg.canonical.centers)]

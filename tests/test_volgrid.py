@@ -158,6 +158,20 @@ def test_sequence_round_trip(tmp_path):
         assert np.array_equal(a.values, b.values)
 
 
+def test_sequence_frame_name_must_stay_inside_the_sequence_directory(tmp_path):
+    seq = Sequence4D([make_volume(seed=i) for i in range(3)], [0.0, 0.4, 1.0],
+                     ed_index=0, es_index=1)
+    save_sequence(seq, tmp_path / "seq")
+    save_volume(make_volume(seed=7), tmp_path / "elsewhere" / "frame")
+    index_path = tmp_path / "seq" / "sequence.vjson"
+    index = json.loads(index_path.read_text())
+    for name in (str(tmp_path / "elsewhere" / "frame.vjson"), "../elsewhere/frame.vjson"):
+        frames = [index["frames"][0], name, index["frames"][2]]
+        index_path.write_text(json.dumps({**index, "frames": frames}))
+        with pytest.raises(ValidationError, match="'frames' must be paths inside"):
+            load_sequence(tmp_path / "seq")
+
+
 def test_sequence_times_must_increase():
     frames = [make_volume(seed=i) for i in range(2)]
     with pytest.raises(ValidationError, match="strictly increasing"):
