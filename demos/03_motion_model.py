@@ -28,11 +28,11 @@ nodes = ControlNodeSet(positions=rng.random((64, 3)),
                        log_radii=np.log(np.full(64, 0.15)))
 net = DeformNet.create(l_space=6, l_time=4, hidden_width=32, hidden_depth=3, seed=0)
 
-# One (M, 6) array per time: translation, then scale factor exp(raw).  The
-# zero-initialized head makes the motion start as the exact identity.
+# One (M, 6) array per time: translation, then per-axis log-scale offset.
+# The zero-initialized head makes every row zero: the identity.
 t6, _ = node_transforms(net, nodes.positions, t=0.5)
-print("identity at start:", np.all(t6[:, :3] == 0), np.all(t6[:, 3:] == 1))
-assert np.all(t6[:, :3] == 0) and np.all(t6[:, 3:] == 1)
+print("zero rows at start:", np.all(t6 == 0))
+assert np.all(t6 == 0)
 
 # Give the head some weights so there is motion to interpolate.
 net.weights[-1] = 0.02 * rng.normal(size=net.weights[-1].shape)
@@ -47,8 +47,8 @@ w = blend_weights(queries, nodes.positions, nodes.log_radii, idx)
 print("first query: neighbors", idx[0], "weights", w[0].round(3),
       "(sum:", w[0].sum().round(6), ")")
 assert np.all(np.abs(w.sum(axis=1) - 1) < 1e-12)
-delta, alpha = blend_transforms(w, idx, t6)
-print("blended translation:", delta[0].round(4), " scale factor:", alpha[0].round(4))
+delta, log_offset = blend_transforms(w, idx, t6)
+print("blended translation:", delta[0].round(4), " log-scale offset:", log_offset[0].round(4))
 
 # Or in one call, the displacement field evaluated anywhere.
 u = dense_displacement(queries, nodes, net, t=0.5, k=4)
@@ -61,6 +61,12 @@ assert np.array_equal(u, delta)
 g = GaussianSet(rng.random((8, 3)), np.tile([1.0, 0, 0, 0], (8, 1)),
                 np.log(np.full((8, 3), 0.05)), rng.uniform(0.3, 1.0, 8))
 idx = knn_indices(g.centers, nodes.positions, k=4)
+# The blend is linear in the node rows, so zero rows leave the set as it was.
+still, _ = motion_forward(g, nodes, np.zeros((nodes.count, 6)), idx)
+kept = all(np.array_equal(getattr(still, name), getattr(g, name))
+           for name in ("centers", "rotations", "log_scales", "intensities"))
+print("zero rows keep the set:", kept)
+assert kept
 t6, _ = node_transforms(net, nodes.positions, t=0.5)
 deformed, _ = motion_forward(g, nodes, t6, idx)
 print("first center moved by:", (deformed.centers[0] - g.centers[0]).round(4))

@@ -84,9 +84,6 @@ def _load_fit_inputs(args):
     mask = volgrid.load_volume(args.mask)
     if not isinstance(mask, volgrid.LabelVolume):
         raise ValidationError(f"{args.mask}: mask must be a u8 label volume")
-    if mask.dims != sequence.dims:
-        raise ValidationError(
-            f"mask dims {mask.dims} do not match sequence dims {sequence.dims}")
     return config, sequence, mask
 
 

@@ -219,14 +219,10 @@ def _support_boxes(centers, radii, dims):
     a sphere wholly past either face of an axis."""
     denoms = _axis_denoms(dims)
     dims_arr = np.asarray(dims)
-    finite = np.isfinite(radii)
-    r = np.where(finite, radii, 0.0)[:, None]
-    lo = np.ceil((centers - r) * denoms - 1e-9).astype(np.int64)
-    hi = np.floor((centers + r) * denoms + 1e-9).astype(np.int64)
-    lo[~finite] = 0
-    hi[~finite] = dims_arr - 1
-    lo = np.clip(lo, 0, dims_arr)
-    hi = np.clip(hi, -1, dims_arr - 1)
+    r = radii[:, None]
+    # clipped before the cast, so a huge or infinite radius is the whole grid
+    lo = np.ceil(np.clip((centers - r) * denoms - 1e-9, 0, dims_arr)).astype(np.int64)
+    hi = np.floor(np.clip((centers + r) * denoms + 1e-9, -1, dims_arr - 1)).astype(np.int64)
     return lo, hi
 
 

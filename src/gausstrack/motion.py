@@ -3,13 +3,14 @@ deformation network, and linear blend skinning.
 
 Sparse control nodes carry per-time transforms that a small MLP predicts
 from sinusoidally encoded node positions and time: ``node_transforms``
-returns one (M, 6) array, translation then positive per-axis scale factor.
-Dense motion at any point is the convex combination of its k nearest
-nodes' rows, weighted by normalized RBF kernels ``exp(-d^2 / (2 o_j^2))``:
-a softmax over the neighbours of ``u_j = -d_j^2 / (2 o_j^2)``, shifted by
-the row maximum, so every row sums to 1 and its largest kernel weighs most
-even where every kernel underflows.  Each layer's forward sits beside its
-adjoint: ``node_transforms``/``node_transforms_backward`` for the MLP and
+returns one (M, 6) array, translation then per-axis log-scale offset;
+zero rows are the identity.  Dense motion at any point is the convex
+combination of its k nearest nodes' rows, weighted by normalized RBF
+kernels ``exp(-d^2 / (2 o_j^2))``: a softmax over the neighbours of
+``u_j = -d_j^2 / (2 o_j^2)``, shifted by the row maximum, so every row
+sums to 1 and its largest kernel weighs most even where every kernel
+underflows.  Each layer's forward sits beside its adjoint:
+``node_transforms``/``node_transforms_backward`` for the MLP and
 ``motion_forward``/``motion_backward`` for the blend, which starts from and
 ends at the (M, 6) node transforms; ``apply_motion`` composes the forwards.
 
@@ -76,10 +77,10 @@ def positional_encoding(p, n_freqs):
 
 
 class DeformNet:
-    """Plain-numpy MLP ``(encoded position, encoded time) -> (d_xyz, raw scale)``.
+    """Plain-numpy MLP ``(encoded position, encoded time) -> (d_xyz, d_log_scale)``.
 
-    ReLU hidden layers; the linear output head is zero-initialized so the
-    deformation starts as the exact identity (translation 0, scale factor 1).
+    ReLU hidden layers; the linear output head is zero-initialized, so every
+    node row starts at zero (translation 0, log-scale offset 0): the identity.
     """
 
     def __init__(self, weights, biases, l_space, l_time):
@@ -114,8 +115,8 @@ class DeformNet:
 
 def node_transforms(net, positions, t):
     """Per-node transforms at time ``t`` as one (M, 6) array (translation,
-    then scale = exp(raw)), and the activations its adjoint reads.  The
-    encoded positions and time are constants: the stop-gradient boundary."""
+    then per-axis log-scale offset), and the activations its adjoint reads.
+    The encoded positions and time are constants: the stop-gradient boundary."""
     m = positions.shape[0]
     t_enc = positional_encoding(np.float64(t), net.l_time)
     h = np.concatenate([positional_encoding(positions, net.l_space).reshape(m, -1),
@@ -124,18 +125,15 @@ def node_transforms(net, positions, t):
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         h = np.maximum(h @ w + b, 0.0)
         acts.append(h)
-    t6 = h @ net.weights[-1] + net.biases[-1]
-    t6[:, 3:] = np.exp(t6[:, 3:])
-    return t6, acts
+    return h @ net.weights[-1] + net.biases[-1], acts
 
 
-def node_transforms_backward(net, acts, t6, g_t6):
+def node_transforms_backward(net, acts, g_t6):
     """Adjoint of node_transforms: the weight and bias gradients from
-    d(loss)/d(t6), through scale = exp(raw) (in a copy of ``g_t6``) and the
-    MLP.  Input gradients are intentionally not produced (stop-gradient)."""
+    d(loss)/d(t6) through the MLP.  Input gradients are intentionally not
+    produced (stop-gradient)."""
     g_w, g_b = [None] * len(net.weights), [None] * len(net.biases)
-    g = g_t6.copy()
-    g[:, 3:] *= t6[:, 3:]
+    g = g_t6
     for i in range(len(net.weights) - 1, -1, -1):
         g_w[i] = acts[i].T @ g
         g_b[i] = g.sum(axis=0)
@@ -230,23 +228,24 @@ def blend_weights(queries, node_positions, log_radii, idx):
 
 def blend_transforms(weights, idx, t6):
     """Convex combination of the neighbours' rows of the (M, 6) node
-    transforms, channelwise: the blended translation and scale factor."""
+    transforms, channelwise: the blended translation and log-scale offset."""
     mixed = np.einsum("qk,qkc->qc", weights, np.take(t6, idx, axis=0))
     return mixed[:, :3], mixed[:, 3:]
 
 
-def deform_gaussians(gaussians, delta, alpha):
-    """Apply blended per-Gaussian transforms: centers shift, scales multiply
-    (stored back as logs); rotations and intensities are untouched."""
+def deform_gaussians(gaussians, delta, log_offset):
+    """Apply blended per-Gaussian transforms: centers shift by ``delta`` and
+    log-scales by ``log_offset``, so zeros leave the set as it was;
+    rotations and intensities are untouched."""
     delta = np.asarray(delta, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if delta.shape != (gaussians.count, 3) or alpha.shape != (gaussians.count, 3):
+    log_offset = np.asarray(log_offset, dtype=np.float64)
+    if delta.shape != (gaussians.count, 3) or log_offset.shape != (gaussians.count, 3):
         raise ValidationError("blended transforms misaligned with Gaussian order")
-    if not np.all(alpha > 0):
-        raise NumericalAbort("blended scale factors must stay positive and finite")
+    if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(log_offset))):
+        raise NumericalAbort("blended node transforms must stay finite")
     out = gaussians.copy()
     out.centers += delta
-    out.log_scales += np.log(alpha)
+    out.log_scales += log_offset
     return out
 
 
@@ -333,7 +332,6 @@ class MotionCache:
     d2: np.ndarray
     o: np.ndarray
     weights: np.ndarray
-    alpha_blend: np.ndarray
 
 
 @dataclass
@@ -350,9 +348,8 @@ def motion_forward(gaussians, nodes, t6, idx):
     deformed set and the cache for motion_backward."""
     weights, diff, d2, o = _blend(gaussians.centers, nodes.positions,
                                   nodes.log_radii, idx)
-    delta, alpha = blend_transforms(weights, idx, t6)
-    return (deform_gaussians(gaussians, delta, alpha),
-            MotionCache(t6, idx, diff, d2, o, weights, alpha))
+    return (deform_gaussians(gaussians, *blend_transforms(weights, idx, t6)),
+            MotionCache(t6, idx, diff, d2, o, weights))
 
 
 def apply_motion(gaussians, nodes, net, t, idx):
@@ -380,9 +377,8 @@ def motion_backward(cache, nodes, render_grads):
     are.
     """
     idx, weights, m = cache.idx, cache.weights, nodes.count
-    # per Gaussian (N, 6): centers, then the scale path ls' = ls + log(alpha_blend)
-    g_b6 = np.concatenate([render_grads.centers,
-                           render_grads.log_scales / cache.alpha_blend], axis=1)
+    # per Gaussian (N, 6): the blended rows add to the centers and log-scales
+    g_b6 = np.concatenate([render_grads.centers, render_grads.log_scales], axis=1)
     # node transforms accumulate w_ij * gB_i
     g_t6 = _scatter_rows(idx, weights[:, :, None] * g_b6[:, None, :], m)
     # blend-weight path through the softmax of u = -d2 / (2 o^2)

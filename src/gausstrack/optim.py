@@ -256,7 +256,8 @@ def fit(sequence, mask, config, inspect_hook=None):
     """
     sched = config.schedule
     if mask.dims != sequence.dims:
-        raise ValidationError("mask geometry differs from the sequence")
+        raise ValidationError(
+            f"mask dims {mask.dims} do not match sequence dims {sequence.dims}")
     if abs(float(sequence.times[sequence.ed_index])) > 1e-12:
         raise ValidationError("canonical fitting expects time 0 at the ED frame")
     dims = sequence.dims
@@ -296,7 +297,7 @@ def fit(sequence, mask, config, inspect_hook=None):
             canonical = rg = gauss.render_backward(deformed, dims, lgrad, rcache)
             if stage2:
                 mg = motion_mod.motion_backward(cache, nodes, rg)
-                g_w, g_b = motion_mod.node_transforms_backward(net, acts, t6, mg.node_transforms)
+                g_w, g_b = motion_mod.node_transforms_backward(net, acts, mg.node_transforms)
                 canonical = mg.canonical
             if not np.isfinite(loss):
                 raise NumericalAbort("non-finite loss")

@@ -50,7 +50,7 @@ def test_rung_a_least_squares_node_translations_represent_the_es_field():
     w, idx = blend(myo)
 
     def epe_mm(trans):
-        u = blend_transforms(w, idx, np.hstack([trans, np.ones_like(trans)]))[0]
+        u = blend_transforms(w, idx, np.hstack([trans, np.zeros_like(trans)]))[0]
         return float(np.linalg.norm((u - u_true) * extent, axis=1).mean())
 
     zero = epe_mm(np.zeros_like(translations))

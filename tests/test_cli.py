@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import shutil
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausstrack.cli import main
 from gausstrack.errors import NumericalAbort
@@ -384,7 +389,7 @@ def test_collapsed_node_radii_exit_2_with_one_line_and_no_warning(
 
 def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
         tmp_path, capsys, monkeypatch):
-    # the deformed set's scale factors fail first (exit 3), ahead of the
+    # the deformed set's blended transforms fail first (exit 3), ahead of the
     # field's non-finite voxels (exit 2), for any number of CPUs
     from gausstrack import motion as motion_mod
 
@@ -403,7 +408,7 @@ def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
             "eval", "--fitted", str(state), "--sequence", str(tmp_path / "ph" / "sequence"),
             "--truth", str(tmp_path / "ph" / "ed_labels.vjson"),
             "--out", str(tmp_path / "out.json")], code=3)
-        assert "blended scale factors" in err
+        assert "blended node transforms must stay finite" in err
     assert not (tmp_path / "out.json").exists()
 
 
@@ -453,6 +458,59 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
                                      "--out", str(tmp_path / "out" / "q")])
     assert "--time" in err
     assert not (tmp_path / "out").exists()
+
+
+# the four container manifests of a fit directory and the command that reads
+# each; render reads no volume, so the label volume is eval's --truth
+CONTAINERS = {"gaussians.gjson": "render", "nodes.njson": "render",
+              "network.wjson": "render", "truth.vjson": "eval"}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def query_inputs(tmp_path_factory):
+    """An untrained fit directory holding truth labels on its grid, beside a
+    two-frame sequence on the same grid."""
+    root = tmp_path_factory.mktemp("query_inputs")
+    state = untrained_state_dir(root)
+    dims, spacing = (10, 10, 10), (2.0, 2.0, 2.0)
+    frame = volgrid.VoxelVolume(dims, spacing, np.zeros(dims))
+    volgrid.save_sequence(volgrid.Sequence4D([frame, frame], [0.0, 0.5], 0, 1),
+                          root / "sequence")
+    volgrid.save_volume(volgrid.LabelVolume(dims, spacing, np.zeros(dims, dtype=np.uint8)),
+                        state / "truth")
+    return root
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_dropped_or_mistyped_container_key_exits_2_or_4(query_inputs, tmp_path_factory, data):
+    case = tmp_path_factory.mktemp("case")
+    shutil.copytree(query_inputs, case, dirs_exist_ok=True)
+    state, out = case / "untrained", case / "out"
+    name = data.draw(st.sampled_from(sorted(CONTAINERS)), "manifest")
+    manifest = json.loads((state / name).read_text())
+    key = data.draw(st.sampled_from(sorted(manifest)), "key")
+    if data.draw(st.booleans(), "drop"):
+        del manifest[key]
+    else:
+        kind = type(manifest[key])
+        manifest[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not kind), "value")
+    (state / name).write_text(json.dumps(manifest))
+    if CONTAINERS[name] == "render":
+        argv = ["render", "--fitted", str(state), "--time", "0.5", "--out", str(out)]
+    else:
+        argv = ["eval", "--fitted", str(state), "--sequence", str(case / "sequence"),
+                "--truth", str(state / name), "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(argv)
+    assert rc in (2, 4), err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert not list(case.glob("out*"))
 
 
 @pytest.mark.parametrize("config", [
@@ -522,7 +580,8 @@ def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, monke
 
 @pytest.mark.parametrize("what", ["missing frame raw", "malformed sequence.vjson",
                                   "frame names not strings", "malformed config",
-                                  "fractional mask dims", "time beyond the float range"])
+                                  "fractional mask dims", "time beyond the float range",
+                                  "mask from another grid"])
 def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     ph = tmp_path / "ph"
     main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
@@ -540,12 +599,18 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     elif what == "time beyond the float range":
         index.write_text(json.dumps({**json.loads(index.read_text()),
                                      "times": [0, 0.5, 10 ** 400]}))
+    elif what == "mask from another grid":
+        volgrid.save_volume(volgrid.LabelVolume((8, 8, 8), (3, 3, 3),
+                                                np.zeros((8, 8, 8), dtype=np.uint8)),
+                            ph / "ed_labels")
     else:
         cfg.write_text(cfg.read_text()[:-1])
-    _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
-                               "--mask", str(ph / "ed_labels.vjson"),
-                               "--config", str(cfg), "--out", str(tmp_path / "fit")])
+    err = _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
+                                     "--mask", str(ph / "ed_labels.vjson"),
+                                     "--config", str(cfg), "--out", str(tmp_path / "fit")])
     assert not (tmp_path / "fit").exists()
+    if what == "mask from another grid":
+        assert "mask dims (8, 8, 8) do not match sequence dims (20, 20, 16)" in err
 
 
 def test_bad_phantom_spec_exits_2(tmp_path, capsys):

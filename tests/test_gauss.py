@@ -176,6 +176,17 @@ def test_render_cutoff_beyond_diagonal_is_exact():
     assert np.max(np.abs(a - render_values_bruteforce(g, dims))) < 1e-12
 
 
+@pytest.mark.parametrize("cutoff", [1e19, 1e20, 1e100])
+def test_render_huge_finite_cutoff_is_the_whole_grid(cutoff):
+    # a box bound past the int64 range is clipped to the grid before the
+    # integer cast, not wrapped, so it renders as the disabled cutoff does
+    g = random_set(8, seed=3, labels=False)
+    dims = (6, 7, 5)
+    a = render_values(g, dims, cutoff_multiplier=cutoff)
+    assert a.sum() > 0
+    assert np.array_equal(a, render_values(g, dims, cutoff_multiplier=np.inf))
+
+
 def test_render_linear_in_intensities():
     g = random_set(12, seed=5, labels=False)
     scaled = g.copy()

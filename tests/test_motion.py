@@ -90,8 +90,7 @@ def test_zero_initialized_head_gives_identity_transform():
     net = DeformNet.create(l_space=3, l_time=2, hidden_width=16, hidden_depth=3, seed=5)
     t6, _ = node_transforms(net, nodes.positions, t=0.37)
     assert t6.shape == (nodes.count, 6)
-    assert np.all(t6[:, :3] == 0.0)
-    assert np.all(t6[:, 3:] == 1.0)
+    assert np.all(t6 == 0.0)
 
 
 def test_forward_is_pure_and_time_sensitive():
@@ -266,7 +265,7 @@ def test_blend_weight_underflow_keeps_the_largest_kernel():
     rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS),
                          render_with_cache(deformed, DIMS, np.inf)[1])
     mg = motion_backward(cache, nodes, rg)
-    g_w, g_b = node_transforms_backward(net, acts, cache.t6, mg.node_transforms)
+    g_w, g_b = node_transforms_backward(net, acts, mg.node_transforms)
     for a in g_w + g_b + [mg.node_transforms, mg.node_positions, mg.node_log_radii,
                           mg.canonical.centers]:
         assert np.all(np.isfinite(a))
@@ -325,7 +324,7 @@ def test_blend_transforms_linear_in_transforms():
 
 def test_deform_identity():
     g, *_ = tiny_scene()
-    out = deform_gaussians(g, np.zeros((g.count, 3)), np.ones((g.count, 3)))
+    out = deform_gaussians(g, np.zeros((g.count, 3)), np.zeros((g.count, 3)))
     assert np.array_equal(out.centers, g.centers)
     assert np.array_equal(out.log_scales, g.log_scales)
 
@@ -333,25 +332,30 @@ def test_deform_identity():
 def test_deform_shift_x_only():
     g, *_ = tiny_scene()
     delta = np.tile([0.1, 0.0, 0.0], (g.count, 1))
-    out = deform_gaussians(g, delta, np.ones((g.count, 3)))
+    out = deform_gaussians(g, delta, np.zeros((g.count, 3)))
     assert np.allclose(out.centers[:, 0], g.centers[:, 0] + 0.1)
     assert np.array_equal(out.centers[:, 1:], g.centers[:, 1:])
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
-def test_deform_rejects_scale_factors_that_are_not_positive(bad):
-    # an explicit check rather than an assert, so it holds under python -O too
+@pytest.mark.parametrize("half", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_deform_rejects_non_finite_transforms(bad, half):
+    # an explicit check rather than an assert, so it holds under python -O too;
+    # a NaN center would otherwise be dropped by the renderer without a word
     g = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]],
                     np.log([[0.06, 0.06, 0.06]]), [1.0])
-    with pytest.raises(NumericalAbort, match="scale factors"):
-        deform_gaussians(g, np.zeros((1, 3)), np.array([[1.0, bad, 1.0]]))
+    halves = [np.zeros((1, 3)), np.zeros((1, 3))]
+    halves[half][0, 1] = bad
+    with pytest.raises(NumericalAbort, match="must stay finite"):
+        deform_gaussians(g, *halves)
 
 
 def test_deform_scale_widens_render_along_x():
-    # alpha=(2,1,1) must render identically to a Gaussian built with 2*sigma_x
+    # an offset of (log 2, 0, 0) must render identically to a Gaussian built
+    # with 2*sigma_x
     g = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]],
                     np.log([[0.06, 0.06, 0.06]]), [1.0])
-    out = deform_gaussians(g, np.zeros((1, 3)), np.array([[2.0, 1.0, 1.0]]))
+    out = deform_gaussians(g, np.zeros((1, 3)), np.array([[np.log(2.0), 0.0, 0.0]]))
     oracle = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]],
                          np.log([[0.12, 0.06, 0.06]]), [1.0])
     a = render_values(out, (9, 9, 9), np.inf)
@@ -393,21 +397,24 @@ def test_dense_displacement_agrees_with_fit_path():
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_motion_forward_with_identity_node_transforms_keeps_the_canonical_set(k):
-    # the network-free start: every node at translation 0 and scale factor 1.
-    # The blended scale factor is the sum of the row's weights, 1 only to
-    # rounding for k > 1, so the log-scales may move by a few ulps.
+    # the network-free start: every node at translation 0 and log-scale
+    # offset 0.  The blend is linear in the rows, so it adds exact zeros.
     g, nodes, _, _ = tiny_scene(seed=29, n=40, m=8)
     idx = knn_indices(g.centers, nodes.positions, k)
-    t6 = np.tile([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], (nodes.count, 1))
-    deformed, cache = motion_forward(g, nodes, t6, idx)
-    for name in ("centers", "rotations", "intensities"):
-        assert getattr(deformed, name).tobytes() == getattr(g, name).tobytes()
-    eps = np.finfo(np.float64).eps
-    assert np.all(np.abs(cache.alpha_blend - 1.0) <= k * eps)
-    assert np.all(np.abs(deformed.log_scales - g.log_scales)
-                  <= k * eps + np.spacing(np.abs(g.log_scales)))
-    if k == 1:
-        assert deformed.log_scales.tobytes() == g.log_scales.tobytes()
+    deformed, _ = motion_forward(g, nodes, np.zeros((nodes.count, 6)), idx)
+    for name in ("centers", "rotations", "log_scales", "intensities"):
+        assert np.array_equal(getattr(deformed, name), getattr(g, name))
+
+
+@pytest.mark.parametrize("channel", [0, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_motion_forward_rejects_a_non_finite_node_row(bad, channel):
+    g, nodes, _, k = tiny_scene(seed=29, n=40, m=8)
+    idx = knn_indices(g.centers, nodes.positions, k)
+    t6 = np.zeros((nodes.count, 6))
+    t6[idx[0, 0], channel] = bad
+    with pytest.raises(NumericalAbort, match="must stay finite"):
+        motion_forward(g, nodes, t6, idx)
 
 
 def test_apply_motion_is_node_transforms_then_motion_forward():
@@ -725,7 +732,7 @@ def analytic_motion_grads(g, nodes, net, t, idx, upstream):
     deformed, cache = motion_forward(g, nodes, t6, idx)
     rg = render_backward(deformed, DIMS, upstream, render_with_cache(deformed, DIMS, np.inf)[1])
     mg = motion_backward(cache, nodes, rg)
-    return mg, node_transforms_backward(net, acts, t6, mg.node_transforms)
+    return mg, node_transforms_backward(net, acts, mg.node_transforms)
 
 
 def rel_err(a, b):
@@ -933,14 +940,14 @@ def test_motion_backward_leaves_its_cache_and_inputs_as_they_were():
                          render_with_cache(deformed, DIMS, np.inf)[1])
 
     def read():
-        return [a.tobytes() for a in (cache.t6, cache.weights, cache.alpha_blend, cache.diff,
+        return [a.tobytes() for a in (cache.t6, cache.weights, cache.diff,
                                       cache.d2, cache.o, cache.idx, *acts, rg.centers,
                                       rg.rotations, rg.log_scales, rg.intensities,
                                       nodes.positions, nodes.log_radii, *net.weights)]
 
     def grads(mg):
         g_t6 = mg.node_transforms.tobytes()
-        g_w, g_b = node_transforms_backward(net, acts, cache.t6, mg.node_transforms)
+        g_w, g_b = node_transforms_backward(net, acts, mg.node_transforms)
         assert mg.node_transforms.tobytes() == g_t6
         return [a.tobytes() for a in (*g_w, *g_b, mg.node_transforms, mg.node_positions,
                                       mg.node_log_radii, mg.canonical.centers)]

@@ -320,7 +320,7 @@ def test_fit_aborts_on_non_finite_loss():
 def test_fit_validates_geometry_and_budgets():
     seq, mask = toy_problem()
     small_mask = LabelVolume((6, 6, 6), (1, 1, 1), np.zeros((6, 6, 6), dtype=np.uint8))
-    with pytest.raises(ValidationError, match="geometry"):
+    with pytest.raises(ValidationError, match=r"mask dims \(6, 6, 6\) do not match sequence dims"):
         fit(seq, small_mask, toy_config())
     cfg = toy_config()
     cfg.node_budget = cfg.n_init + 1
