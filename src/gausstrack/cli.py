@@ -159,8 +159,8 @@ def cmd_render(args):
 def cmd_export_field(args):
     _check_time(args.time)
     _, nodes, net, grid, config = _load_fitted(args.fitted)
-    queries = volgrid.voxel_centers_normalized(grid.dims).reshape(-1, 3)
-    u = motion.dense_displacement(queries, nodes, net, args.time, config.k_neighbors)
+    _, u, tasks = motion._field_tasks(nodes, net, args.time, config.k_neighbors, dims=grid.dims)
+    motion._run_tasks(tasks)
     out = Path(args.out)
     names = {}
     for i, comp in enumerate(("ux", "uy", "uz")):

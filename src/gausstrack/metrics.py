@@ -23,8 +23,7 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 from . import gauss as gauss_mod
 from . import motion as motion_mod
-from .volgrid import (LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, _axis_denoms,
-                      voxel_centers_normalized)
+from .volgrid import LABEL_LV, LABEL_MYO, LABEL_RV, LabelVolume, _axis_denoms
 
 _STRUCTURES = (LABEL_RV, LABEL_MYO, LABEL_LV)
 
@@ -32,6 +31,7 @@ _STRUCTURES = (LABEL_RV, LABEL_MYO, LABEL_LV)
 DATA_RANGE = 1.0
 # Wang et al.'s SSIM: Gaussian window (width, sigma) and stabilizers K1, K2
 SSIM_WINDOW, SSIM_SIGMA, SSIM_K1, SSIM_K2 = 7, 1.5, 0.01, 0.03
+_JACOBIAN_PLANES = 4  # interior x-planes per slab of jacobian_stats
 
 
 @dataclass
@@ -80,30 +80,32 @@ def warp_labels(gaussians, nodes, net, t, grid, k, cutoff_multiplier, occupancy_
 
 
 def _rasterize_labels(deformed, grid, cutoff_multiplier, occupancy_floor):
-    """Label map of an already deformed, labeled set (see warp_labels)."""
+    """Label map of an already deformed, labeled set (see warp_labels), as
+    a running maximum over the class renders: a later class takes a voxel
+    only where it is strictly higher, so ties keep the lower label."""
     if deformed.labels is None:
         raise ValidationError("label warping needs a label per Gaussian")
     denoms = _axis_denoms(grid.dims)
     nearest = np.clip(np.rint(deformed.centers * denoms).astype(np.int64), 0,
                       np.asarray(grid.dims) - 1)
-    occ = np.zeros((len(_STRUCTURES),) + tuple(grid.dims))
-    for i, lab in enumerate(_STRUCTURES):
+    peak = np.zeros(tuple(grid.dims))
+    winner = np.full(tuple(grid.dims), _STRUCTURES[0], dtype=np.uint8)
+    for lab in _STRUCTURES:
         sel = np.flatnonzero(deformed.labels == lab)
         if sel.size == 0:
             continue
         part = deformed.take(sel)
         part.intensities[:] = 1.0
-        raw = gauss_mod.render_values(part, grid.dims, cutoff_multiplier)
+        occ = gauss_mod.render_values(part, grid.dims, cutoff_multiplier)
         # normalize by this class's own interior level (median occupancy at
         # its deformed centers) so thin structures are not out-thresholded
         # by thick ones; the >=1 clamp keeps an everywhere-faint class dark
         at = nearest[sel]
-        typical = float(np.median(raw[at[:, 0], at[:, 1], at[:, 2]]))
-        occ[i] = raw / max(typical, 1.0)
-    winner = np.argmax(occ, axis=0)
-    peak = np.take_along_axis(occ, winner[None], axis=0)[0]
-    labels = np.where(peak > occupancy_floor,
-                      np.array(_STRUCTURES, dtype=np.uint8)[winner], 0)
+        occ /= max(float(np.median(occ[at[:, 0], at[:, 1], at[:, 2]])), 1.0)
+        higher = occ > peak
+        np.copyto(peak, occ, where=higher)
+        winner[higher] = lab
+    labels = np.where(peak > occupancy_floor, winner, 0)
     return LabelVolume(grid.dims, grid.spacing, labels)
 
 
@@ -127,16 +129,18 @@ def psnr(pred, truth):
     """10 log10(DATA_RANGE^2 / MSE) in dB; identical volumes report +inf."""
     if pred.shape != truth.shape:
         raise ValidationError("psnr needs matching grids")
-    mse = float(np.mean((pred.astype(np.float64) - truth.astype(np.float64)) ** 2))
+    err = np.subtract(pred, truth, dtype=np.float64)
+    mse = float(np.mean(np.square(err, out=err)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(DATA_RANGE ** 2 / mse)
 
 
-def _local_means(arr, kernel):
-    out = arr
-    for axis in range(3):
-        out = ndimage.correlate1d(out, kernel, axis=axis, mode="nearest")
+def _local_means(arr, kernel, out, scratch):
+    """Gaussian-window means of ``arr`` into ``out``, through ``scratch``."""
+    ndimage.correlate1d(arr, kernel, axis=0, output=out, mode="nearest")
+    ndimage.correlate1d(out, kernel, axis=1, output=scratch, mode="nearest")
+    ndimage.correlate1d(scratch, kernel, axis=2, output=out, mode="nearest")
     return out
 
 
@@ -145,29 +149,43 @@ def ssim3d(pred, truth):
 
     The map is evaluated only where the full window fits (dims must be at
     least SSIM_WINDOW per axis), which keeps the statistic independent of
-    any boundary-padding convention.
+    any boundary-padding convention.  The moments and the map are built in
+    place in eight float64 grid volumes (seven when ``pred`` is float64),
+    each operation in the order of Wang et al.'s formula.
     """
     if pred.shape != truth.shape:
         raise ValidationError("ssim needs matching grids")
     if any(s < SSIM_WINDOW for s in pred.shape):
         raise ValidationError(f"volume smaller than the {SSIM_WINDOW}^3 ssim window")
-    p = pred.astype(np.float64)
+    p = np.asarray(pred, dtype=np.float64)
     t = truth.astype(np.float64)
     half = SSIM_WINDOW // 2
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1, dtype=np.float64) / SSIM_SIGMA) ** 2)
     kernel /= kernel.sum()
-    mu_p = _local_means(p, kernel)
-    mu_t = _local_means(t, kernel)
-    m_pp = _local_means(p * p, kernel)
-    m_tt = _local_means(t * t, kernel)
-    m_pt = _local_means(p * t, kernel)
-    var_p = m_pp - mu_p * mu_p
-    var_t = m_tt - mu_t * mu_t
-    cov = m_pt - mu_p * mu_t
+    mu_p, mu_t, var_p, var_t, prod, scratch = (np.empty(p.shape) for _ in range(6))
+    _local_means(p, kernel, mu_p, scratch)
+    _local_means(t, kernel, mu_t, scratch)
+    # each second moment becomes its (co)variance: m_ab - mu_a * mu_b
+    _local_means(np.multiply(p, p, out=prod), kernel, var_p, scratch)
+    var_p -= np.multiply(mu_p, mu_p, out=prod)
+    _local_means(np.multiply(t, t, out=prod), kernel, var_t, scratch)
+    var_t -= np.multiply(mu_t, mu_t, out=prod)
+    cov = _local_means(np.multiply(p, t, out=prod), kernel, t, scratch)
+    cov -= np.multiply(mu_p, mu_t, out=prod)
     c1 = (SSIM_K1 * DATA_RANGE) ** 2
     c2 = (SSIM_K2 * DATA_RANGE) ** 2
-    ssim_map = ((2 * mu_p * mu_t + c1) * (2 * cov + c2)) / (
-        (mu_p ** 2 + mu_t ** 2 + c1) * (var_p + var_t + c2))
+    # ((2 mu_p mu_t + c1) (2 cov + c2)) / ((mu_p^2 + mu_t^2 + c1) (var_p + var_t + c2))
+    ssim_map = np.multiply(np.multiply(2, mu_p, out=prod), mu_t, out=prod)
+    ssim_map += c1
+    cov *= 2
+    cov += c2
+    ssim_map *= cov
+    den = np.add(np.square(mu_p, out=scratch), np.square(mu_t, out=mu_t), out=scratch)
+    den += c1
+    var_p += var_t
+    var_p += c2
+    den *= var_p
+    ssim_map /= den
     valid = ssim_map[half:-half, half:-half, half:-half]
     return float(valid.mean())
 
@@ -203,7 +221,9 @@ def jacobian_stats(vectors):
     The Jacobian of phi(X) = X + u(X) is formed with finite differences in
     normalized coordinates, central on the interior voxels, which are the only
     ones the statistics cover: the fraction with det <= 0 and the mean
-    |det - 1|, the determinant taken by cofactors.
+    |det - 1|, the determinant taken by cofactors.  It is made a few x-planes
+    at a time, from a slab with a one-plane halo (whose central differences
+    are the whole array's), into one array of the interior determinants.
     """
     if vectors.ndim != 4 or vectors.shape[3] != 3:
         raise ValidationError("displacement array must be (nx, ny, nz, 3)")
@@ -212,12 +232,16 @@ def jacobian_stats(vectors):
         raise ValidationError("jacobian diagnostics need dims >= 3 per axis")
     steps = [1.0 / (d - 1) for d in dims]
     inner = (slice(1, -1),) * 3
-    # jac[i][a] = d phi_i / d X_a
-    jac = [[g[inner] + float(i == a)
-            for a, g in enumerate(np.gradient(vectors[..., i], *steps))]
-           for i in range(3)]
-    (a, b, c), (d, e, f), (g, h, k) = jac
-    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    det = np.empty(tuple(d - 2 for d in dims))
+    for x0 in range(0, dims[0] - 2, _JACOBIAN_PLANES):
+        slab = vectors[x0:x0 + _JACOBIAN_PLANES + 2]
+        # jac[i][a] = d phi_i / d X_a
+        jac = [[g[inner] + float(i == a)
+                for a, g in enumerate(np.gradient(slab[..., i], *steps))]
+               for i in range(3)]
+        (a, b, c), (d, e, f), (g, h, k) = jac
+        det[x0:x0 + _JACOBIAN_PLANES] = \
+            a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
     fold_fraction = float(np.mean(det <= 0))
     mean_abs_dev = float(np.mean(np.abs(det - 1.0)))
     return fold_fraction, mean_abs_dev
@@ -241,8 +265,7 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
     t_es = float(sequence.times[sequence.es_index])
     es_frame = sequence.frames[sequence.es_index]
 
-    t6, u, field_tasks = motion_mod._field_tasks(
-        voxel_centers_normalized(es_frame.dims).reshape(-1, 3), nodes, net, t_es, k)
+    t6, u, field_tasks = motion_mod._field_tasks(nodes, net, t_es, k, dims=es_frame.dims)
 
     def deformed_scores():
         idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)

@@ -24,6 +24,7 @@ Two gradient rules from the model definition are honored throughout:
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -36,7 +37,7 @@ from scipy.spatial import cKDTree
 
 from .errors import NumericalAbort, ValidationError
 from .gauss import RenderGradients
-from .volgrid import _read_container, _write_container
+from .volgrid import _axis_denoms, _read_container, _write_container
 
 _KNN_CHUNK = 4096
 
@@ -286,23 +287,31 @@ def _run_tasks(tasks):
     return results
 
 
-def _field_tasks(queries, nodes, net, t, k):
-    """Node transforms at ``t``, the field's output and its 4096-row slice
-    tasks; the input checks, then the transforms and allocation, run here on
-    the calling thread; a non-finite row in a slice raises ValidationError."""
-    queries, pos, tree = _knn_tree(queries, nodes.positions, k)
+def _field_tasks(nodes, net, t, k, queries=None, dims=None):
+    """Node transforms at ``t``, the field's (n, 3) output and its 4096-row
+    slice tasks at the (n, 3) ``queries`` or, in the grid form, at the voxel
+    centres of a ``dims`` grid: each slice makes its own, the bits of its rows
+    of ``voxel_centers_normalized(dims).reshape(-1, 3)``.  The input checks
+    (k and the nodes alone in the grid form), then the transforms and
+    allocation, run here on the calling thread; a non-finite row in a slice
+    raises ValidationError."""
+    grid = dims is not None
+    queries, pos, tree = _knn_tree(np.empty((0, 3)) if grid else queries, nodes.positions, k)
+    n = math.prod(dims) if grid else queries.shape[0]
     t6 = node_transforms(net, nodes.positions, t)[0]
-    out = np.empty((queries.shape[0], 3))
+    out = np.empty((n, 3))
 
     def field_rows(rows):
-        idx = _knn_rows(tree, pos, queries[rows], k)
-        weights, *_ = _blend(queries[rows], pos, nodes.log_radii, idx)
+        q = np.stack(np.unravel_index(np.arange(rows.start, rows.stop), dims),
+                     axis=1) / _axis_denoms(dims) if grid else queries[rows]
+        idx = _knn_rows(tree, pos, q, k)
+        weights, *_ = _blend(q, pos, nodes.log_radii, idx)
         out[rows] = np.einsum("qk,qkc->qc", weights, np.take(t6[:, :3], idx, axis=0))
         if not np.all(np.isfinite(out[rows])):
             raise ValidationError("displacement field contains non-finite entries")
 
-    return t6, out, [partial(field_rows, slice(start, start + _KNN_CHUNK))
-                     for start in range(0, queries.shape[0], _KNN_CHUNK)]
+    return t6, out, [partial(field_rows, slice(start, min(start + _KNN_CHUNK, n)))
+                     for start in range(0, n, _KNN_CHUNK)]
 
 
 def dense_displacement(queries, nodes, net, t, k):
@@ -313,7 +322,7 @@ def dense_displacement(queries, nodes, net, t, k):
     thread count: the ``_field_tasks`` slices run through ``_run_tasks``.
     A field with a non-finite entry raises ValidationError.
     """
-    _, out, tasks = _field_tasks(queries, nodes, net, t, k)
+    _, out, tasks = _field_tasks(nodes, net, t, k, queries=queries)
     _run_tasks(tasks)
     return out
 

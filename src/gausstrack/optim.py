@@ -250,9 +250,11 @@ def fit(sequence, mask, config, inspect_hook=None):
     through rendering and then motion; stage 1 takes the same render, L1
     and render-adjoint step on the canonical set itself.  Node
     positions/radii unfreeze at ``node_unfreeze_at``; densification runs on its cadence with optimizer
-    state remapped across set changes.  ``inspect_hook(iteration, state)``
-    is called at the top of selected iterations for tests and tracing;
-    it must not mutate the state.
+    state remapped across set changes.  The L1 target is each frame's array
+    as the sequence holds it (float32 when read from disk): the float64
+    render minus it upcasts exactly, so no float64 copy of the sequence is
+    made.  ``inspect_hook(iteration, state)`` is called at the top of
+    selected iterations for tests and tracing; it must not mutate the state.
     """
     sched = config.schedule
     if mask.dims != sequence.dims:
@@ -262,7 +264,7 @@ def fit(sequence, mask, config, inspect_hook=None):
         raise ValidationError("canonical fitting expects time 0 at the ED frame")
     dims = sequence.dims
     n_voxels = float(np.prod(dims))
-    frames = [np.asarray(f.values, dtype=np.float64) for f in sequence.frames]
+    frames = [f.values for f in sequence.frames]
     times = np.asarray(sequence.times, dtype=np.float64)
 
     g = gauss.initialize_from_mask(mask, sequence.frames[sequence.ed_index],

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +11,10 @@ from gausstrack import motion
 from gausstrack.errors import ValidationError
 from gausstrack.gauss import GaussianSet, initialize_from_mask, render_values
 from gausstrack.metrics import (
+    SSIM_K1,
+    SSIM_K2,
+    SSIM_SIGMA,
+    SSIM_WINDOW,
     MetricReport,
     dice,
     evaluate_run,
@@ -442,3 +447,183 @@ def test_dense_displacement_on_the_voxel_grid_is_zero_for_identity_net():
     u = dense_displacement(voxel_centers_normalized(ref.dims).reshape(-1, 3), nodes, net, 0.7,
                            QUERY["k"])
     assert u.shape == (np.prod(ref.dims), 3) and np.all(u == 0.0)
+
+
+# --- streamed metrics against their whole-array forms -------------------------------
+
+def ssim3d_whole_array(pred, truth):
+    """ssim3d as one expression over whole-grid moment arrays."""
+    p, t = pred.astype(np.float64), truth.astype(np.float64)
+    half = SSIM_WINDOW // 2
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1, dtype=np.float64) / SSIM_SIGMA) ** 2)
+    kernel /= kernel.sum()
+
+    def means(a):
+        for axis in range(3):
+            a = ndimage.correlate1d(a, kernel, axis=axis, mode="nearest")
+        return a
+
+    mu_p, mu_t = means(p), means(t)
+    var_p = means(p * p) - mu_p * mu_p
+    var_t = means(t * t) - mu_t * mu_t
+    cov = means(p * t) - mu_p * mu_t
+    c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
+    ssim_map = ((2 * mu_p * mu_t + c1) * (2 * cov + c2)) / (
+        (mu_p ** 2 + mu_t ** 2 + c1) * (var_p + var_t + c2))
+    return float(ssim_map[half:-half, half:-half, half:-half].mean())
+
+
+def jacobian_whole_array(vectors):
+    """jacobian_stats with np.gradient over the whole grid at once."""
+    steps = [1.0 / (d - 1) for d in vectors.shape[:3]]
+    inner = (slice(1, -1),) * 3
+    jac = [[g[inner] + float(i == a)
+            for a, g in enumerate(np.gradient(vectors[..., i], *steps))]
+           for i in range(3)]
+    (a, b, c), (d, e, f), (g, h, k) = jac
+    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    return float(np.mean(det <= 0)), float(np.mean(np.abs(det - 1.0)))
+
+
+def label_map_argmax(deformed, grid, cutoff_multiplier, occupancy_floor):
+    """The label map as an argmax over the stacked, normalized class renders."""
+    denoms = np.array([max(d - 1, 1) for d in grid.dims], dtype=np.float64)
+    nearest = np.clip(np.rint(deformed.centers * denoms).astype(np.int64), 0,
+                      np.asarray(grid.dims) - 1)
+    occ = np.zeros((3,) + tuple(grid.dims))
+    for i, lab in enumerate((1, 2, 3)):
+        sel = np.flatnonzero(deformed.labels == lab)
+        if sel.size == 0:
+            continue
+        part = deformed.take(sel)
+        part.intensities[:] = 1.0
+        raw = render_values(part, grid.dims, cutoff_multiplier)
+        at = nearest[sel]
+        occ[i] = raw / max(float(np.median(raw[at[:, 0], at[:, 1], at[:, 2]])), 1.0)
+    winner = np.argmax(occ, axis=0)
+    peak = np.take_along_axis(occ, winner[None], axis=0)[0]
+    return np.where(peak > occupancy_floor, np.array([1, 2, 3], dtype=np.uint8)[winner], 0)
+
+
+@pytest.mark.parametrize("dims", [(7, 7, 7), (11, 8, 30), (20, 13, 9), (64, 64, 64)])
+def test_ssim_equals_the_whole_array_formula(dims):
+    rng = np.random.default_rng(sum(dims))
+    truth = ndimage.gaussian_filter(rng.random(dims), 1.0).astype(np.float32)
+    for pred in (truth + 0.1 * rng.normal(size=dims), rng.random(dims).astype(np.float32)):
+        assert ssim3d(pred, truth) == ssim3d_whole_array(pred, truth)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (11, 4, 30), (20, 13, 9), (64, 64, 64)])
+def test_jacobian_equals_the_whole_array_formula(dims):
+    # x-extents of 1, 9, 18 and 62 interior planes: none a whole number of slabs
+    rng = np.random.default_rng(sum(dims))
+    smooth = ndimage.gaussian_filter(0.05 * rng.normal(size=dims + (3,)), (1, 1, 1, 0))
+    rough = rng.normal(size=dims + (3,)) / np.array(dims)  # folds at a share of voxels
+    for vectors in (smooth, rough):
+        assert jacobian_stats(vectors) == jacobian_whole_array(vectors)
+
+
+def moving_labeled_state(dims=(20, 16, 18), seed=3):
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(dims, dtype=np.uint8)
+    labels[2:9, 2:14, 2:16] = 1
+    labels[10:18, 2:14, 2:8] = 2
+    labels[10:18, 2:14, 9:16] = 3
+    mask = LabelVolume(dims, (1.5, 1.5, 1.5), labels)
+    ref = VoxelVolume(dims, (1.5, 1.5, 1.5), 0.3 + 0.5 * rng.random(dims))
+    g, nodes, net = identity_state(mask, ref, n_init=500, seed=seed)
+    net.weights[-1] = 0.1 * rng.normal(size=net.weights[-1].shape)
+    return mask, g, nodes, net
+
+
+def test_label_map_equals_the_argmax_over_stacked_classes():
+    mask, g, nodes, net = moving_labeled_state()
+    deformed, _ = apply_motion(g, nodes, net, 0.4, knn_indices(g.centers, nodes.positions, 4))
+    want = label_map_argmax(deformed, mask, QUERY["cutoff_multiplier"], QUERY["occupancy_floor"])
+    warped = warp_labels(g, nodes, net, 0.4, mask, **QUERY)
+    assert np.array_equal(warped.labels, want)
+    assert set(np.unique(want)) == {0, 1, 2, 3}
+
+
+def test_label_map_ties_keep_the_lower_label_as_argmax_does():
+    # each Myo Gaussian twice, once as LV: the two class renders are equal
+    mask, g, nodes, net = moving_labeled_state()
+    myo = g.take(np.flatnonzero(g.labels == 2))
+    twins = GaussianSet(*(np.concatenate([getattr(myo, f)] * 2) for f in
+                          ("centers", "rotations", "log_scales", "intensities")),
+                        np.repeat(np.array([2, 3], dtype=np.uint8), myo.count))
+    deformed, _ = apply_motion(twins, nodes, net, 0.4,
+                               knn_indices(twins.centers, nodes.positions, 4))
+    want = label_map_argmax(deformed, mask, QUERY["cutoff_multiplier"], QUERY["occupancy_floor"])
+    warped = warp_labels(twins, nodes, net, 0.4, mask, **QUERY)
+    assert np.array_equal(warped.labels, want)
+    assert set(np.unique(want)) == {0, 2}
+
+
+def test_label_map_without_an_rv_equals_the_argmax():
+    mask, g, nodes, net = moving_labeled_state()
+    no_rv = g.take(np.flatnonzero(g.labels != 1))
+    deformed, _ = apply_motion(no_rv, nodes, net, 0.4,
+                               knn_indices(no_rv.centers, nodes.positions, 4))
+    want = label_map_argmax(deformed, mask, QUERY["cutoff_multiplier"], QUERY["occupancy_floor"])
+    warped = warp_labels(no_rv, nodes, net, 0.4, mask, **QUERY)
+    assert np.array_equal(warped.labels, want)
+    assert set(np.unique(want)) == {0, 2, 3}
+
+
+# --- memory: peaks in float64 grid volumes ------------------------------------------
+
+def peak_volumes(dims, call):
+    """tracemalloc peak of ``call()`` in float64 volumes of ``dims``."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (np.prod(dims) * 8)
+
+
+DIMS_64 = (64, 64, 64)
+
+
+def test_ssim_holds_at_most_nine_grid_volumes():
+    # a render (float64) against a frame (float32), as evaluate_run scores
+    # them: the whole-array formula holds 13
+    rng = np.random.default_rng(1)
+    frame = rng.random(DIMS_64).astype(np.float32)
+    rendered = frame + 0.1 * rng.normal(size=DIMS_64)
+    assert peak_volumes(DIMS_64, lambda: ssim3d(rendered, frame)) < 9
+
+
+def test_jacobian_stats_holds_at_most_five_grid_volumes():
+    # the whole-array gradients hold 11
+    vectors = 0.05 * np.random.default_rng(2).normal(size=DIMS_64 + (3,))
+    assert peak_volumes(DIMS_64, lambda: jacobian_stats(vectors)) < 5
+
+
+def test_evaluate_run_holds_at_most_sixteen_grid_volumes(monkeypatch):
+    # with the voxel centres beside the field and the whole-array metrics,
+    # 20-21; the field's (n, 3) output alone is three
+    rng = np.random.default_rng(4)
+    labels = np.zeros(DIMS_64, dtype=np.uint8)
+    labels[8:31, 8:56, 8:56] = 1
+    labels[33:56, 8:56, 8:31] = 2
+    labels[33:56, 8:56, 33:56] = 3
+    mask = LabelVolume(DIMS_64, (1.5, 1.5, 1.5), labels)
+    ref = VoxelVolume(DIMS_64, (1.5, 1.5, 1.5), (0.3 + 0.5 * ndimage.gaussian_filter(
+        rng.random(DIMS_64), 1.0)).astype(np.float32))
+    g, nodes, net = identity_state(mask, ref, n_init=400)
+    net.weights[-1] = 0.2 * rng.normal(size=net.weights[-1].shape)
+    seq = Sequence4D([ref, ref, ref], [0.0, 0.5, 1.0], ed_index=0, es_index=1)
+    monkeypatch.setattr(motion, "_pool_size", lambda: 2)
+    assert peak_volumes(DIMS_64, lambda: evaluate_run(g, nodes, net, seq, mask, **QUERY)) < 16
+
+
+def test_psnr_makes_one_float64_difference():
+    rng = np.random.default_rng(3)
+    truth = rng.random(DIMS_64).astype(np.float32)
+    pred = truth + 0.1 * rng.normal(size=DIMS_64)
+    assert peak_volumes(DIMS_64, lambda: psnr(pred, truth)) < 1.5
+    err = pred - truth.astype(np.float64)
+    assert psnr(pred, truth) == 10.0 * math.log10(1.0 / float(np.mean(err ** 2)))

@@ -32,6 +32,7 @@ from gausstrack.motion import (
     save_network,
     save_nodes,
 )
+from gausstrack.volgrid import voxel_centers_normalized
 
 
 def tiny_scene(seed=0, n=6, m=4, k=2, zero_head=False):
@@ -588,6 +589,40 @@ def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
     nodes.positions[3, 2] = np.inf
     with pytest.raises(NumericalAbort):
         dense_displacement(q, nodes, net, 0.3, 4)
+    assert threads == [] and pools == []
+
+
+def grid_field(dims, nodes, net, t, k):
+    """The field's grid form, as eval and export-field run it."""
+    _, out, tasks = motion._field_tasks(nodes, net, t, k, dims=dims)
+    motion._run_tasks(tasks)
+    return out
+
+
+# voxel counts that are no multiple of the 4096-row slice: a cube, an
+# anisotropic grid, a 1-voxel axis (its coordinate is 0) and a single voxel
+@pytest.mark.parametrize("dims", [(17, 16, 16), (40, 9, 23), (13, 1, 700), (1, 1, 1)])
+def test_the_grid_form_is_the_field_at_the_voxel_centres(monkeypatch, dims):
+    _, nodes, net = field_scene(1)
+    want = dense_displacement(voxel_centers_normalized(dims).reshape(-1, 3), nodes, net, 0.3,
+                              4).tobytes()
+    threads, _ = counting_threads(monkeypatch)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(motion, "_pool_size", lambda: workers)
+        threads.clear()
+        assert grid_field(dims, nodes, net, 0.3, 4).tobytes() == want
+        assert len(threads) == -(-int(np.prod(dims)) // C)
+
+
+def test_the_grid_form_checks_k_and_the_nodes_before_any_worker_starts(monkeypatch):
+    threads, pools = counting_threads(monkeypatch)
+    _, nodes, net = field_scene(1)
+    for k in (0, nodes.count + 1):
+        with pytest.raises(ValidationError, match=f"k={k}"):
+            grid_field((20, 20, 21), nodes, net, 0.3, k)
+    nodes.positions[3, 2] = np.nan
+    with pytest.raises(NumericalAbort):
+        grid_field((20, 20, 21), nodes, net, 0.3, 4)
     assert threads == [] and pools == []
 
 

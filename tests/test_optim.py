@@ -1,6 +1,7 @@
 import json
 import sys
-from dataclasses import asdict
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -303,6 +304,46 @@ def test_fit_single_frame_sequence():
     cfg = toy_config(total=70)
     result = fit(seq, mask, cfg)
     assert np.mean(result.report.losses[-10:]) < np.mean(result.report.losses[:10])
+
+
+def with_frames_as(seq, dtype):
+    return Sequence4D([VoxelVolume(f.dims, f.spacing, f.values.astype(dtype)) for f in seq.frames],
+                      seq.times, seq.ed_index, seq.es_index)
+
+
+SHORT = FitSchedule(total_iters=12, canonical_only_until=4, node_unfreeze_at=8,
+                    densify_interval=6, densify_start=6)
+
+
+def test_fit_on_float32_frames_equals_the_fit_on_their_float64_values():
+    seq, mask = toy_problem()
+    single = with_frames_as(seq, np.float32)
+    double = with_frames_as(single, np.float64)
+    cfg = toy_config(total=70)
+    a, b = fit(single, mask, cfg), fit(double, mask, cfg)
+    assert a.report.losses == b.report.losses
+    for name in ("centers", "rotations", "log_scales", "intensities"):
+        assert getattr(a.gaussians, name).tobytes() == getattr(b.gaussians, name).tobytes()
+    assert a.nodes.positions.tobytes() == b.nodes.positions.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.net.weights, b.net.weights))
+
+
+def test_fit_makes_no_float64_copy_of_the_frames():
+    # 38 more float32 frames would cost 38 float64 volumes as a copy; the
+    # fit reads the frames in place, so its peak does not grow with them
+    cfg = replace(toy_config(), schedule=SHORT)
+    peaks = []
+    for n_frames in (2, 40):
+        seq, mask = toy_problem(n_frames=n_frames)
+        seq = with_frames_as(seq, np.float32)
+        tracemalloc.start()
+        try:
+            fit(seq, mask, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    copy_bytes = 38 * np.prod(seq.dims) * 8
+    assert peaks[1] - peaks[0] < 0.1 * copy_bytes
 
 
 def test_fit_aborts_on_non_finite_loss():
