@@ -159,8 +159,8 @@ def cmd_render(args):
 def cmd_export_field(args):
     _check_time(args.time)
     _, nodes, net, grid, config = _load_fitted(args.fitted)
-    _, u, tasks = motion._field_tasks(nodes, net, args.time, config.k_neighbors, dims=grid.dims)
-    motion._run_tasks(tasks)
+    t6 = motion.node_transforms(net, nodes.positions, args.time)[0]
+    u, _ = motion.grid_displacement(nodes, t6, config.k_neighbors, grid.dims)
     out = Path(args.out)
     names = {}
     for i, comp in enumerate(("ux", "uy", "uz")):

@@ -3,11 +3,11 @@ Hausdorff distance, and displacement-field Jacobian diagnostics.
 
 All metrics are pure functions over immutable inputs.  PSNR and SSIM score
 two intensity arrays; the Jacobian diagnostics score the (nx, ny, nz, 3)
-array of ``motion.dense_displacement`` at the voxel centers, in normalized
-units.  Labels propagate by rendering one unit-intensity occupancy volume
-per anatomical class from the deformed, labeled Gaussians and taking the
-per-voxel argmax over a floor — the same differentiable representation used
-for fitting decides where each structure went.
+array of ``motion.grid_displacement``, the dense field at the voxel centers,
+in normalized units.  Labels propagate by rendering one unit-intensity
+occupancy volume per anatomical class from the deformed, labeled Gaussians
+and taking the per-voxel argmax over a floor — the same differentiable
+representation used for fitting decides where each structure went.
 """
 
 from __future__ import annotations
@@ -255,17 +255,19 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
                  occupancy_floor):
     """Score a fitted state at the ES frame.
 
-    Deforms the Gaussians to ES once, by the node transforms the dense field
-    reads: their label map gives per-structure Dice and the mean Hausdorff
-    distance, their render PSNR/SSIM against the ES frame, all on the calling
-    thread while the other CPUs fill the field for the Jacobian diagnostics.
+    Runs the network once, for the ES node transforms, and hands them to
+    ``motion.grid_displacement``: its workers fill the field for the Jacobian
+    diagnostics while the calling thread deforms the Gaussians to ES by the
+    same rows.  Their label map gives per-structure Dice and the mean
+    Hausdorff distance, their render PSNR/SSIM against the ES frame; then
+    the caller takes the field's slices no worker has started.
     """
     if truth_es.dims != sequence.dims:
         raise ValidationError(f"truth dims {truth_es.dims} != sequence dims {sequence.dims}")
     t_es = float(sequence.times[sequence.es_index])
     es_frame = sequence.frames[sequence.es_index]
 
-    t6, u, field_tasks = motion_mod._field_tasks(nodes, net, t_es, k, dims=es_frame.dims)
+    t6 = motion_mod.node_transforms(net, nodes.positions, t_es)[0]
 
     def deformed_scores():
         idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
@@ -278,6 +280,6 @@ def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier
                     psnr_db=psnr(rendered, es_frame.values), ssim=ssim3d(rendered, es_frame.values),
                     hd_mm=float(np.mean([hausdorff(warped, truth_es, lab) for lab in _STRUCTURES])))
 
-    scores = motion_mod._run_tasks([deformed_scores, *field_tasks])[0]
+    u, scores = motion_mod.grid_displacement(nodes, t6, k, es_frame.dims, first=deformed_scores)
     fold_fraction, jac_dev = jacobian_stats(u.reshape(tuple(es_frame.dims) + (3,)))
     return MetricReport(**scores, jac_dev=jac_dev, fold_fraction=fold_fraction)

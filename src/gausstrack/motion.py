@@ -27,10 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
-from queue import SimpleQueue
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -256,75 +253,66 @@ def _pool_size():
         else os.cpu_count() or 1
 
 
-def _run_tasks(tasks):
-    """Results of the callables in ``tasks``, in task order.  The calling
-    thread runs the first, then drains the rest with one thread per further
-    CPU of ``_pool_size``, all under its floating-point error state; if tasks
-    fail, the error of the first failing one in task order is raised."""
-    errstate = dict(np.geterr(), call=np.geterrcall())
-    results, errors = [None] * len(tasks), [None] * len(tasks)
-    workers = max(min(_pool_size(), len(tasks)) - 1, 0)
-    queue = SimpleQueue()  # the tasks after the first, then one stop per thread
-    for i in [*range(1, len(tasks)), *[None] * (workers + 1)]:
-        queue.put(i)
+def grid_displacement(nodes, t6, k, dims, first=None):
+    """The blended translation of the (M, 6) node transforms ``t6`` at the
+    voxel centres of a ``dims`` grid, as one (n, 3) array in C order, and the
+    result of ``first()`` (None without it).
 
-    def drain(i):
-        with np.errstate(**errstate):
-            while i is not None:
-                try:
-                    results[i] = tasks[i]()
-                except Exception as e:  # raised below, in task order
-                    errors[i] = e
-                i = queue.get()
-
-    with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
-        helpers = [pool.submit(lambda: drain(queue.get())) for _ in range(workers)]
-        drain(0 if tasks else None)
-        for helper in helpers:
-            helper.result()
-    for e in filter(None, errors):
-        raise e
-    return results
-
-
-def _field_tasks(nodes, net, t, k, queries=None, dims=None):
-    """Node transforms at ``t``, the field's (n, 3) output and its 4096-row
-    slice tasks at the (n, 3) ``queries`` or, in the grid form, at the voxel
-    centres of a ``dims`` grid: each slice makes its own, the bits of its rows
-    of ``voxel_centers_normalized(dims).reshape(-1, 3)``.  The input checks
-    (k and the nodes alone in the grid form), then the transforms and
-    allocation, run here on the calling thread; a non-finite row in a slice
-    raises ValidationError."""
-    grid = dims is not None
-    queries, pos, tree = _knn_tree(np.empty((0, 3)) if grid else queries, nodes.positions, k)
-    n = math.prod(dims) if grid else queries.shape[0]
-    t6 = node_transforms(net, nodes.positions, t)[0]
+    k and the nodes are checked, and the output allocated, on the calling
+    thread.  The 4096-voxel slices go to ``_pool_size() - 1`` workers (at
+    least one); each slice makes its own voxel centres, the bits of its rows
+    of ``voxel_centers_normalized(dims).reshape(-1, 3)``.  The caller runs
+    ``first``, then takes from the back every slice no worker has started.
+    Every slice runs under the caller's floating-point error state, and a
+    non-finite slice raises ValidationError; an error from ``first`` is
+    raised ahead of any slice's.  The bits do not depend on the thread count.
+    """
+    _, pos, tree = _knn_tree(np.empty((0, 3)), nodes.positions, k)
+    n = math.prod(dims)
     out = np.empty((n, 3))
+    errstate = dict(np.geterr(), call=np.geterrcall())
 
-    def field_rows(rows):
-        q = np.stack(np.unravel_index(np.arange(rows.start, rows.stop), dims),
-                     axis=1) / _axis_denoms(dims) if grid else queries[rows]
-        idx = _knn_rows(tree, pos, q, k)
-        weights, *_ = _blend(q, pos, nodes.log_radii, idx)
-        out[rows] = np.einsum("qk,qkc->qc", weights, np.take(t6[:, :3], idx, axis=0))
+    def field_rows(start):
+        rows = slice(start, min(start + _KNN_CHUNK, n))
+        with np.errstate(**errstate):
+            q = np.stack(np.unravel_index(np.arange(rows.start, rows.stop), dims),
+                         axis=1) / _axis_denoms(dims)
+            idx = _knn_rows(tree, pos, q, k)
+            weights, *_ = _blend(q, pos, nodes.log_radii, idx)
+            out[rows] = np.einsum("qk,qkc->qc", weights, np.take(t6[:, :3], idx, axis=0))
         if not np.all(np.isfinite(out[rows])):
             raise ValidationError("displacement field contains non-finite entries")
 
-    return t6, out, [partial(field_rows, slice(start, min(start + _KNN_CHUNK, n)))
-                     for start in range(0, n, _KNN_CHUNK)]
+    pool = ThreadPoolExecutor(max(_pool_size() - 1, 1))
+    try:
+        slices = {start: pool.submit(field_rows, start) for start in range(0, n, _KNN_CHUNK)}
+        result = first() if first else None
+        for start in reversed(slices):
+            if slices[start].cancel():
+                field_rows(start)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for future in slices.values():
+        if not future.cancelled():
+            future.result()
+    return out, result
 
 
 def dense_displacement(queries, nodes, net, t, k):
     """Blended translation at arbitrary query points (each using its own
     KNN set); defines the dense motion field phi(X, t) = X + u(X, t).
 
-    Byte-equal to knn_indices -> blend_weights -> blend_transforms for any
-    thread count: the ``_field_tasks`` slices run through ``_run_tasks``.
-    A field with a non-finite entry raises ValidationError.
+    knn_indices -> node_transforms -> blend_weights -> blend_transforms, all
+    rows at once on the calling thread; the inputs are checked first.  A
+    field with a non-finite entry raises ValidationError.
     """
-    _, out, tasks = _field_tasks(nodes, net, t, k, queries=queries)
-    _run_tasks(tasks)
-    return out
+    idx = knn_indices(queries, nodes.positions, k)
+    t6 = node_transforms(net, nodes.positions, t)[0]
+    weights = blend_weights(queries, nodes.positions, nodes.log_radii, idx)
+    u = blend_transforms(weights, idx, t6)[0]
+    if not np.all(np.isfinite(u)):
+        raise ValidationError("displacement field contains non-finite entries")
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ class PhantomSpec:
             raise ValidationError("a sequence needs at least two frames")
         if len(self.rv_angle_deg) != 2:
             raise ValidationError(f"rv_angle_deg must be two angles, got {self.rv_angle_deg}")
+        if not 0 <= self.rv_angle_deg[0] < self.rv_angle_deg[1] <= 360:
+            raise ValidationError(
+                f"rv_angle_deg must be (lo, hi) with 0 <= lo < hi <= 360, got {self.rv_angle_deg}")
+        if not self.shell_height_mm > 0:
+            raise ValidationError(f"shell_height_mm must be > 0, got {self.shell_height_mm}")
+        if not self.z_taper_mm >= 0:
+            raise ValidationError(f"z_taper_mm must be >= 0, got {self.z_taper_mm}")
         if self.texture_seed < 0:
             raise ValidationError(f"texture_seed must be >= 0, got {self.texture_seed}")
         try:

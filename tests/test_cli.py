@@ -163,15 +163,21 @@ def test_eval_scores_the_phantom_without_an_rv(tmp_path):
     assert report["dice_rv"] == 1.0 and np.isfinite(report["hd_mm"])
 
 
-def test_eval_mismatched_mask_dims(tmp_path):
+def test_eval_mismatched_mask_dims(tmp_path, capsys):
     ph, fit_dir = fitted_run(tmp_path)
     small = volgrid.LabelVolume((8, 8, 8), (3, 3, 3),
                                 np.zeros((8, 8, 8), dtype=np.uint8))
     volgrid.save_volume(small, tmp_path / "small")
-    rc = main(["eval", "--fitted", str(fit_dir), "--sequence", str(ph / "sequence"),
-               "--truth", str(tmp_path / "small.vjson"),
-               "--out", str(tmp_path / "m.json")])
-    assert rc == 2
+    # an f32 truth on the right grid is refused too
+    volgrid.save_volume(volgrid.load_sequence(ph / "sequence").frames[0], tmp_path / "f32")
+    capsys.readouterr()
+    for truth, want in (("small", "truth dims (8, 8, 8) != sequence dims (20, 20, 16)"),
+                        ("f32", "truth mask must be a u8 label volume")):
+        err = _one_line_failure(capsys, [
+            "eval", "--fitted", str(fit_dir), "--sequence", str(ph / "sequence"),
+            "--truth", str(tmp_path / f"{truth}.vjson"), "--out", str(tmp_path / "m.json")])
+        assert want in err
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_dir_states_each_fact_once(tmp_path):
@@ -310,6 +316,8 @@ def _damage_state(state, what):
         (state / "config.json").write_text(json.dumps(config))
     elif what == "malformed config.json":
         (state / "config.json").write_text('{"n_init": 48,')
+    elif what == "no run_manifest.json":
+        (state / "run_manifest.json").unlink()
     else:
         manifest = json.loads((state / "run_manifest.json").read_text())
         if what == "malformed run_manifest.json":
@@ -331,7 +339,8 @@ STATE_DAMAGE = ["truncated gaussians.raw", "nodes.njson without count",
                 "malformed run_manifest.json", "run manifest without kind",
                 "run manifest without artifacts", "run manifest without grid",
                 "run manifest with a bad grid", "run manifest with a fractional grid",
-                "config.json with a string k_neighbors", "malformed config.json"]
+                "config.json with a string k_neighbors", "malformed config.json",
+                "no run_manifest.json"]
 
 
 def _one_line_failure(capsys, argv, code=2):
@@ -581,7 +590,8 @@ def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, monke
 @pytest.mark.parametrize("what", ["missing frame raw", "malformed sequence.vjson",
                                   "frame names not strings", "malformed config",
                                   "fractional mask dims", "time beyond the float range",
-                                  "mask from another grid"])
+                                  "mask from another grid", "f32 mask", "no sequence.vjson",
+                                  "u8 frame"])
 def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     ph = tmp_path / "ph"
     main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
@@ -603,6 +613,13 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
         volgrid.save_volume(volgrid.LabelVolume((8, 8, 8), (3, 3, 3),
                                                 np.zeros((8, 8, 8), dtype=np.uint8)),
                             ph / "ed_labels")
+    elif what == "f32 mask":
+        volgrid.save_volume(volgrid.load_sequence(ph / "sequence").frames[0], ph / "ed_labels")
+    elif what == "no sequence.vjson":
+        index.unlink()
+    elif what == "u8 frame":
+        labels = volgrid.load_volume(ph / "ed_labels")
+        volgrid.save_volume(labels, ph / "sequence" / "frame_001")
     else:
         cfg.write_text(cfg.read_text()[:-1])
     err = _one_line_failure(capsys, ["fit", "--sequence", str(ph / "sequence"),
@@ -611,6 +628,12 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     assert not (tmp_path / "fit").exists()
     if what == "mask from another grid":
         assert "mask dims (8, 8, 8) do not match sequence dims (20, 20, 16)" in err
+    elif what == "f32 mask":
+        assert "mask must be a u8 label volume" in err
+    elif what == "no sequence.vjson":
+        assert "no sequence.vjson found" in err
+    elif what == "u8 frame":
+        assert "frame_001.vjson: sequence frames must be f32le volumes" in err
 
 
 def test_bad_phantom_spec_exits_2(tmp_path, capsys):
@@ -618,6 +641,10 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys):
     for spec in ('{"frames": "eight"}', '{"dims": [64, 64]', '{"dims": "big"}',
                  '{"dims": [64.5, 64, 64]}', '{"texture_seed": -1}',
                  '{"rv_angle_deg": [100.0, 180.0, 260.0]}',
+                 # no labels at all, then an RV that is empty or clipped
+                 '{"shell_height_mm": 0}', '{"shell_height_mm": -5}',
+                 '{"rv_angle_deg": [300, 10]}', '{"rv_angle_deg": [-60, 40]}',
+                 '{"rv_angle_deg": [100, 500]}', '{"z_taper_mm": -1}',
                  '{"peak_contraction": %s}' % huge, '{"spacing": [3, 3, %s]}' % huge,
                  # radii whose squares overflow a float
                  '{"inner_radius_mm": 1e200, "outer_radius_mm": 2e200,'
@@ -630,6 +657,21 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys):
         _one_line_failure(capsys, ["phantom", "--spec", str(path),
                                    "--out", str(tmp_path / "ph")])
         assert not (tmp_path / "ph").exists()
+
+
+def test_phantom_overwrite_replaces_the_sequence_and_keeps_foreign_files(tmp_path):
+    three = tiny_phantom_spec(tmp_path)
+    replace(PhantomSpec.load(three), frames=2).save(tmp_path / "two.json")
+    assert main(["phantom", "--spec", str(tmp_path / "two.json"),
+                 "--out", str(tmp_path / "want")]) == 0
+    out = tmp_path / "ph"
+    assert main(["phantom", "--spec", str(three), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert main(["phantom", "--spec", str(tmp_path / "two.json"), "--out", str(out),
+                 "--overwrite"]) == 0
+    # the third frame is gone with the old sequence/
+    assert dir_bytes(out) == {**dir_bytes(tmp_path / "want"), "notes.txt": b"kept"}
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
 def test_removed_fit_flags_are_unknown(tmp_path, capsys):

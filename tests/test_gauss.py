@@ -392,9 +392,11 @@ def test_render_bits_do_not_depend_on_blas_threads():
     src = str(Path(gauss_mod.__file__).resolve().parent.parent)
     # (count, dims, center range, scale range); the second scene's chunk
     # products reach about 1.1M multiply-adds, where a threaded OpenBLAS GEMM
-    # sums in a different order than one thread
+    # sums in a different order than one thread; in the third, one Gaussian
+    # reaches over 26,214 voxels, so its row products run in einsum
+    big = (2, (40, 40, 40), 0.45, 0.55, 0.2, 0.25)
     for scene in [(1500, (28, 28, 28), 0, 1, 0.03, 0.08),
-                  (600, (48, 48, 48), 0.2, 0.8, 0.03, 0.05)]:
+                  (600, (48, 48, 48), 0.2, 0.8, 0.03, 0.05), big]:
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -404,6 +406,18 @@ def test_render_bits_do_not_depend_on_blas_threads():
                                  capture_output=True, text=True, check=True)
             digests.append(run.stdout.strip())
         assert len(digests[0]) == 64 and digests[0] == digests[1], scene
+    # the script's set for the third scene
+    n, dims, lo, hi, s_lo, s_hi = big
+    rng = np.random.default_rng(17)
+    g = GaussianSet(rng.uniform(lo, hi, (n, 3)), rng.normal(size=(n, 4)),
+                    np.log(rng.uniform(s_lo, s_hi, (n, 3))), rng.uniform(-1, 1, n))
+    _, cache = render_with_cache(g, dims)
+    assert max(feats.size for _, _, feats, _, _ in cache) > gauss_mod._GEMM_MNK
+    exact = render_values_bruteforce(g, dims)
+    assert np.max(np.abs(render_values(g, dims, cutoff_multiplier=np.inf) - exact)) < 1e-12
+    # the cutoff-3 render drops at most exp(-4.5) of each amplitude
+    assert np.max(np.abs(render_values(g, dims) - exact)) <= \
+        np.abs(g.intensities).sum() * np.exp(-4.5)
 
 
 # --- analytic backward vs finite differences ---------------------------------

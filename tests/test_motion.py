@@ -2,7 +2,6 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
@@ -470,16 +469,9 @@ C = motion._KNN_CHUNK
 def test_dense_displacement_is_byte_equal_for_any_pool_size(monkeypatch, n):
     q, nodes, net = field_scene(n)
     want = public_field(q, nodes, net, 0.3, 4).tobytes()
-    threads, pools = counting_threads(monkeypatch)
-    chunks = -(-n // C)
     for workers in (1, 2, 3):
         monkeypatch.setattr(motion, "_pool_size", lambda: workers)
-        threads.clear()
         assert dense_displacement(q, nodes, net, 0.3, 4).tobytes() == want
-        assert len(threads) == chunks
-        assert len(set(threads)) <= min(workers, chunks)
-    # the caller takes a share: min(w, chunks) - 1 workers, no pool for none
-    assert pools == [min(w, chunks) - 1 for w in (1, 2, 3) if min(w, chunks) > 1]
 
 
 def test_lattice_ties_on_both_sides_of_a_chunk_boundary():
@@ -592,11 +584,13 @@ def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
     assert threads == [] and pools == []
 
 
-def grid_field(dims, nodes, net, t, k):
+def grid_field(dims, nodes, net, t, k, first=None):
     """The field's grid form, as eval and export-field run it."""
-    _, out, tasks = motion._field_tasks(nodes, net, t, k, dims=dims)
-    motion._run_tasks(tasks)
-    return out
+    return motion.grid_displacement(nodes, node_transforms(net, nodes.positions, t)[0], k,
+                                    dims, first)
+
+
+POOLS = [1, 2, 3, 8]  # CPUs: one worker for one or two, then one per further CPU
 
 
 # voxel counts that are no multiple of the 4096-row slice: a cube, an
@@ -607,142 +601,169 @@ def test_the_grid_form_is_the_field_at_the_voxel_centres(monkeypatch, dims):
     want = dense_displacement(voxel_centers_normalized(dims).reshape(-1, 3), nodes, net, 0.3,
                               4).tobytes()
     threads, _ = counting_threads(monkeypatch)
-    for workers in (1, 2, 3):
+    for workers in POOLS:
         monkeypatch.setattr(motion, "_pool_size", lambda: workers)
         threads.clear()
-        assert grid_field(dims, nodes, net, 0.3, 4).tobytes() == want
+        u, result = grid_field(dims, nodes, net, 0.3, 4)
+        assert u.tobytes() == want and result is None
         assert len(threads) == -(-int(np.prod(dims)) // C)
 
 
 def test_the_grid_form_checks_k_and_the_nodes_before_any_worker_starts(monkeypatch):
     threads, pools = counting_threads(monkeypatch)
     _, nodes, net = field_scene(1)
+    t6 = node_transforms(net, nodes.positions, 0.3)[0]
     for k in (0, nodes.count + 1):
         with pytest.raises(ValidationError, match=f"k={k}"):
-            grid_field((20, 20, 21), nodes, net, 0.3, k)
+            motion.grid_displacement(nodes, t6, k, (20, 20, 21))
     nodes.positions[3, 2] = np.nan
     with pytest.raises(NumericalAbort):
-        grid_field((20, 20, 21), nodes, net, 0.3, 4)
+        motion.grid_displacement(nodes, t6, 4, (20, 20, 21))
     assert threads == [] and pools == []
 
 
-def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatch):
-    # zero radii make every kernel exponent d^2 / 0: division by zero, then
-    # -inf - (-inf) in the softmax shift; the caller's own slice fails too, so
-    # the workers' error state is shown by the _run_tasks tests below.  With
-    # the errors ignored, the NaN field is refused, for any number of CPUs
-    q, nodes, net = field_scene(2 * C)
-    nodes.log_radii[:] = -1e30
-    for pool in (1, 2, 3):
-        monkeypatch.setattr(motion, "_pool_size", lambda: pool)
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            dense_displacement(q, nodes, net, 0.3, 4)
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError,
-                               match="^displacement field contains non-finite entries$"):
-                dense_displacement(q, nodes, net, 0.3, 4)
+def recording_slices(monkeypatch, dims, slow=None):
+    """Record (slice start, thread) of every field slice as its KNN runs,
+    and run ``slow(start)`` first there."""
+    starts = {tuple(c): i * C
+              for i, c in enumerate(voxel_centers_normalized(dims).reshape(-1, 3)[::C])}
+    calls, knn_rows = [], motion._knn_rows
+
+    def recorded(tree, pos, q, k):
+        start = starts[tuple(q[0])]
+        calls.append((start, threading.get_ident()))
+        if slow:
+            slow(start)
+        return knn_rows(tree, pos, q, k)
+
+    monkeypatch.setattr(motion, "_knn_rows", recorded)
+    return calls
 
 
-@pytest.mark.parametrize("pool", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_run_tasks_returns_in_task_order_with_task_0_on_the_caller(monkeypatch, pool, n):
+@pytest.mark.parametrize("pool", POOLS)
+def test_grid_displacement_runs_each_slice_once_and_first_on_the_caller(monkeypatch, pool):
     monkeypatch.setattr(motion, "_pool_size", lambda: pool)
-    threads, finished, others_done = [None] * n, [], threading.Event()
+    dims = (20, 16, 64)  # 20480 voxels: five slices
+    _, nodes, net = field_scene(1)
+    want = grid_field(dims, nodes, net, 0.3, 4)[0].tobytes()
+    calls = recording_slices(monkeypatch, dims)
+    first_threads = []
 
-    def task(i):
-        threads[i] = threading.get_ident()
-        if i == 0 and min(pool, n) > 1:  # the others go to the workers
-            assert others_done.wait(10)
-        finished.append(i)
-        if len(finished) == n - 1 and 0 not in finished:
-            others_done.set()
-        return i * i
-
-    assert motion._run_tasks([partial(task, i) for i in range(n)]) == [i * i for i in range(n)]
-    assert threads[0] == threading.get_ident()
-    assert 1 <= len(set(threads)) <= min(pool, n)
-    assert (len(set(threads)) > 1) == (min(pool, n) > 1)
-
-
-def test_run_tasks_caller_takes_the_tasks_left_after_its_first(monkeypatch):
-    # the one worker holds task 1 until task 2 has run, so the caller runs it
-    monkeypatch.setattr(motion, "_pool_size", lambda: 2)
-    threads, started_1, ran_2 = [None] * 3, threading.Event(), threading.Event()
-
-    def task(i):
-        threads[i] = threading.get_ident()
-        if i == 0:
-            assert started_1.wait(10)
-        elif i == 1:
-            started_1.set()
-            assert ran_2.wait(10)
-        else:
-            ran_2.set()
-        return i
-
-    assert motion._run_tasks([partial(task, i) for i in range(3)]) == [0, 1, 2]
-    assert threads[0] == threads[2] == threading.get_ident() != threads[1]
-
-
-def test_run_tasks_runs_each_task_once_with_more_threads_than_cpus(monkeypatch):
-    monkeypatch.setattr(motion, "_pool_size", lambda: 8)
-    n, runs = 300, [0] * 300
-
-    def task(i):
-        runs[i] += 1
-        return i
+    def first():
+        first_threads.append(threading.get_ident())
+        return "scores"
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert motion._run_tasks([partial(task, i) for i in range(n)]) == list(range(n))
+        for _ in range(20):
+            calls.clear()
+            u, result = grid_field(dims, nodes, net, 0.3, 4, first)
+            assert u.tobytes() == want and result == "scores"
+            assert sorted(start for start, _ in calls) == list(range(0, 5 * C, C))
     finally:
         sys.setswitchinterval(interval)
-    assert runs == [1] * n
+    assert set(first_threads) == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("pool", [1, 2, 3])
-def test_run_tasks_raises_the_first_failing_task_in_task_order(monkeypatch, pool):
+@pytest.mark.parametrize("pool", POOLS)
+def test_grid_workers_held_in_the_front_slices_leave_the_back_ones_to_the_caller(
+        monkeypatch, pool):
+    # every worker holds a front slice until the caller has run all the rest
     monkeypatch.setattr(motion, "_pool_size", lambda: pool)
-    later_failed = threading.Event()
+    workers, n_slices, caller = max(pool - 1, 1), 11, threading.get_ident()
+    dims = (11, 16, 256)  # 45056 voxels: eleven slices
+    _, nodes, net = field_scene(1)
+    want = grid_field(dims, nodes, net, 0.3, 4)[0].tobytes()
+    held, released = threading.Event(), threading.Event()
+
+    def slow(start):
+        if threading.get_ident() != caller:
+            # each thread appends before it counts, so the last one sees all
+            if sum(thread != caller for _, thread in calls) == workers:
+                held.set()
+            assert released.wait(10)
+        elif len(calls) == n_slices:
+            released.set()
+
+    calls = recording_slices(monkeypatch, dims, slow)
+    u, result = grid_field(dims, nodes, net, 0.3, 4, lambda: held.wait(10))
+    assert u.tobytes() == want and result is True
+    assert [start for start, thread in calls if thread == caller] == \
+        [i * C for i in range(n_slices - 1, workers - 1, -1)]
+    assert sorted(start for start, thread in calls if thread != caller) == \
+        [i * C for i in range(workers)]
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_grid_displacement_raises_the_error_of_first_over_a_non_finite_slice(
+        monkeypatch, pool):
+    # zero radii make every slice non-finite; first raises only once a worker
+    # has started its second slice, so its first slice has already failed
+    monkeypatch.setattr(motion, "_pool_size", lambda: pool)
+    dims = (20, 16, 128)  # ten slices, more than the workers
+    _, nodes, net = field_scene(1)
+    nodes.log_radii[:] = -1e30
+    second, caller = threading.Event(), threading.get_ident()
+
+    def count(start):
+        me = threading.get_ident()
+        if me != caller and sum(thread == me for _, thread in calls) > 1:
+            second.set()
+
+    calls = recording_slices(monkeypatch, dims, count)
 
     def first():
-        if pool > 1:  # task 0 fails only after task 2 has
-            assert later_failed.wait(10)
-        raise ValidationError("task 0")
+        assert second.wait(10)
+        raise NumericalAbort("first")
 
-    def later():
-        later_failed.set()
-        raise NumericalAbort("task 2")
-
-    with pytest.raises(ValidationError, match="task 0"):
-        motion._run_tasks([first, lambda: 1, later])
-    with pytest.raises(NumericalAbort, match="task 2"):
-        motion._run_tasks([lambda: 0, lambda: 1, later])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalAbort, match="^first$"):
+            grid_field(dims, nodes, net, 0.3, 4, first)
+        with pytest.raises(ValidationError,
+                           match="^displacement field contains non-finite entries$"):
+            grid_field(dims, nodes, net, 0.3, 4)
 
 
-@pytest.mark.parametrize("pool", [2, 3])
-def test_run_tasks_workers_run_under_the_callers_error_state(monkeypatch, pool):
-    monkeypatch.setattr(motion, "_pool_size", lambda: pool)
-    divided, threads = threading.Event(), []
-
-    def caller():
-        assert divided.wait(10)
-
-    def divide():
-        threads.append(threading.get_ident())
-        try:
-            return np.ones(1) / np.zeros(1)
-        finally:
-            divided.set()
-
+def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatch):
+    # the points form runs on the calling thread: zero radii make every
+    # kernel exponent d^2 / 0, division by zero, then -inf - (-inf) in the
+    # softmax shift.  With the errors ignored, the NaN field is refused
+    q, nodes, net = field_scene(2 * C)
+    nodes.log_radii[:] = -1e30
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        motion._run_tasks([caller, divide])
-    assert threads[0] != threading.get_ident()
+        dense_displacement(q, nodes, net, 0.3, 4)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert motion._run_tasks([caller, divide])[1][0] == np.inf
+        with pytest.raises(ValidationError,
+                           match="^displacement field contains non-finite entries$"):
+            dense_displacement(q, nodes, net, 0.3, 4)
+    # in the grid form a worker divides by zero in its slice while the
+    # caller is in first
+    dims = (20, 16, 64)
+    _, nodes, net = field_scene(1)
+    want = grid_field(dims, nodes, net, 0.3, 4)[0].tobytes()
+    divided, caller = threading.Event(), threading.get_ident()
+
+    def divide(start):
+        if threading.get_ident() != caller:
+            try:
+                np.ones(1) / np.zeros(1)
+            finally:
+                divided.set()
+
+    recording_slices(monkeypatch, dims, divide)
+    for pool in POOLS:
+        monkeypatch.setattr(motion, "_pool_size", lambda: pool)
+        divided.clear()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError,
+                                                     match="divide by zero"):
+            grid_field(dims, nodes, net, 0.3, 4, lambda: divided.wait(10))
+        divided.clear()
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, result = grid_field(dims, nodes, net, 0.3, 4, lambda: divided.wait(10))
+        assert u.tobytes() == want and result is True
 
 
 # --- backward: finite-difference oracles ----------------------------------------

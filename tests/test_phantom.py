@@ -49,6 +49,18 @@ def test_spec_refuses_values_of_the_wrong_kind_without_json(over):
         small_spec(**over)
 
 
+def test_without_a_z_taper_the_motion_stops_at_the_shell_ends():
+    spec = small_spec(z_taper_mm=0.0)
+    c, half = spec.center_mm, spec.shell_height_mm / 2
+    dz = np.array([0.0, half, half + 0.5, half + 1.0])
+    assert np.array_equal(_axial_window(spec, c[2] + dz), [1.0, 1.0, 0.0, 0.0])
+    r = (spec.inner_radius_mm + spec.outer_radius_mm) / 2
+    pts = np.stack([np.full(4, c[0] + r), np.full(4, c[1]), c[2] - dz], axis=1)
+    u = analytic_displacement(pts, 0.5, spec)
+    assert np.all(u[:2, 0] < 0) and np.array_equal(u[2:], np.zeros((2, 3)))
+    assert np.array_equal(u[0], u[1])
+
+
 def test_spec_round_trip(tmp_path):
     spec = small_spec(texture_seed=7)
     spec.save(tmp_path / "spec.json")
@@ -338,6 +350,8 @@ ORACLE_SPECS = {
                                  support_radius_mm=40.0),
     # a crescent of negative thickness is empty; the box still holds the shell
     "no-rv": dict(dims=(40, 36, 24), spacing=(2.2, 2.6, 3.1), rv_thickness_mm=-10.0),
+    # the axial window a hard step at half the shell height
+    "no-z-taper": dict(dims=(40, 36, 24), spacing=(2.2, 2.6, 3.1), z_taper_mm=0.0),
 }
 
 
