@@ -310,6 +310,14 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
             yield rows, flat_lo[rows, None] + flat_off[cols], fc, e, live
 
 
+def _scatter(gaussians, out, chunks):
+    """Add each chunk's weighted exponentials into ``out``, in chunk order."""
+    for rows, flat, _, e, live in chunks:
+        vals = gaussians.intensities[live[0][rows]][:, None] * e
+        np.add.at(out.reshape(-1), flat.ravel(), vals.ravel())
+    return out
+
+
 def render_with_cache(gaussians, dims, cutoff_multiplier=CUTOFF_MULTIPLIER):
     """Forward render plus the per-chunk intermediates the backward pass
     needs (see _iter_support_chunks).  Sharing the cache guarantees forward
@@ -317,18 +325,16 @@ def render_with_cache(gaussians, dims, cutoff_multiplier=CUTOFF_MULTIPLIER):
     dims = tuple(int(d) for d in dims)
     out = np.zeros(dims)
     chunks = list(_iter_support_chunks(gaussians, dims, cutoff_multiplier))
-    for rows, flat, _, e, live in chunks:
-        vals = gaussians.intensities[live[0][rows]][:, None] * e
-        np.add.at(out.reshape(-1), flat.ravel(), vals.ravel())
-    return out, chunks
+    return _scatter(gaussians, out, chunks), chunks
 
 
 def render_values(gaussians, dims, cutoff_multiplier=CUTOFF_MULTIPLIER):
     """Sum of Gaussian densities at every voxel center; returns an array of
     shape ``dims`` (float64).  Accumulation order is fixed, so results are
-    reproducible run to run."""
-    values, _ = render_with_cache(gaussians, dims, cutoff_multiplier)
-    return values
+    reproducible run to run.  Each chunk is dropped once added: no cache."""
+    dims = tuple(int(d) for d in dims)
+    out = np.zeros(dims)
+    return _scatter(gaussians, out, _iter_support_chunks(gaussians, dims, cutoff_multiplier))
 
 
 def render_values_bruteforce(gaussians, dims):

@@ -136,12 +136,14 @@ def psnr(pred, truth):
     return 10.0 * math.log10(DATA_RANGE ** 2 / mse)
 
 
-def _local_means(arr, kernel, out, scratch):
-    """Gaussian-window means of ``arr`` into ``out``, through ``scratch``."""
-    ndimage.correlate1d(arr, kernel, axis=0, output=out, mode="nearest")
-    ndimage.correlate1d(out, kernel, axis=1, output=scratch, mode="nearest")
-    ndimage.correlate1d(scratch, kernel, axis=2, output=out, mode="nearest")
-    return out
+def _local_means(arr, kernel):
+    """Gaussian-window means of ``arr`` where the whole window fits: each
+    pass keeps only the interior of the axis it ran along."""
+    half = kernel.size // 2
+    for axis in range(arr.ndim):
+        arr = ndimage.correlate1d(arr, kernel, axis=axis, mode="nearest")
+        arr = arr[(slice(None),) * axis + (slice(half, -half),)]
+    return arr
 
 
 def ssim3d(pred, truth):
@@ -149,9 +151,9 @@ def ssim3d(pred, truth):
 
     The map is evaluated only where the full window fits (dims must be at
     least SSIM_WINDOW per axis), which keeps the statistic independent of
-    any boundary-padding convention.  The moments and the map are built in
-    place in eight float64 grid volumes (seven when ``pred`` is float64),
-    each operation in the order of Wang et al.'s formula.
+    any boundary-padding convention.  The five moments and the map are
+    built on those interior voxels alone, each operation in the order of
+    Wang et al.'s formula.
     """
     if pred.shape != truth.shape:
         raise ValidationError("ssim needs matching grids")
@@ -162,32 +164,21 @@ def ssim3d(pred, truth):
     half = SSIM_WINDOW // 2
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1, dtype=np.float64) / SSIM_SIGMA) ** 2)
     kernel /= kernel.sum()
-    mu_p, mu_t, var_p, var_t, prod, scratch = (np.empty(p.shape) for _ in range(6))
-    _local_means(p, kernel, mu_p, scratch)
-    _local_means(t, kernel, mu_t, scratch)
-    # each second moment becomes its (co)variance: m_ab - mu_a * mu_b
-    _local_means(np.multiply(p, p, out=prod), kernel, var_p, scratch)
-    var_p -= np.multiply(mu_p, mu_p, out=prod)
-    _local_means(np.multiply(t, t, out=prod), kernel, var_t, scratch)
-    var_t -= np.multiply(mu_t, mu_t, out=prod)
-    cov = _local_means(np.multiply(p, t, out=prod), kernel, t, scratch)
-    cov -= np.multiply(mu_p, mu_t, out=prod)
+    # each second moment less the product of the means: its (co)variance;
+    # the two that read truth come first, so its float64 copy can go
+    mu_p, mu_t = _local_means(p, kernel), _local_means(t, kernel)
+    var_t = _local_means(t * t, kernel) - mu_t * mu_t
+    cov = _local_means(p * t, kernel) - mu_p * mu_t
+    del t
+    var_p = _local_means(p * p, kernel) - mu_p * mu_p
     c1 = (SSIM_K1 * DATA_RANGE) ** 2
     c2 = (SSIM_K2 * DATA_RANGE) ** 2
-    # ((2 mu_p mu_t + c1) (2 cov + c2)) / ((mu_p^2 + mu_t^2 + c1) (var_p + var_t + c2))
-    ssim_map = np.multiply(np.multiply(2, mu_p, out=prod), mu_t, out=prod)
-    ssim_map += c1
-    cov *= 2
-    cov += c2
-    ssim_map *= cov
-    den = np.add(np.square(mu_p, out=scratch), np.square(mu_t, out=mu_t), out=scratch)
-    den += c1
-    var_p += var_t
-    var_p += c2
-    den *= var_p
-    ssim_map /= den
-    valid = ssim_map[half:-half, half:-half, half:-half]
-    return float(valid.mean())
+    # the interior view of a grid-sized array: np.mean sums it in the order
+    # of the whole-grid map's interior, where a contiguous map can differ
+    ssim_map = np.empty(p.shape)[(slice(half, -half),) * 3]
+    np.multiply(2 * mu_p * mu_t + c1, 2 * cov + c2, out=ssim_map)
+    ssim_map /= (mu_p * mu_p + mu_t * mu_t + c1) * (var_p + var_t + c2)
+    return float(ssim_map.mean())
 
 
 def _boundary_points_mm(labelvol, class_id):
@@ -218,12 +209,12 @@ def jacobian_stats(vectors):
     """Fold fraction and incompressibility deviation of a displacement field,
     given as its (nx, ny, nz, 3) array in normalized units.
 
-    The Jacobian of phi(X) = X + u(X) is formed with finite differences in
-    normalized coordinates, central on the interior voxels, which are the only
-    ones the statistics cover: the fraction with det <= 0 and the mean
-    |det - 1|, the determinant taken by cofactors.  It is made a few x-planes
-    at a time, from a slab with a one-plane halo (whose central differences
-    are the whole array's), into one array of the interior determinants.
+    The Jacobian of phi(X) = X + u(X) is formed with central differences in
+    normalized coordinates, np.gradient's (f[i+1] - f[i-1]) / 2h, on the
+    interior voxels alone, which are the only ones the statistics cover: the
+    fraction with det <= 0 and the mean |det - 1|, the determinant taken by
+    cofactors.  It is made a few x-planes at a time, from a slab with a
+    one-plane halo, into one array of the interior determinants.
     """
     if vectors.ndim != 4 or vectors.shape[3] != 3:
         raise ValidationError("displacement array must be (nx, ny, nz, 3)")
@@ -232,12 +223,15 @@ def jacobian_stats(vectors):
         raise ValidationError("jacobian diagnostics need dims >= 3 per axis")
     steps = [1.0 / (d - 1) for d in dims]
     inner = (slice(1, -1),) * 3
+    # per axis a, the interior voxels one step ahead along a and one behind
+    ahead = [inner[:a] + (slice(2, None),) + inner[a + 1:] for a in range(3)]
+    behind = [inner[:a] + (slice(None, -2),) + inner[a + 1:] for a in range(3)]
     det = np.empty(tuple(d - 2 for d in dims))
     for x0 in range(0, dims[0] - 2, _JACOBIAN_PLANES):
         slab = vectors[x0:x0 + _JACOBIAN_PLANES + 2]
         # jac[i][a] = d phi_i / d X_a
-        jac = [[g[inner] + float(i == a)
-                for a, g in enumerate(np.gradient(slab[..., i], *steps))]
+        jac = [[(slab[ahead[a] + (i,)] - slab[behind[a] + (i,)]) / (2.0 * steps[a])
+                + float(i == a) for a in range(3)]
                for i in range(3)]
         (a, b, c), (d, e, f), (g, h, k) = jac
         det[x0:x0 + _JACOBIAN_PLANES] = \

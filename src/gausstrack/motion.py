@@ -114,7 +114,10 @@ class DeformNet:
 def node_transforms(net, positions, t):
     """Per-node transforms at time ``t`` as one (M, 6) array (translation,
     then per-axis log-scale offset), and the activations its adjoint reads.
-    The encoded positions and time are constants: the stop-gradient boundary."""
+    The encoded positions and time are constants: the stop-gradient boundary.
+    Non-finite positions raise NumericalAbort before they are encoded."""
+    if not np.all(np.isfinite(positions)):
+        raise NumericalAbort("node positions must be finite")
     m = positions.shape[0]
     t_enc = positional_encoding(np.float64(t), net.l_time)
     h = np.concatenate([positional_encoding(positions, net.l_space).reshape(m, -1),

@@ -294,6 +294,8 @@ def fit(sequence, mask, config, inspect_hook=None):
                 deformed, cache = motion_forward(g, nodes, t6, knn)
             else:
                 fi, deformed = sequence.ed_index, g
+            # the last iteration's cache stays bound until this one returns: freed
+            # first, malloc hands the heap top back and re-faults it every iteration
             rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier)
             loss, lgrad = l1_loss(rendered, frames[fi])
             canonical = rg = gauss.render_backward(deformed, dims, lgrad, rcache)

@@ -21,10 +21,10 @@ differences see the exact region, not the kinks.
 Frames are backward-warped from frame 0 through the exact inverse, so the
 ground-truth displacement, the inverse, and the per-frame labels are all
 mutually consistent by construction.  Only voxels inside the support
-cylinder can move, so the warps map and resample those alone, and only the
-box around the shell and crescent can hold a label, so the ED labels and
-class intensities are built there alone; the bytes are those of the whole
-grid.
+cylinder can move, so the warps map those alone; a frame resamples only
+the voxels whose source is not their own position, the others keep their
+ED value.  Only the box around the shell and crescent can hold a label, so
+the ED labels and class intensities are built there alone.
 """
 
 from __future__ import annotations
@@ -315,14 +315,14 @@ class _SupportGrid:
         nz = self.z.size
         self.flat = (ix * spec.dims[1] + iy)[:, None] * nz + np.arange(nz)
 
-    def moved(self, t, also=False):
+    def moved(self, t):
         """(flat voxel indices, source points (n, 3)) of the support voxels
-        whose source at ``t`` is not their own position, or where ``also``
-        ((S, nz) bool) is set.  A source keeps its voxel's z."""
+        whose source at ``t`` is not their own position.  A source keeps its
+        voxel's z."""
         a_eff = self.spec.contraction_at(t) * _axial_window(self.spec, self.z)
         ux, uy = _radial_displacement(self.dx, self.dy, self.rho, a_eff, self.spec, True)
         sx, sy = self.x + ux, self.y + uy
-        sel = np.nonzero((sx != self.x) | (sy != self.y) | also)
+        sel = np.nonzero((sx != self.x) | (sy != self.y))
         return self.flat[sel], np.stack([sx[sel], sy[sel], self.z[sel[1]]], axis=-1)
 
 
@@ -351,36 +351,21 @@ def generate_phantom(spec):
     """Build the full sequence plus the ED labels and the analytic field
     handle.
 
-    Frame 0 is the constructed ED volume bit for bit; frame t samples frame
-    0 at the exactly inverted positions (order 1).  An order-1 sample at an
-    exact grid coordinate is the grid value, so only voxels whose source is
-    not their own position, or whose coordinate ``i * s / s`` is not exactly
-    ``i``, are resampled.  ED is frame 0 (time 0); ES is the frame with the
-    strongest contraction.
+    Frame 0 is the constructed ED volume bit for bit.  In frame t a voxel
+    the exact inverse map leaves in place keeps its ED value, and every
+    other voxel samples frame 0 at its source (order 1).  ED is frame 0
+    (time 0); ES is the frame with the strongest contraction.
     """
     ed_labels = build_ed_labels(spec)
     ed = build_ed_volume(spec, ed_labels)
     times = np.linspace(0.0, 1.0, spec.frames)
     grid = _SupportGrid(spec)
-    spacing = np.array(spec.spacing)
-    ex, ey, ez = (np.arange(d) * s / s == np.arange(d) for d, s in zip(spec.dims, spec.spacing))
-    inexact = ~(ex[:, None, None] & ey[:, None] & ez)
-
-    def sample(src):
-        return ndimage.map_coordinates(ed.values, (src / spacing).T, order=1, mode="nearest")
-
-    # every frame starts as ED, resampled once at the inexact voxels off the
-    # support, where the source is the voxel's own position at every time
-    static = ed.values.copy()
-    off_support = inexact.copy()
-    off_support.reshape(-1)[grid.flat] = False
-    static[off_support] = sample(np.argwhere(off_support) * spacing)
-    inexact_support = inexact.reshape(-1)[grid.flat]
     frames = [ed]
     for t in times[1:]:
-        flat, src = grid.moved(t, inexact_support)
-        vals = static.copy()
-        vals.reshape(-1)[flat] = sample(src)
+        flat, src = grid.moved(t)
+        vals = ed.values.copy()
+        vals.reshape(-1)[flat] = ndimage.map_coordinates(
+            ed.values, (src / spec.spacing).T, order=1, mode="nearest")
         frames.append(VoxelVolume(spec.dims, spec.spacing, vals))
     es_index = int(np.argmax(spec.contraction_at(times)))
     seq = Sequence4D(frames, times, ed_index=0, es_index=es_index)

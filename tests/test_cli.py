@@ -421,6 +421,39 @@ def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["export-field", "eval"])
+def test_an_infinite_node_exits_3_before_the_network_runs(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # the node container refuses non-finite payloads, so the loaded set is
+    # changed in memory
+    from gausstrack import motion as motion_mod
+
+    state = untrained_state_dir(tmp_path)
+    manifest = json.loads((state / "run_manifest.json").read_text())
+    manifest["grid"]["dims"] = [20, 20, 16]
+    (state / "run_manifest.json").write_text(json.dumps(manifest))
+    main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(tmp_path / "ph")])
+    capsys.readouterr()
+    load_nodes = motion_mod.load_nodes
+
+    def load_with_an_infinite_node(path):
+        nodes = load_nodes(path)
+        nodes.positions[0, 0] = np.inf
+        return nodes
+
+    monkeypatch.setattr(motion_mod, "load_nodes", load_with_an_infinite_node)
+    if command == "eval":
+        argv = ["eval", "--fitted", str(state), "--sequence", str(tmp_path / "ph" / "sequence"),
+                "--truth", str(tmp_path / "ph" / "ed_labels.vjson"),
+                "--out", str(tmp_path / "out" / "metrics.json")]
+    else:
+        argv = ["export-field", "--fitted", str(state), "--time", "0.5",
+                "--out", str(tmp_path / "out" / "u")]
+    err = _one_line_failure(capsys, argv, code=3)
+    assert "node positions must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("absolute", [False, True])
 @pytest.mark.parametrize("key,files", [
     ("config", ["config.json"]), ("gaussians", ["gaussians.gjson", "gaussians.raw"]),
@@ -587,28 +620,51 @@ def test_bad_config_exits_2_before_making_the_output_dir(tmp_path, capsys, monke
     assert not (tmp_path / "fitbad").exists()
 
 
-@pytest.mark.parametrize("what", ["missing frame raw", "malformed sequence.vjson",
-                                  "frame names not strings", "malformed config",
-                                  "fractional mask dims", "time beyond the float range",
-                                  "mask from another grid", "f32 mask", "no sequence.vjson",
-                                  "u8 frame"])
+# the part of the one stderr line that names the fault, where a test checks it
+FIT_INPUT_FAULTS = {
+    "missing frame raw": "", "malformed sequence.vjson": "", "frame names not strings": "",
+    "malformed config": "", "fractional mask dims": "", "time beyond the float range": "",
+    "mask from another grid": "mask dims (8, 8, 8) do not match sequence dims (20, 20, 16)",
+    "f32 mask": "mask must be a u8 label volume",
+    "no sequence.vjson": "no sequence.vjson found",
+    "u8 frame": "frame_001.vjson: sequence frames must be f32le volumes",
+    "zero mask dim": "dims components must be >= 1",
+    "no frames": "sequence must contain at least one frame",
+    "frames of two geometries": "frame 1 geometry differs from frame 0",
+    "fewer times than frames": "one normalized time per frame required",
+    "es index past the frames": "ed/es indices out of range",
+    "ed frame not at time 0": "canonical fitting expects time 0 at the ED frame",
+}
+
+
+@pytest.mark.parametrize("what", list(FIT_INPUT_FAULTS))
 def test_bad_fit_input_exits_2(tmp_path, capsys, what):
     ph = tmp_path / "ph"
     main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(ph)])
     cfg = tiny_fit_config(tmp_path)
     index = ph / "sequence" / "sequence.vjson"
-    if what == "missing frame raw":
+    seq_index = json.loads(index.read_text())
+    index_with = {"frame names not strings": {"frames": [0, 1, 2]}, "no frames": {"frames": []},
+                  "time beyond the float range": {"times": [0, 0.5, 10 ** 400]},
+                  "fewer times than frames": {"times": [0, 0.5]},
+                  "es index past the frames": {"es_index": 3},
+                  "ed frame not at time 0": {"times": [0.25, 0.5, 1.0]}}
+    if what in index_with:
+        index.write_text(json.dumps({**seq_index, **index_with[what]}))
+    elif what == "zero mask dim":
+        mask = ph / "ed_labels.vjson"
+        mask.write_text(json.dumps({**json.loads(mask.read_text()), "dims": [0, 20, 16]}))
+    elif what == "frames of two geometries":
+        volgrid.save_volume(volgrid.VoxelVolume((20, 20, 16), (2.0, 3.0, 3.0),
+                                                np.zeros((20, 20, 16))),
+                            ph / "sequence" / "frame_001")
+    elif what == "missing frame raw":
         (ph / "sequence" / "frame_001.raw").unlink()
     elif what == "malformed sequence.vjson":
         index.write_text(index.read_text()[:-3])
-    elif what == "frame names not strings":
-        index.write_text(json.dumps({**json.loads(index.read_text()), "frames": [0, 1, 2]}))
     elif what == "fractional mask dims":
         mask = ph / "ed_labels.vjson"
         mask.write_text(json.dumps({**json.loads(mask.read_text()), "dims": [20.5, 20, 16]}))
-    elif what == "time beyond the float range":
-        index.write_text(json.dumps({**json.loads(index.read_text()),
-                                     "times": [0, 0.5, 10 ** 400]}))
     elif what == "mask from another grid":
         volgrid.save_volume(volgrid.LabelVolume((8, 8, 8), (3, 3, 3),
                                                 np.zeros((8, 8, 8), dtype=np.uint8)),
@@ -626,14 +682,7 @@ def test_bad_fit_input_exits_2(tmp_path, capsys, what):
                                      "--mask", str(ph / "ed_labels.vjson"),
                                      "--config", str(cfg), "--out", str(tmp_path / "fit")])
     assert not (tmp_path / "fit").exists()
-    if what == "mask from another grid":
-        assert "mask dims (8, 8, 8) do not match sequence dims (20, 20, 16)" in err
-    elif what == "f32 mask":
-        assert "mask must be a u8 label volume" in err
-    elif what == "no sequence.vjson":
-        assert "no sequence.vjson found" in err
-    elif what == "u8 frame":
-        assert "frame_001.vjson: sequence frames must be f32le volumes" in err
+    assert FIT_INPUT_FAULTS[what] in err
 
 
 def test_bad_phantom_spec_exits_2(tmp_path, capsys):
@@ -646,6 +695,10 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys):
                  '{"rv_angle_deg": [300, 10]}', '{"rv_angle_deg": [-60, 40]}',
                  '{"rv_angle_deg": [100, 500]}', '{"z_taper_mm": -1}',
                  '{"peak_contraction": %s}' % huge, '{"spacing": [3, 3, %s]}' % huge,
+                 # a plateau margin of 0, no room for the outer ramp, a peak
+                 # contraction of 1 and a grid of 7 voxels on one axis
+                 '{"plateau_margin_mm": 0}', '{"support_radius_mm": 21.0}',
+                 '{"peak_contraction": 1.0}', '{"dims": [7, 64, 64]}',
                  # radii whose squares overflow a float
                  '{"inner_radius_mm": 1e200, "outer_radius_mm": 2e200,'
                  ' "support_radius_mm": 4e200}',

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from gausstrack.gauss import (
     Covariance,
     DensifyConfig,
     GaussianSet,
+    canonicalize_quaternions,
     covariance_from_params,
     densify_and_prune,
     eval_gaussian,
@@ -90,6 +92,30 @@ def test_quaternion_sign_and_scale_invariance():
 def test_zero_quaternion_rejected():
     with pytest.raises(ValidationError, match="zero quaternion"):
         covariance_from_params([0, 0, 0, 0], np.zeros(3))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: GaussianSet(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)), np.zeros(0)),
+     "at least one Gaussian"),
+    (lambda: GaussianSet(np.zeros((2, 3)), np.ones((2, 4)), np.zeros((2, 2)), np.zeros(2)),
+     "inconsistent GaussianSet array shapes"),
+    (lambda: GaussianSet(np.zeros((2, 3)), np.ones((2, 4)), np.zeros((2, 3)), np.zeros(2),
+                         np.ones(3)),
+     "labels must be one per Gaussian"),
+    (lambda: canonicalize_quaternions([[1.0, 0, 0, 0], [0, 0, 0, 0]]),
+     "cannot canonicalize a zero quaternion"),
+    (lambda: render_backward(random_set(3, seed=1), (6, 6, 6), np.zeros((6, 6, 5)),
+                             render_with_cache(random_set(3, seed=1), (6, 6, 6))[1]),
+     "upstream gradient shape must match the grid"),
+    (lambda: initialize_from_mask(LabelVolume((4, 4, 4), (1, 1, 1), np.ones((4, 4, 4))),
+                                  VoxelVolume((4, 4, 5), (1, 1, 1), np.ones((4, 4, 5))), 2, 0),
+     "mask and reference volume dims differ"),
+    (lambda: densify_and_prune(random_set(3, seed=1), np.zeros(4), DensifyConfig()),
+     "gradient accumulator must be one value per Gaussian"),
+])
+def test_gauss_guards_refuse_bad_arguments(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 @settings(max_examples=50, deadline=None)
@@ -285,6 +311,20 @@ def test_many_box_shapes_equal_sums_of_single_gaussian_renders():
         gi, col = np.nonzero(e)
         pairs |= set(zip(live[0][rows][gi].tolist(), flat[gi, col].tolist()))
     assert pairs == want_pairs
+
+
+def test_forward_only_render_equals_the_cached_render_and_keeps_no_cache():
+    g, dims = _many_shapes_set(), (21, 19, 17)
+    assert render_values(g, dims).tobytes() == render_with_cache(g, dims)[0].tobytes()
+    peaks = []
+    for render in (render_values, render_with_cache):
+        tracemalloc.start()
+        try:
+            render(g, dims)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 def test_gaussian_reaching_no_voxel_of_its_box_renders_zero_with_zero_gradients():

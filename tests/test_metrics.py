@@ -8,7 +8,7 @@ import pytest
 from scipy import ndimage
 
 from gausstrack import motion
-from gausstrack.errors import ValidationError
+from gausstrack.errors import NumericalAbort, ValidationError
 from gausstrack.gauss import GaussianSet, initialize_from_mask, render_values
 from gausstrack.metrics import (
     SSIM_K1,
@@ -222,6 +222,22 @@ def test_ssim_in_unit_interval_on_perturbation_families():
     assert all(ssim3d(p, t) < 1.0 for p in candidates[:3])
 
 
+def _labels(dims):
+    return LabelVolume(dims, (1.0, 1.0, 1.0), np.ones(dims, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: dice(_labels((8, 8, 8)), _labels((8, 8, 9)), 1), "dice needs matching grids"),
+    (lambda: psnr(np.zeros((8, 8, 8)), np.zeros((8, 8, 9))), "psnr needs matching grids"),
+    (lambda: ssim3d(np.zeros((8, 8, 8)), np.zeros((8, 8, 9))), "ssim needs matching grids"),
+    (lambda: hausdorff(_labels((8, 8, 8)), _labels((8, 8, 9)), 1),
+     "hausdorff needs matching grids"),
+])
+def test_scores_refuse_mismatched_grids(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
 def test_ssim_window_larger_than_volume_rejected():
     with pytest.raises(ValidationError, match="window"):
         ssim3d(np.zeros((5, 9, 9)), np.zeros((5, 9, 9)))
@@ -387,6 +403,17 @@ def test_evaluate_run_identity_on_static_sequence():
     assert 0 < report.ssim <= 1.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_evaluate_run_refuses_a_non_finite_node_before_the_network_runs(bad):
+    # the network's encoding of inf would warn on sin, an error in this suite
+    mask, ref = labeled_cube_scene()
+    g, nodes, net = identity_state(mask, ref)
+    nodes.positions[0, 0] = bad
+    seq = Sequence4D([ref, ref, ref], [0.0, 0.5, 1.0], ed_index=0, es_index=2)
+    with pytest.raises(NumericalAbort, match="node positions must be finite"):
+        evaluate_run(g, nodes, net, seq, mask, **QUERY)
+
+
 def serial_report(g, nodes, net, seq, truth, k, cutoff_multiplier, occupancy_floor):
     """evaluate_run's report composed from the public steps, one at a time."""
     t_es = float(seq.times[seq.es_index])
@@ -474,7 +501,8 @@ def ssim3d_whole_array(pred, truth):
 
 
 def jacobian_whole_array(vectors):
-    """jacobian_stats with np.gradient over the whole grid at once."""
+    """jacobian_stats with np.gradient over the whole grid at once, cropped
+    to the interior afterwards."""
     steps = [1.0 / (d - 1) for d in vectors.shape[:3]]
     inner = (slice(1, -1),) * 3
     jac = [[g[inner] + float(i == a)
@@ -505,17 +533,22 @@ def label_map_argmax(deformed, grid, cutoff_multiplier, occupancy_floor):
     return np.where(peak > occupancy_floor, np.array([1, 2, 3], dtype=np.uint8)[winner], 0)
 
 
-@pytest.mark.parametrize("dims", [(7, 7, 7), (11, 8, 30), (20, 13, 9), (64, 64, 64)])
+@pytest.mark.parametrize("dims", [(7, 7, 7), (11, 8, 30), (20, 13, 9), (64, 64, 64),
+                                  (12, 7, 10)])
 def test_ssim_equals_the_whole_array_formula(dims):
+    # the map on the interior alone against the moments and map of the whole
+    # grid, down to the smallest window on one axis only
     rng = np.random.default_rng(sum(dims))
     truth = ndimage.gaussian_filter(rng.random(dims), 1.0).astype(np.float32)
     for pred in (truth + 0.1 * rng.normal(size=dims), rng.random(dims).astype(np.float32)):
         assert ssim3d(pred, truth) == ssim3d_whole_array(pred, truth)
 
 
-@pytest.mark.parametrize("dims", [(3, 3, 3), (11, 4, 30), (20, 13, 9), (64, 64, 64)])
+@pytest.mark.parametrize("dims", [(3, 3, 3), (11, 4, 30), (20, 13, 9), (64, 64, 64),
+                                  (10, 7, 5)])
 def test_jacobian_equals_the_whole_array_formula(dims):
-    # x-extents of 1, 9, 18 and 62 interior planes: none a whole number of slabs
+    # x-extents of 1, 9, 18, 62 and 8 interior planes: a last slab cut short
+    # by the grid's end, and (8, two whole slabs) one that ends where it does
     rng = np.random.default_rng(sum(dims))
     smooth = ndimage.gaussian_filter(0.05 * rng.normal(size=dims + (3,)), (1, 1, 1, 0))
     rough = rng.normal(size=dims + (3,)) / np.array(dims)  # folds at a share of voxels

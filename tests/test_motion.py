@@ -1029,6 +1029,24 @@ def test_init_control_nodes_deterministic_and_bounded():
         init_control_nodes(centers, 101, seed=0)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: ControlNodeSet(np.zeros((0, 3)), np.zeros(0)), "at least one control node"),
+    (lambda: ControlNodeSet(np.zeros((2, 3)), np.zeros(3)), "inconsistent ControlNodeSet shapes"),
+    (lambda: positional_encoding(np.zeros(3), 0), "at least one frequency"),
+    # l_space = l_time = 2 encode 16 inputs
+    (lambda: DeformNet([np.zeros((5, 8)), np.zeros((8, 6))], [np.zeros(8), np.zeros(6)], 2, 2),
+     "first layer expects 5 inputs, encoding produces 16"),
+    (lambda: DeformNet([np.zeros((16, 8)), np.zeros((8, 5))], [np.zeros(8), np.zeros(5)], 2, 2),
+     "output head must have 6 channels"),
+    (lambda: deform_gaussians(GaussianSet(np.zeros((2, 3)), np.ones((2, 4)), np.zeros((2, 3)),
+                                          np.ones(2)), np.zeros((3, 3)), np.zeros((2, 3))),
+     "misaligned with Gaussian order"),
+])
+def test_motion_guards_refuse_bad_arguments(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
 def test_nodes_round_trip(tmp_path):
     nodes = ControlNodeSet(np.random.default_rng(1).random((9, 3)),
                            np.log(np.random.default_rng(2).uniform(0.1, 0.3, 9)))

@@ -147,6 +147,13 @@ def test_group_table_matches_recipe():
 def test_schedule_validation():
     with pytest.raises(ValidationError):
         FitSchedule(total_iters=100, canonical_only_until=90, node_unfreeze_at=80)
+    with pytest.raises(ValidationError, match="densify interval/start must be >= 1"):
+        FitSchedule(total_iters=100, canonical_only_until=10, node_unfreeze_at=20,
+                    densify_interval=0)
+    sched = FitSchedule(total_iters=100, canonical_only_until=10, node_unfreeze_at=20)
+    for it in (-1, 101):
+        with pytest.raises(ValidationError, match="iteration outside the schedule"):
+            lr_at(it, "positions", 1e-4, sched)
 
 
 def test_config_round_trip_and_unknown_keys(tmp_path):

@@ -272,10 +272,10 @@ def test_generation_deterministic():
 
 # --- byte-identity oracle: the whole-grid generator ---------------------------------
 #
-# The generator maps and resamples only the voxels inside the support cylinder
-# that move, and builds the ED labels and volume on the box that can hold a
-# label; these references map every point, resample every voxel and build
-# the ED frame on the whole grid.
+# The generator maps only the voxels inside the support cylinder, resamples
+# only those that move, and builds the ED labels and volume on the box that
+# can hold a label; these references map every point, sample every voxel at
+# its source and build the ED frame on the whole grid.
 
 def reference_map(points_mm, t, spec, inverse):
     """In-plane displacement of the radial map at every point, support or not."""
@@ -319,13 +319,16 @@ def reference_ed_volume(spec):
 
 
 def reference_frames(spec):
-    """Every frame's values: ED, then ED sampled at every voxel's source."""
+    """Every frame's values: ED, then ED where the map leaves a voxel in
+    place and ED sampled at its source everywhere else."""
     ed = reference_ed_volume(spec)
     frames = [ed]
     for t in np.linspace(0.0, 1.0, spec.frames)[1:]:
-        coords = reference_sources(t, spec)[1] / np.array(spec.spacing)
-        frames.append(ndimage.map_coordinates(ed, list(coords.T), order=1, mode="nearest")
-                      .reshape(spec.dims))
+        pts, src = reference_sources(t, spec)
+        sampled = ndimage.map_coordinates(ed, list((src / np.array(spec.spacing)).T),
+                                          order=1, mode="nearest")
+        in_place = np.all(src == pts, axis=1)
+        frames.append(np.where(in_place, ed.ravel(), sampled).reshape(spec.dims))
     return frames
 
 
@@ -336,9 +339,10 @@ def reference_warp_labels(t, spec):
 ORACLE_SPECS = {
     "default": {},
     "anisotropic": dict(dims=(40, 36, 24), spacing=(2.2, 2.6, 3.1)),
-    # i * 1.3 / 1.3 != i for i = 7, 13, 14, ...: resampled even where unmoved
+    # i * 1.3 / 1.3 != i for i = 7, 13, 14, ...: an order-1 sample at such a
+    # voxel's own position is not its value, so an unmoved voxel keeps ED's
     "inexact-1.3mm": dict(dims=(40, 40, 40), spacing=(1.3, 1.3, 1.3)),
-    # foreground off the support, where inexact voxels are resampled once
+    # foreground off the support, where no voxel moves
     "rv-past-the-support": dict(dims=(40, 36, 24), spacing=(2.2, 2.6, 3.1),
                                 rv_thickness_mm=15.0),
     "two-frames": dict(frames=2),

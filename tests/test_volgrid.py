@@ -172,6 +172,16 @@ def test_sequence_frame_name_must_stay_inside_the_sequence_directory(tmp_path):
             load_sequence(tmp_path / "seq")
 
 
+def test_volume_guards_refuse_bad_arguments(tmp_path):
+    with pytest.raises(ValidationError, match=r"value array shape \(2, 2, 3\) does not match"):
+        VoxelVolume((2, 2, 2), (1.0, 1.0, 1.0), np.zeros((2, 2, 3)))
+    with pytest.raises(ValidationError, match="cannot save object of type dict"):
+        save_volume({"dims": (2, 2, 2)}, tmp_path / "v")
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValidationError, match="normalized coordinates need dims >= 2"):
+        world_to_normalized([0.0, 0.0, 0.0], make_volume(dims=(4, 1, 4)))
+
+
 def test_sequence_times_must_increase():
     frames = [make_volume(seed=i) for i in range(2)]
     with pytest.raises(ValidationError, match="strictly increasing"):
