@@ -12,14 +12,18 @@ Gaussians of one support-box shape share its offsets o from the box middle:
 with b the middle minus the center, q = (b + o)^T P (b + o) is the product of
 [b^T P b, 2 P b, upper P with doubled off-diagonals] with the offset moments
 [1, o, o_i o_j].  The backward pass sums dL/dV against the same moments, so
-the forward cache holds only exp(-q/2) per Gaussian-voxel pair, plus per
-render the live Gaussians' b, P, R and unit quaternions.  Each box
+the forward cache holds exp(-q/2) (float64) and the voxel index (int64) per
+Gaussian-voxel pair, each chunk's reached offset moments, and per render
+the live Gaussians' b, P, R and unit quaternions.  Each box
 shape's offsets and moments are built once per process (``_box_geometry``,
 read-only).  A shape's Gaussians run in cache-sized chunks (``_CHUNK_ELEMS``
 box pairs).  A chunk tests its box offsets against its cutoff spheres with
 the Gaussians innermost and keeps only the offsets some Gaussian reaches:
 voxel indices, product, exponential, scatter and the backward's gather and
-sums run on those columns alone.  The backward's covariance chain runs once
+sums run on those columns alone.  A cached render writes every chunk's
+exponentials and voxel indices into two buffers of a ``RenderWorkspace``,
+which a fit keeps across its renders: the cache lives until the next render
+on the same workspace.  The backward's covariance chain runs once
 per render over every Gaussian with a non-empty box.  A set with a scale at
 0 or infinity (a non-finite precision) raises NumericalAbort.
 
@@ -258,7 +262,34 @@ def _blocked_matmul(a, b, out=None):
     return out
 
 
-def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
+class RenderWorkspace:
+    """The buffers a cached render writes its cache into, kept across renders:
+    ``e`` (float64 exponentials) and ``flat`` (int64 voxel indices).  The
+    cache of a render on a workspace is views into them, so it is valid
+    until the next render on the same workspace.  A render that needs more
+    pairs than they hold replaces both with buffers of exactly its need;
+    one that needs no more writes into their first elements."""
+
+    def __init__(self):
+        self.e, self.flat = np.empty(0), np.empty(0, dtype=np.int64)
+
+    def take(self, pairs):
+        """Views of the first ``pairs`` elements of both buffers."""
+        if pairs > self.e.size:
+            # dropped first, so a caller holding no old cache frees them
+            # before the new ones are made.  One block holds both: glibc
+            # hands the free heap top back once it exceeds twice the largest
+            # mapped block freed so far, so this block, freed at the end of
+            # a fit, stays in the heap for the next fit's buffers.  Two
+            # blocks of half the size raise that bound only to their own
+            # size, and are handed back and faulted in again.
+            self.e = self.flat = None
+            both = np.empty(2 * pairs)
+            self.e, self.flat = both[:pairs], both[pairs:].view(np.int64)
+        return self.e[:pairs], self.flat[:pairs]
+
+
+def _iter_support_chunks(gaussians, dims, cutoff_multiplier, workspace=None):
     """Group Gaussians by support-box shape; yield the forward cache chunk by
     chunk: (rows, flat, feats, e, live).  ``live`` = (order, base, inv, R, q)
     is built once per render: the Gaussians with a non-empty box, grouped by
@@ -266,7 +297,13 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
     unit quaternions with their norms (q_hat, norm).  ``rows`` slices it to the
     chunk; of the chunk's box offsets only the C that some of its Gaussians
     reach are kept, with (G, C) voxel indices ``flat``, (C, 10) offset
-    moments ``feats`` and (G, C) exponentials ``e``, zero off the sphere."""
+    moments ``feats`` and (G, C) exponentials ``e``, zero off the sphere.
+
+    Without a workspace each chunk's ``flat`` and ``e`` are its own arrays,
+    freed once the caller drops the chunk.  With one, every chunk's sphere
+    test runs first, keeping its reached columns and (G, C) in-sphere mask;
+    then ``flat`` and ``e`` are written as views into ``workspace.take`` of
+    the summed G * C, valid until the next render on that workspace."""
     denoms = _axis_denoms(dims)
     q, R, s, inv, radii = _covariance_batch(gaussians, cutoff_multiplier)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(inv))):
@@ -291,23 +328,38 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier):
     flat_lo = (lo[:, 0] * dims[1] + lo[:, 1]) * dims[2] + lo[:, 2]
     live = (order, base, P, R[order], tuple(a[order] for a in q))
     bounds = np.flatnonzero(np.any(np.diff(shape, axis=0) != 0, axis=1)) + 1
-    for first, stop in zip(np.r_[0, bounds], np.r_[bounds, order.size]):
-        flat_off, axes, feats = _box_geometry(tuple(shape[first].tolist()), dims)
-        step = max(1, _CHUNK_ELEMS // flat_off.size)
-        for start in range(first, stop, step):
-            rows = slice(start, min(start + step, stop))
-            # exact r^2 from per-axis squares summed (x + y) + z, so voxels
-            # on the cutoff sphere fall on the same side in every render;
-            # Gaussians innermost: (n_i, G) squares, (nx, ny, nz, G) sums
-            x, y, z = ((corner[rows, i] + axes[i][:, None]) ** 2 for i in range(3))
-            r2 = (x[:, None, None] + y[:, None]) + z
-            inside = (r2 <= r2_max[rows]).reshape(flat_off.size, -1)
-            cols = np.flatnonzero(inside.any(axis=1))
-            fc = feats[cols]
-            e = _blocked_matmul(coef[rows], fc.T)
-            np.exp(e, out=e)
-            e *= inside[cols].T
-            yield rows, flat_lo[rows, None] + flat_off[cols], fc, e, live
+
+    def sphere_tests():
+        for first, stop in zip(np.r_[0, bounds], np.r_[bounds, order.size]):
+            flat_off, axes, feats = _box_geometry(tuple(shape[first].tolist()), dims)
+            step = max(1, _CHUNK_ELEMS // flat_off.size)
+            for start in range(first, stop, step):
+                rows = slice(start, min(start + step, stop))
+                # exact r^2 from per-axis squares summed (x + y) + z, so voxels
+                # on the cutoff sphere fall on the same side in every render;
+                # Gaussians innermost: (n_i, G) squares, (nx, ny, nz, G) sums
+                x, y, z = ((corner[rows, i] + axes[i][:, None]) ** 2 for i in range(3))
+                r2 = (x[:, None, None] + y[:, None]) + z
+                inside = (r2 <= r2_max[rows]).reshape(flat_off.size, -1)
+                cols = np.flatnonzero(inside.any(axis=1))
+                yield rows, flat_off[cols], feats[cols], inside[cols].T
+
+    tests = sphere_tests()
+    if workspace is not None:
+        tests = list(tests)
+        e_all, flat_all = workspace.take(sum(mask.size for *_, mask in tests))
+    at = 0
+    for rows, offs, fc, mask in tests:
+        if workspace is None:
+            e, flat = np.empty(mask.shape), np.empty(mask.shape, dtype=np.int64)
+        else:
+            e, flat = (a[at:at + mask.size].reshape(mask.shape) for a in (e_all, flat_all))
+            at += mask.size
+        np.add(flat_lo[rows, None], offs, out=flat)
+        _blocked_matmul(coef[rows], fc.T, out=e)
+        np.exp(e, out=e)
+        e *= mask
+        yield rows, flat, fc, e, live
 
 
 def _scatter(gaussians, out, chunks):
@@ -318,13 +370,18 @@ def _scatter(gaussians, out, chunks):
     return out
 
 
-def render_with_cache(gaussians, dims, cutoff_multiplier=CUTOFF_MULTIPLIER):
+def render_with_cache(gaussians, dims, cutoff_multiplier=CUTOFF_MULTIPLIER, workspace=None):
     """Forward render plus the per-chunk intermediates the backward pass
     needs (see _iter_support_chunks).  Sharing the cache guarantees forward
-    and backward use the identical cutoff set."""
+    and backward use the identical cutoff set.  The cache's exponentials
+    and voxel indices are views into ``workspace``'s buffers (a
+    RenderWorkspace; without one, into buffers of exactly the render's need
+    made for it), so the cache is valid until the next render on the same
+    workspace."""
     dims = tuple(int(d) for d in dims)
     out = np.zeros(dims)
-    chunks = list(_iter_support_chunks(gaussians, dims, cutoff_multiplier))
+    chunks = list(_iter_support_chunks(gaussians, dims, cutoff_multiplier,
+                                       RenderWorkspace() if workspace is None else workspace))
     return _scatter(gaussians, out, chunks), chunks
 
 
@@ -361,8 +418,9 @@ def render_backward(gaussians, dims, upstream, cache):
     """Analytic adjoint of render_values.
 
     ``upstream`` is dL/dV per voxel (shape ``dims``) and ``cache`` the
-    second result of ``render_with_cache`` on the same set and grid; the
-    backward reads it alone, so it sums over the forward's cutoff set.
+    second result of ``render_with_cache`` on the same set and grid, with
+    no render on its workspace since; the backward reads it alone, so it
+    sums over the forward's cutoff set.
     Returns exact partials w.r.t. centers, raw quaternions, log_scales and
     intensities.
     """

@@ -280,6 +280,9 @@ def fit(sequence, mask, config, inspect_hook=None):
     losses = []
     events = [[0, "init", f"gaussians={g.count} nodes={nodes.count}"]]
     started = time.perf_counter()
+    # the render cache's buffers, kept from render to render so that malloc
+    # neither hands them back nor re-faults them
+    workspace = gauss.RenderWorkspace()
 
     for it in range(sched.total_iters):
         if inspect_hook is not None:
@@ -294,11 +297,13 @@ def fit(sequence, mask, config, inspect_hook=None):
                 deformed, cache = motion_forward(g, nodes, t6, knn)
             else:
                 fi, deformed = sequence.ed_index, g
-            # the last iteration's cache stays bound until this one returns: freed
-            # first, malloc hands the heap top back and re-faults it every iteration
-            rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier)
+            rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier,
+                                                       workspace)
             loss, lgrad = l1_loss(rendered, frames[fi])
             canonical = rg = gauss.render_backward(deformed, dims, lgrad, rcache)
+            # dropped once read, so one cache is alive and the next render
+            # writes into the workspace's buffers
+            del rendered, lgrad, rcache
             if stage2:
                 mg = motion_mod.motion_backward(cache, nodes, rg)
                 g_w, g_b = motion_mod.node_transforms_backward(net, acts, mg.node_transforms)

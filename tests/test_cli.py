@@ -502,10 +502,12 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
     assert not (tmp_path / "out").exists()
 
 
-# the four container manifests of a fit directory and the command that reads
-# each; render reads no volume, so the label volume is eval's --truth
-CONTAINERS = {"gaussians.gjson": "render", "nodes.njson": "render",
-              "network.wjson": "render", "truth.vjson": "eval"}
+# each fuzzed manifest under the case root and the command that reads it:
+# the fit directory's four containers and run manifest, and the sequence;
+# render reads no volume, so the label volume is eval's --truth
+CONTAINERS = {"untrained/gaussians.gjson": "render", "untrained/nodes.njson": "render",
+              "untrained/network.wjson": "render", "untrained/run_manifest.json": "render",
+              "untrained/truth.vjson": "eval", "sequence/sequence.vjson": "fit"}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
@@ -515,17 +517,43 @@ JSON_VALUES = st.recursive(
 
 @pytest.fixture(scope="module")
 def query_inputs(tmp_path_factory):
-    """An untrained fit directory holding truth labels on its grid, beside a
-    two-frame sequence on the same grid."""
+    """An untrained fit directory holding truth labels of every class on its
+    grid, beside a two-frame sequence on the same grid and a mask and config
+    on which ``fit`` runs that sequence to the end: unchanged, each reading
+    command exits 0."""
     root = tmp_path_factory.mktemp("query_inputs")
     state = untrained_state_dir(root)
     dims, spacing = (10, 10, 10), (2.0, 2.0, 2.0)
-    frame = volgrid.VoxelVolume(dims, spacing, np.zeros(dims))
+    frame = volgrid.VoxelVolume(dims, spacing, np.full(dims, 0.5))
     volgrid.save_sequence(volgrid.Sequence4D([frame, frame], [0.0, 0.5], 0, 1),
                           root / "sequence")
-    volgrid.save_volume(volgrid.LabelVolume(dims, spacing, np.zeros(dims, dtype=np.uint8)),
-                        state / "truth")
+    slabs = np.repeat(np.array([1, 1, 1, 2, 2, 2, 2, 3, 3, 3], dtype=np.uint8), 100)
+    volgrid.save_volume(volgrid.LabelVolume(dims, spacing, slabs.reshape(dims)), state / "truth")
+    mask = np.zeros(dims, dtype=np.uint8)
+    mask[2:8, 2:8, 2:8] = 2
+    volgrid.save_volume(volgrid.LabelVolume(dims, spacing, mask), root / "mask")
+    tiny_fit_config(root)
     return root
+
+
+def fuzz_argv(case, name):
+    state, out = case / "untrained", case / "out"
+    argv = {"render": ["render", "--fitted", state, "--time", "0.5", "--out", out],
+            "eval": ["eval", "--fitted", state, "--sequence", case / "sequence",
+                     "--truth", case / name, "--out", out],
+            "fit": ["fit", "--sequence", case / "sequence", "--mask", case / "mask.vjson",
+                    "--config", case / "config.json", "--out", out]}[CONTAINERS[name]]
+    return [str(a) for a in argv]
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_each_fuzzed_manifest_is_read_by_a_command_that_runs_on_the_inputs(
+        query_inputs, tmp_path, name):
+    # so a fault the reader misses shows as an exit 0 in the fuzz below
+    case = tmp_path / "case"
+    shutil.copytree(query_inputs, case)
+    assert main(fuzz_argv(case, name)) == 0
+    assert list(case.glob("out*"))
 
 
 @settings(max_examples=80, deadline=None)
@@ -533,23 +561,17 @@ def query_inputs(tmp_path_factory):
 def test_a_dropped_or_mistyped_container_key_exits_2_or_4(query_inputs, tmp_path_factory, data):
     case = tmp_path_factory.mktemp("case")
     shutil.copytree(query_inputs, case, dirs_exist_ok=True)
-    state, out = case / "untrained", case / "out"
     name = data.draw(st.sampled_from(sorted(CONTAINERS)), "manifest")
-    manifest = json.loads((state / name).read_text())
+    manifest = json.loads((case / name).read_text())
     key = data.draw(st.sampled_from(sorted(manifest)), "key")
     if data.draw(st.booleans(), "drop"):
         del manifest[key]
     else:
         kind = type(manifest[key])
         manifest[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not kind), "value")
-    (state / name).write_text(json.dumps(manifest))
-    if CONTAINERS[name] == "render":
-        argv = ["render", "--fitted", str(state), "--time", "0.5", "--out", str(out)]
-    else:
-        argv = ["eval", "--fitted", str(state), "--sequence", str(case / "sequence"),
-                "--truth", str(state / name), "--out", str(out)]
+    (case / name).write_text(json.dumps(manifest))
     with contextlib.redirect_stderr(io.StringIO()) as err:
-        rc = main(argv)
+        rc = main(fuzz_argv(case, name))
     assert rc in (2, 4), err.getvalue()
     assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     assert not list(case.glob("out*"))

@@ -256,6 +256,42 @@ def test_chunked_render_matches_default(monkeypatch, chunk_elems):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("chunk_elems", [1, 700])
+def test_a_kept_workspace_renders_the_bits_of_fresh_buffers(monkeypatch, chunk_elems):
+    monkeypatch.setattr(gauss_mod, "_CHUNK_ELEMS", chunk_elems)
+    dims = (40, 38, 36)
+    upstream = loss_and_upstream(dims, seed=5)
+    # scales up to SIZE_THRESHOLD, so a hot Gaussian is cloned, not split
+    g = random_set(30, seed=42)
+    g.log_scales[:] = np.log(np.random.default_rng(43).uniform(0.006, 0.01, (30, 3)))
+    grown = densify_and_prune(g, np.ones(g.count), DensifyConfig()).gaussians
+    pruned = densify_and_prune(g, np.zeros(g.count), DensifyConfig(
+        intensity_floor=float(np.median(g.intensities)))).gaussians
+    gone = g.copy()
+    gone.centers[:, 1] += 3.0                           # every box empty
+    assert grown.count > g.count > pruned.count
+    workspace, kept, needs = gauss_mod.RenderWorkspace(), None, []
+    for step in (g, g, grown, pruned, gone, g):
+        want = _render_and_grads(step, dims, upstream)
+        values, cache = render_with_cache(step, dims, workspace=workspace)
+        grads = render_backward(step, dims, upstream, cache)
+        got = [values] + [getattr(grads, f) for f in
+                          ("centers", "rotations", "log_scales", "intensities")]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert all(np.shares_memory(e, workspace.e) and np.shares_memory(flat, workspace.flat)
+                   for _, flat, _, e, _ in cache)
+        needs.append(sum(e.size for _, _, _, e, _ in cache))
+        # the buffers are replaced, at exactly the need, only when it grows
+        grows = needs[-1] > max(needs[:-1], default=0)
+        if kept is not None:
+            assert np.shares_memory(workspace.e, kept[0]) != grows
+            assert np.shares_memory(workspace.flat, kept[1]) != grows
+        assert workspace.e.size == workspace.flat.size == max(needs)
+        kept = workspace.e, workspace.flat
+    assert needs[0] == needs[1] == needs[-1] and needs[4] == 0
+    assert needs[2] > needs[0] > needs[3] > 0
+
+
 def _many_shapes_set():
     # scales from 1.5 to 6 voxels give many box shapes; a third of the
     # centers sit on or past a face, so those boxes are clipped, and the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from gausstrack.errors import NumericalAbort, ValidationError
+from gausstrack import gauss
 from gausstrack.gauss import DensifyConfig
 from gausstrack.optim import (
     DECAYING,
@@ -218,11 +219,11 @@ def test_densify_thresholds_in_use_build():
 
 # --- fit smoke run -----------------------------------------------------------------
 
-def toy_problem(dims=(12, 12, 12), n_frames=3, shift_per_t=1.0, seed=0):
+def toy_problem(dims=(12, 12, 12), n_frames=3, shift_per_t=1.0, seed=0, cube=slice(3, 9)):
     """Textured cube that slides along x over time; trackable at toy scale."""
     rng = np.random.default_rng(seed)
     labels = np.zeros(dims, dtype=np.uint8)
-    labels[3:9, 3:9, 3:9] = 2
+    labels[cube, cube, cube] = 2
     base = ndimage.gaussian_filter(rng.random(dims), 1.2)
     base = (base - base.min()) / (base.max() - base.min())
     ed_vals = np.where(labels > 0, 0.25 + 0.6 * base, 0.0)
@@ -351,6 +352,47 @@ def test_fit_makes_no_float64_copy_of_the_frames():
             tracemalloc.stop()
     copy_bytes = 38 * np.prod(seq.dims) * 8
     assert peaks[1] - peaks[0] < 0.1 * copy_bytes
+
+
+def cache_bytes(cache):
+    """Bytes of a render cache: every chunk's voxel indices, offset moments
+    and exponentials, and the live Gaussians' geometry once."""
+    order, base, inv, R, q = cache[0][4]
+    return sum(flat.nbytes + feats.nbytes + e.nbytes for _, flat, feats, e, _ in cache) \
+        + sum(a.nbytes for a in (order, base, inv, R, *q))
+
+
+def test_fit_holds_one_render_cache_and_refits_the_same_bits(monkeypatch):
+    # small chunks keep the renderer's per-chunk scratch small beside the
+    # cache; the set keeps its size, so its caches stay near the first one's
+    monkeypatch.setattr(gauss, "_CHUNK_ELEMS", 4096)
+    seq, mask = toy_problem(dims=(20, 20, 20), cube=slice(3, 17))
+    cfg = replace(toy_config(), schedule=SHORT, n_init=1024,
+                  densify=DensifyConfig(grad_threshold=1e9, intensity_floor=0.0))
+    first = gauss.initialize_from_mask(mask, seq.frames[seq.ed_index], cfg.n_init, cfg.seed)
+    one_cache = cache_bytes(gauss.render_with_cache(first, seq.dims)[1])
+    volume = np.prod(seq.dims) * 8
+    fits = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            fits.append(fit(seq, mask, cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 40 volumes (2.6 MB) cover all else the fit holds at its peak:
+        # the set with its Adam moments and gradients, the motion state, the
+        # next render's sphere tests and the L1 terms (28-30 volumes here).
+        # A second cache alive beside the first is 45 volumes more.
+        assert peak < one_cache + 40 * volume
+    a, b = fits
+    assert a.report.losses == b.report.losses
+    for name in ("centers", "rotations", "log_scales", "intensities"):
+        assert getattr(a.gaussians, name).tobytes() == getattr(b.gaussians, name).tobytes()
+    assert a.nodes.positions.tobytes() == b.nodes.positions.tobytes()
+    assert a.nodes.log_radii.tobytes() == b.nodes.log_radii.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.net.weights + a.net.biases,
+                                                           b.net.weights + b.net.biases))
 
 
 def test_fit_aborts_on_non_finite_loss():
