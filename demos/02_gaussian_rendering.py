@@ -9,7 +9,8 @@ import numpy as np
 
 from gausstrack.gauss import (
     GaussianSet,
-    covariance_from_params,
+    canonicalize_quaternions,
+    quaternions_to_matrices,
     render_backward,
     render_values,
     render_values_bruteforce,
@@ -18,11 +19,14 @@ from gausstrack.gauss import (
 
 rng = np.random.default_rng(3)
 
-# Covariance = R S S^T R^T from a quaternion and per-axis log scales.
-cov = covariance_from_params(rot=[np.cos(np.pi / 8), 0, 0, np.sin(np.pi / 8)],
-                             log_scale=np.log([0.2, 0.05, 0.05]))
-print("sigma:\n", cov.sigma.round(4))
-print("cutoff radius (3 sigma_max):", round(cov.radius, 3))
+# Covariance = R S S^T R^T from a quaternion and per-axis log scales, as the
+# renderer builds it for every Gaussian at once.
+q_hat, _ = canonicalize_quaternions([np.cos(np.pi / 8), 0, 0, np.sin(np.pi / 8)])
+R = quaternions_to_matrices(q_hat)[0]
+s = np.exp(np.log([0.2, 0.05, 0.05]))
+M = R * s
+print("sigma:\n", (M @ M.T).round(4))
+print("cutoff radius (3 sigma_max):", round(3 * s.max(), 3))
 
 # A random scene rendered with the production path and the all-pairs oracle.
 n = 24

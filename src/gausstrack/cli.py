@@ -106,7 +106,7 @@ def cmd_fit(args):
 
 def _load_fitted(fitted_dir):
     """The fitted state, its grid and the run's config (the query settings);
-    a missing or mistyped manifest entry is a validation failure."""
+    a missing or mistyped manifest or config entry is a validation failure."""
     fitted = Path(fitted_dir)
     manifest_path = fitted / "run_manifest.json"
     if not manifest_path.exists():
@@ -118,7 +118,12 @@ def _load_fitted(fitted_dir):
     volgrid._check_keys(manifest_path, artifacts, dict.fromkeys(
         ["gaussians", "nodes", "network", "config"], "path inside the directory"))
     dims, spacing = volgrid._check_geometry(grid.get("dims"), grid.get("spacing"))
-    config = optim.FitConfig.load(fitted / artifacts["config"])
+    config_path = fitted / artifacts["config"]
+    config = volgrid._read_json(config_path, "config")
+    missing = sorted(set(optim.FitConfig.__dataclass_fields__) - set(config))
+    if missing:
+        raise ValidationError(f"{config_path}: missing keys {missing}")
+    config = optim.FitConfig.from_dict(config)
     g = gauss.load_gaussians(fitted / artifacts["gaussians"])
     nodes = motion.load_nodes(fitted / artifacts["nodes"])
     net = motion.load_network(fitted / artifacts["network"])

@@ -28,7 +28,7 @@ per render over every Gaussian with a non-empty box.  A set with a scale at
 0 or infinity (a non-finite precision) raises NumericalAbort.
 
 Quaternions are stored unconstrained and normalized (q and -q give one
-rotation) inside every covariance build; gradients chain through that.
+rotation) inside the one covariance build; gradients chain through that.
 """
 
 from __future__ import annotations
@@ -104,15 +104,6 @@ class GaussianSet:
 
     def copy(self):
         return self.take(np.arange(self.count))
-
-
-@dataclass(frozen=True)
-class Covariance:
-    """Covariance of a single Gaussian plus its cutoff radius."""
-
-    sigma: np.ndarray
-    inverse: np.ndarray
-    radius: float
 
 
 @dataclass
@@ -195,24 +186,6 @@ def _covariance_batch(gaussians, cutoff_multiplier):
     return q, R, s, inv, cutoff_multiplier * s.max(axis=1)
 
 
-def covariance_from_params(rot, log_scale, cutoff_multiplier=CUTOFF_MULTIPLIER):
-    """Build sigma = R S S^T R^T, its inverse and the cutoff radius for one
-    Gaussian.  Invariant to quaternion sign and scale."""
-    g = GaussianSet(np.zeros((1, 3)), np.asarray(rot, dtype=np.float64).reshape(1, 4),
-                    np.asarray(log_scale, dtype=np.float64).reshape(1, 3), np.ones(1))
-    _, R, s, inv, radii = _covariance_batch(g, cutoff_multiplier)
-    M = R[0] * s[0][None, :]
-    sigma = M @ M.T
-    return Covariance(sigma=sigma, inverse=inv[0], radius=float(radii[0]))
-
-
-def eval_gaussian(center, rot, log_scale, intensity, point):
-    """Density of one Gaussian at one point: I * exp(-0.5 d^T sigma^-1 d)."""
-    cov = covariance_from_params(rot, log_scale, cutoff_multiplier=np.inf)
-    d = np.asarray(point, dtype=np.float64) - np.asarray(center, dtype=np.float64)
-    return float(intensity) * float(np.exp(-0.5 * d @ cov.inverse @ d))
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -248,15 +221,13 @@ def _box_geometry(bshape, dims):
     return flat_off, axes, feats
 
 
-def _blocked_matmul(a, b, out=None):
-    """a @ b in row blocks of at most _GEMM_MNK multiply-adds.  When one row
-    alone is over it (more than 26,214 reached voxels), einsum's own
-    loop, which does not call BLAS, computes the product."""
+def _blocked_matmul(a, b, out):
+    """a @ b into ``out`` in row blocks of at most _GEMM_MNK multiply-adds.
+    When one row alone is over it (more than 26,214 reached voxels),
+    einsum's own loop, which does not call BLAS, computes the product."""
     step = _GEMM_MNK // max(1, b.shape[0] * b.shape[1])
     if step == 0:
         return np.einsum("ik,kn->in", a, b, out=out)
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], step):
         np.matmul(a[i:i + step], b, out=out[i:i + step])
     return out

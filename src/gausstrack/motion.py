@@ -250,6 +250,18 @@ def deform_gaussians(gaussians, delta, log_offset):
     return out
 
 
+def _displacement_rows(tree, pos, log_radii, t6, q, k):
+    """The field's one kernel: the blended translation at the rows of q, from
+    their KNN rows, _blend's weights and the translation rows of the (M, 6)
+    node transforms ``t6``.  A non-finite row raises ValidationError."""
+    idx = _knn_rows(tree, pos, q, k)
+    weights, *_ = _blend(q, pos, log_radii, idx)
+    u = np.einsum("qk,qkc->qc", weights, np.take(t6[:, :3], idx, axis=0))
+    if not np.all(np.isfinite(u)):
+        raise ValidationError("displacement field contains non-finite entries")
+    return u
+
+
 def _pool_size():
     """CPUs in this process's affinity mask (all CPUs where there is none)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -280,11 +292,7 @@ def grid_displacement(nodes, t6, k, dims, first=None):
         with np.errstate(**errstate):
             q = np.stack(np.unravel_index(np.arange(rows.start, rows.stop), dims),
                          axis=1) / _axis_denoms(dims)
-            idx = _knn_rows(tree, pos, q, k)
-            weights, *_ = _blend(q, pos, nodes.log_radii, idx)
-            out[rows] = np.einsum("qk,qkc->qc", weights, np.take(t6[:, :3], idx, axis=0))
-        if not np.all(np.isfinite(out[rows])):
-            raise ValidationError("displacement field contains non-finite entries")
+            out[rows] = _displacement_rows(tree, pos, nodes.log_radii, t6, q, k)
 
     pool = ThreadPoolExecutor(max(_pool_size() - 1, 1))
     try:
@@ -305,17 +313,14 @@ def dense_displacement(queries, nodes, net, t, k):
     """Blended translation at arbitrary query points (each using its own
     KNN set); defines the dense motion field phi(X, t) = X + u(X, t).
 
-    knn_indices -> node_transforms -> blend_weights -> blend_transforms, all
-    rows at once on the calling thread; the inputs are checked first.  A
-    field with a non-finite entry raises ValidationError.
+    The queries, k and the nodes are checked, then node_transforms runs and
+    _displacement_rows takes all rows at once on the calling thread: the
+    kernel each slice of grid_displacement runs, so a non-finite entry
+    raises ValidationError here too.
     """
-    idx = knn_indices(queries, nodes.positions, k)
-    t6 = node_transforms(net, nodes.positions, t)[0]
-    weights = blend_weights(queries, nodes.positions, nodes.log_radii, idx)
-    u = blend_transforms(weights, idx, t6)[0]
-    if not np.all(np.isfinite(u)):
-        raise ValidationError("displacement field contains non-finite entries")
-    return u
+    queries, pos, tree = _knn_tree(queries, nodes.positions, k)
+    t6 = node_transforms(net, pos, t)[0]
+    return _displacement_rows(tree, pos, nodes.log_radii, t6, queries, k)
 
 
 # ---------------------------------------------------------------------------

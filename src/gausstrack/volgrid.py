@@ -48,8 +48,9 @@ def _check_geometry(dims, spacing):
     dims = whole
     if len(dims) != 3 or len(spacing) != 3:
         raise ValidationError(f"dims/spacing must be 3-vectors, got {dims}, {spacing}")
-    if any(d < 1 for d in dims):
-        raise ValidationError(f"dims components must be >= 1, got {dims}")
+    if any(d < 1 for d in dims) or math.prod(dims) * 24 > sys.maxsize:
+        raise ValidationError(f"dims components must be >= 1, with at most sys.maxsize / 24"
+                              f" voxels (a float64 (n, 3) field) in all, got {dims}")
     if not all(0 < s < np.inf for s in spacing):
         raise ValidationError(f"spacing components must be finite and > 0, got {spacing}")
     return dims, spacing
@@ -153,11 +154,11 @@ def _write_json(path, data):
 
 
 def _read_json(path, what):
-    """Parse a JSON object from ``path``.  A missing file raises the OSError
-    (an I/O failure); malformed text or a non-object raises ValidationError."""
+    """Parse a JSON object from ``path``.  A missing file raises the OSError (an
+    I/O failure); malformed or too deeply nested text, or a non-object, ValidationError."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
         raise ValidationError(f"{path}: malformed {what}: {e}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")

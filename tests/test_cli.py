@@ -331,6 +331,10 @@ def _damage_state(state, what):
         elif what == "run manifest with a fractional grid":
             manifest["grid"] = {"dims": [10.5, 10, 10], "spacing": [2.0, 2.0, 2.0]}
             text = json.dumps(manifest)
+        elif what == "run manifest with a grid past numpy's array size limit":
+            # more voxels than a float64 (n, 3) field holds in sys.maxsize bytes
+            manifest["grid"] = {"dims": [3e9, 3e9, 8], "spacing": [2.0, 2.0, 2.0]}
+            text = json.dumps(manifest)
         (state / "run_manifest.json").write_text(text)
 
 
@@ -339,6 +343,7 @@ STATE_DAMAGE = ["truncated gaussians.raw", "nodes.njson without count",
                 "malformed run_manifest.json", "run manifest without kind",
                 "run manifest without artifacts", "run manifest without grid",
                 "run manifest with a bad grid", "run manifest with a fractional grid",
+                "run manifest with a grid past numpy's array size limit",
                 "config.json with a string k_neighbors", "malformed config.json",
                 "no run_manifest.json"]
 
@@ -503,11 +508,17 @@ def test_time_outside_unit_interval_exits_2(tmp_path, capsys, time, command):
 
 
 # each fuzzed manifest under the case root and the command that reads it:
-# the fit directory's four containers and run manifest, and the sequence;
-# render reads no volume, so the label volume is eval's --truth
+# the fit directory's four containers, run manifest and config, the sequence
+# and the run config given to fit; render reads no volume, so the label
+# volume is eval's --truth
 CONTAINERS = {"untrained/gaussians.gjson": "render", "untrained/nodes.njson": "render",
               "untrained/network.wjson": "render", "untrained/run_manifest.json": "render",
-              "untrained/truth.vjson": "eval", "sequence/sequence.vjson": "fit"}
+              "untrained/config.json": "render", "untrained/truth.vjson": "eval",
+              "sequence/sequence.vjson": "fit", "config.json": "fit"}
+# a run config given to fit may leave any key out, which then takes its
+# default, so its keys are mistyped and never dropped; a fit directory's
+# config is whole, as fit wrote it
+DEFAULTED = {"config.json"}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
@@ -564,17 +575,42 @@ def test_a_dropped_or_mistyped_container_key_exits_2_or_4(query_inputs, tmp_path
     name = data.draw(st.sampled_from(sorted(CONTAINERS)), "manifest")
     manifest = json.loads((case / name).read_text())
     key = data.draw(st.sampled_from(sorted(manifest)), "key")
-    if data.draw(st.booleans(), "drop"):
+    if name not in DEFAULTED and data.draw(st.booleans(), "drop"):
         del manifest[key]
     else:
-        kind = type(manifest[key])
-        manifest[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not kind), "value")
+        # an integer is a number too where a float is
+        kinds = (int, float) if type(manifest[key]) is float else (type(manifest[key]),)
+        manifest[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) not in kinds), "value")
     (case / name).write_text(json.dumps(manifest))
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = main(fuzz_argv(case, name))
     assert rc in (2, 4), err.getvalue()
     assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     assert not list(case.glob("out*"))
+
+
+@pytest.mark.parametrize("name", ["phantom spec"] + sorted(CONTAINERS))
+def test_json_nested_too_deep_to_parse_exits_2(query_inputs, tmp_path, capsys, name):
+    # valid JSON 100,000 arrays deep, past the parser's recursion limit
+    case = tmp_path / "case"
+    shutil.copytree(query_inputs, case)
+    deep = "[" * 100_000 + "]" * 100_000
+    if name == "phantom spec":
+        (case / "spec.json").write_text(deep)
+        argv = ["phantom", "--spec", str(case / "spec.json"), "--out", str(case / "out")]
+    else:
+        (case / name).write_text(deep)
+        argv = fuzz_argv(case, name)
+    assert "malformed" in _one_line_failure(capsys, argv)
+    assert not list(case.glob("out*"))
+
+
+def test_a_grid_within_numpys_limit_but_too_large_for_memory_names_its_array(tmp_path, capsys):
+    # 10^15 voxels pass the array size check; their allocation fails at once
+    (tmp_path / "spec.json").write_text('{"dims": [100000, 100000, 100000]}')
+    err = _one_line_failure(capsys, ["phantom", "--spec", str(tmp_path / "spec.json"),
+                                     "--out", str(tmp_path / "out")])
+    assert "Unable to allocate" in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config", [
@@ -724,9 +760,12 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys):
                  # radii whose squares overflow a float
                  '{"inner_radius_mm": 1e200, "outer_radius_mm": 2e200,'
                  ' "support_radius_mm": 4e200}',
-                 # a 7.11 PiB grid: malloc refuses it at once (a grid of a few
+                 # a 909 TiB grid: malloc refuses it at once (a grid of a few
                  # GiB could be overcommitted and then run out of memory)
-                 '{"dims": [100000, 100000, 100000]}'):
+                 '{"dims": [100000, 100000, 100000]}',
+                 # grids past numpy's array size limit, which it refused with
+                 # a ValueError, not a MemoryError
+                 '{"dims": [3e9, 3e9, 8]}', '{"dims": [1e30, 8, 8]}'):
         path = tmp_path / "spec.json"
         path.write_text(spec)
         _one_line_failure(capsys, ["phantom", "--spec", str(path),

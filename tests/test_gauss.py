@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 from gausstrack import gauss as gauss_mod
 from gausstrack.errors import ValidationError
 from gausstrack.gauss import (
-    Covariance,
     DensifyConfig,
     GaussianSet,
     canonicalize_quaternions,
-    covariance_from_params,
     densify_and_prune,
-    eval_gaussian,
     initialize_from_mask,
     load_gaussians,
     render_backward,
@@ -27,7 +24,7 @@ from gausstrack.gauss import (
     render_with_cache,
     save_gaussians,
 )
-from gausstrack.volgrid import LabelVolume, VoxelVolume
+from gausstrack.volgrid import LabelVolume, VoxelVolume, voxel_centers_normalized
 
 
 def random_set(n, seed, spread=0.6, labels=True):
@@ -44,54 +41,72 @@ def random_set(n, seed, spread=0.6, labels=True):
 
 # --- covariance construction -------------------------------------------------
 
+def covariances(rotations, log_scales, cutoff_multiplier=3.0):
+    """(sigma, inverse, radii) per row from _covariance_batch, the covariance
+    build the renderer runs, sigma as R S S^T R^T from its R and scales."""
+    rotations = np.atleast_2d(np.asarray(rotations, dtype=np.float64))
+    n = len(rotations)
+    g = GaussianSet(np.zeros((n, 3)), np.ones((n, 4)), np.reshape(log_scales, (n, 3)), np.ones(n))
+    g.rotations = rotations  # past the set's own zero-quaternion check
+    _, R, s, inv, radii = gauss_mod._covariance_batch(g, cutoff_multiplier)
+    M = R * s[:, None, :]
+    return M @ M.transpose(0, 2, 1), inv, radii
+
+
+def dense_sigma(q, log_scale):
+    """Independent oracle: R from the normalized quaternion written out, then
+    R S S^T R^T by dense products."""
+    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
+    R = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+    S = np.diag(np.exp(log_scale))
+    return R @ S @ S.T @ R.T
+
+
 def test_covariance_isotropic():
     s = 0.3
-    cov = covariance_from_params([1, 0, 0, 0], np.log(s) * np.ones(3))
-    assert np.allclose(cov.sigma, s**2 * np.eye(3), atol=1e-15)
-    assert np.allclose(cov.inverse, np.eye(3) / s**2, atol=1e-12)
-    assert cov.radius == pytest.approx(3 * s)
+    sigma, inv, radii = covariances([1, 0, 0, 0], np.log(s) * np.ones(3))
+    assert np.allclose(sigma[0], s**2 * np.eye(3), atol=1e-15)
+    assert np.allclose(inv[0], np.eye(3) / s**2, atol=1e-12)
+    assert radii[0] == pytest.approx(3 * s)
 
 
 def test_covariance_90deg_rotation_permutes_axes():
     a, b, c = 0.1, 0.2, 0.4
     q = [np.cos(np.pi / 4), 0, 0, np.sin(np.pi / 4)]  # 90 degrees about z
-    cov = covariance_from_params(q, np.log([a, b, c]))
-    assert np.allclose(cov.sigma, np.diag([b**2, a**2, c**2]), atol=1e-15)
+    sigma, _, radii = covariances(q, np.log([a, b, c]))
+    assert np.allclose(sigma[0], np.diag([b**2, a**2, c**2]), atol=1e-15)
+    assert radii[0] == pytest.approx(3 * c)
 
 
 def test_covariance_matches_dense_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        q = rng.normal(size=4)
-        ls = np.log(rng.uniform(0.02, 0.5, 3))
-        cov = covariance_from_params(q, ls)
-        # independent oracle: explicit R from the normalized quaternion,
-        # dense products, dense inverse
-        qn = q / np.linalg.norm(q)
-        w, x, y, z = qn
-        R = np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
-        S = np.diag(np.exp(ls))
-        sigma = R @ S @ S.T @ R.T
-        assert np.max(np.abs(cov.sigma - sigma)) < 1e-12
-        assert np.max(np.abs(cov.inverse - np.linalg.inv(sigma))) < 1e-9
+    q = rng.normal(size=(20, 4))
+    ls = np.log(rng.uniform(0.02, 0.5, (20, 3)))
+    sigma, inv, radii = covariances(q, ls)
+    for i in range(20):
+        want = dense_sigma(q[i], ls[i])
+        assert np.max(np.abs(sigma[i] - want)) < 1e-12
+        assert np.max(np.abs(inv[i] - np.linalg.inv(want))) < 1e-9
+    assert np.array_equal(radii, 3 * np.exp(ls).max(axis=1))
 
 
 def test_quaternion_sign_and_scale_invariance():
     rng = np.random.default_rng(4)
     q = rng.normal(size=4)
-    ls = np.log([0.1, 0.2, 0.3])
-    base = covariance_from_params(q, ls).sigma
-    for variant in (-q, 2 * q, -3.7 * q):
-        assert np.max(np.abs(covariance_from_params(variant, ls).sigma - base)) < 1e-12
+    sigma, inv, _ = covariances([q, -q, 2 * q, -3.7 * q], np.tile(np.log([0.1, 0.2, 0.3]), (4, 1)))
+    assert np.max(np.abs(sigma[1:] - sigma[0])) < 1e-12
+    assert np.max(np.abs(inv[1:] - inv[0])) < 1e-9
 
 
 def test_zero_quaternion_rejected():
     with pytest.raises(ValidationError, match="zero quaternion"):
-        covariance_from_params([0, 0, 0, 0], np.zeros(3))
+        covariances([[1, 0, 0, 0], [0, 0, 0, 0]], np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="zero quaternion"):
+        GaussianSet(np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 3)), np.ones(1))
 
 
 @pytest.mark.parametrize("call,match", [
@@ -125,23 +140,28 @@ def test_covariance_positive_definite(seed):
     q = rng.normal(size=4)
     if np.linalg.norm(q) < 1e-3:
         q = np.array([1.0, 0, 0, 0])
-    ls = rng.uniform(-5, 2, 3)
-    cov = covariance_from_params(q, ls)
-    assert np.linalg.eigvalsh(cov.sigma).min() > 0
+    sigma, inv, _ = covariances(q, rng.uniform(-5, 2, 3))
+    assert np.linalg.eigvalsh(sigma[0]).min() > 0
+    assert np.linalg.eigvalsh(inv[0]).min() > 0
 
 
-# --- point evaluation --------------------------------------------------------
+# --- density at a point: the uncut render at voxel centres --------------------
+
+def one_gaussian(center, rot, log_scale, intensity):
+    return GaussianSet(np.reshape(center, (1, 3)), np.reshape(rot, (1, 4)),
+                       np.reshape(log_scale, (1, 3)), np.array([intensity]))
+
 
 def test_eval_at_center_is_intensity():
-    v = eval_gaussian([0.5, 0.5, 0.5], [1, 0, 0, 0], np.log([0.1, 0.2, 0.3]), 0.7,
-                      [0.5, 0.5, 0.5])
+    g = one_gaussian([0.5, 0.5, 0.5], [1, 0, 0, 0], np.log([0.1, 0.2, 0.3]), 0.7)
+    v = render_values(g, (9, 9, 9), cutoff_multiplier=np.inf)[4, 4, 4]
     assert v == pytest.approx(0.7, abs=1e-15)
 
 
 def test_eval_at_one_sigma_isotropic():
-    s = 0.2
-    v = eval_gaussian([0.5, 0.5, 0.5], [1, 0, 0, 0], np.log(s) * np.ones(3), 1.0,
-                      [0.5 + s, 0.5, 0.5])
+    s = 0.25  # two voxels of the 9^3 grid
+    g = one_gaussian([0.5, 0.5, 0.5], [1, 0, 0, 0], np.log(s) * np.ones(3), 1.0)
+    v = render_values(g, (9, 9, 9), cutoff_multiplier=np.inf)[6, 4, 4]
     assert v == pytest.approx(np.exp(-0.5), rel=1e-12)
 
 
@@ -150,12 +170,12 @@ def test_eval_anisotropic_matches_quadratic_form_oracle():
     center = rng.random(3)
     q = rng.normal(size=4)
     ls = np.log(rng.uniform(0.05, 0.4, 3))
-    point = rng.random(3)
-    got = eval_gaussian(center, q, ls, 1.3, point)
-    sigma = covariance_from_params(q, ls).sigma
-    d = point - center
-    want = 1.3 * np.exp(-0.5 * d @ np.linalg.solve(sigma, d))
-    assert got == pytest.approx(want, rel=1e-12)
+    dims = (7, 6, 5)
+    got = render_values(one_gaussian(center, q, ls, 1.3), dims, cutoff_multiplier=np.inf)
+    d = voxel_centers_normalized(dims).reshape(-1, 3) - center
+    qf = np.einsum("bi,bi->b", d, np.linalg.solve(dense_sigma(q, ls), d.T).T)
+    want = 1.3 * np.exp(-0.5 * qf)
+    assert np.all(np.abs(got.ravel() - want) <= 1e-12 * want)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -332,10 +352,10 @@ def test_many_box_shapes_equal_sums_of_single_gaussian_renders():
                    axis=-1).reshape(-1, 3)
     direct, want_pairs = np.zeros(len(pts)), set()
     for i in range(g.count):
-        cov = covariance_from_params(g.rotations[i], g.log_scales[i])
+        sigma = dense_sigma(g.rotations[i], g.log_scales[i])
         d = pts - g.centers[i]
-        qf = np.einsum("bi,ij,bj->b", d, np.linalg.inv(cov.sigma), d)
-        inside = (d * d).sum(axis=1) <= cov.radius ** 2
+        qf = np.einsum("bi,ij,bj->b", d, np.linalg.inv(sigma), d)
+        inside = (d * d).sum(axis=1) <= (3 * np.exp(g.log_scales[i]).max()) ** 2
         direct += inside * g.intensities[i] * np.exp(-qf / 2)
         want_pairs |= {(i, v) for v in np.flatnonzero(inside).tolist()}
     assert np.max(np.abs(values.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))

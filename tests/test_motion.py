@@ -466,12 +466,10 @@ C = motion._KNN_CHUNK
 
 
 @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5])
-def test_dense_displacement_is_byte_equal_for_any_pool_size(monkeypatch, n):
+def test_dense_displacement_is_byte_equal_to_the_public_steps(n):
     q, nodes, net = field_scene(n)
-    want = public_field(q, nodes, net, 0.3, 4).tobytes()
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(motion, "_pool_size", lambda: workers)
-        assert dense_displacement(q, nodes, net, 0.3, 4).tobytes() == want
+    assert dense_displacement(q, nodes, net, 0.3, 4).tobytes() == \
+        public_field(q, nodes, net, 0.3, 4).tobytes()
 
 
 def test_lattice_ties_on_both_sides_of_a_chunk_boundary():
@@ -568,8 +566,8 @@ def test_near_ties_inside_the_margin_equal_the_full_sort(monkeypatch):
             public_field(q, nodes, net, 0.4, k).tobytes()
 
 
-def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
-    threads, pools = counting_threads(monkeypatch)
+def test_dense_displacement_checks_inputs_before_any_row_runs(monkeypatch):
+    threads, _ = counting_threads(monkeypatch)
     q, nodes, net = field_scene(2 * C)
     for k in (0, nodes.count + 1):
         with pytest.raises(ValidationError, match=f"k={k}"):
@@ -581,7 +579,7 @@ def test_dense_displacement_checks_inputs_before_any_worker_starts(monkeypatch):
     nodes.positions[3, 2] = np.inf
     with pytest.raises(NumericalAbort):
         dense_displacement(q, nodes, net, 0.3, 4)
-    assert threads == [] and pools == []
+    assert threads == []
 
 
 def grid_field(dims, nodes, net, t, k, first=None):
@@ -725,7 +723,7 @@ def test_grid_displacement_raises_the_error_of_first_over_a_non_finite_slice(
             grid_field(dims, nodes, net, 0.3, 4)
 
 
-def test_dense_displacement_workers_run_under_the_callers_error_state(monkeypatch):
+def test_both_field_forms_run_under_the_callers_error_state(monkeypatch):
     # the points form runs on the calling thread: zero radii make every
     # kernel exponent d^2 / 0, division by zero, then -inf - (-inf) in the
     # softmax shift.  With the errors ignored, the NaN field is refused
