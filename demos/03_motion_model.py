@@ -10,8 +10,7 @@ from gausstrack.motion import (
     ControlNodeSet,
     DeformNet,
     apply_motion,
-    blend_transforms,
-    blend_weights,
+    blend_operator,
     dense_displacement,
     knn_indices,
     motion_forward,
@@ -40,20 +39,30 @@ t6, _ = node_transforms(net, nodes.positions, t=0.5)
 
 # Dense motion at any point: k nearest nodes, normalized RBF weights (a
 # softmax of -d^2 / (2 o^2) over the neighbours), convex combination of
-# their transforms.
+# their transforms.  The blend is one sparse (queries x nodes) matrix W,
+# one row per query with its k weights in neighbour order.
 queries = rng.random((5, 3))
 idx = knn_indices(queries, nodes.positions, k=4)
-w = blend_weights(queries, nodes.positions, nodes.log_radii, idx)
-print("first query: neighbors", idx[0], "weights", w[0].round(3),
-      "(sum:", w[0].sum().round(6), ")")
-assert np.all(np.abs(w.sum(axis=1) - 1) < 1e-12)
-delta, log_offset = blend_transforms(w, idx, t6)
+w = blend_operator(queries, nodes, idx)
+row = w.data[:4]
+print("first query: neighbors", w.indices[:4], "weights", row.round(3),
+      "(sum:", row.sum().round(6), ")")
+assert np.all(np.abs(w @ np.ones(nodes.count) - 1) < 1e-12)
+b6 = w @ t6
+delta, log_offset = b6[:, :3], b6[:, 3:]
 print("blended translation:", delta[0].round(4), " log-scale offset:", log_offset[0].round(4))
 
 # Or in one call, the displacement field evaluated anywhere.
 u = dense_displacement(queries, nodes, net, t=0.5, k=4)
 print("dense displacement matches:", np.allclose(u, delta))
 assert np.array_equal(u, delta)
+
+# Its transpose carries a gradient on the blended rows back to the nodes:
+# W.T @ g is the blend's whole adjoint, since W itself is held fixed.
+g6 = rng.normal(size=b6.shape)
+adjoint = np.isclose(np.sum(b6 * g6), np.sum(t6 * (w.T @ g6)))
+print("adjoint identity <W t, g> = <t, W.T g>:", adjoint)
+assert adjoint
 
 # A Gaussian set moves in two layers, the way fit chains them: the network
 # gives the (M, 6) node transforms, then the blend's forward deforms the set

@@ -4,22 +4,28 @@ deformation network, and linear blend skinning.
 Sparse control nodes carry per-time transforms that a small MLP predicts
 from sinusoidally encoded node positions and time: ``node_transforms``
 returns one (M, 6) array, translation then per-axis log-scale offset;
-zero rows are the identity.  Dense motion at any point is the convex
-combination of its k nearest nodes' rows, weighted by normalized RBF
-kernels ``exp(-d^2 / (2 o_j^2))``: a softmax over the neighbours of
+zero rows are the identity.  The blend is one sparse linear map of those
+rows: ``blend_operator`` builds the (N, M) CSR matrix W whose row i holds
+point i's weights on its k nearest nodes, normalized RBF kernels
+``exp(-d^2 / (2 o^2))``.  Each row is a softmax over the neighbours of
 ``u_j = -d_j^2 / (2 o_j^2)``, shifted by the row maximum, so every row
 sums to 1 and its largest kernel weighs most even where every kernel
-underflows.  Each layer's forward sits beside its adjoint:
+underflows.  The blended rows are ``W @ t6`` and their adjoint is
+``W.T @ g``.  Each layer's forward sits beside its adjoint:
 ``node_transforms``/``node_transforms_backward`` for the MLP and
 ``motion_forward``/``motion_backward`` for the blend, which starts from and
 ends at the (M, 6) node transforms; ``apply_motion`` composes the forwards.
+The dense displacement field reads the same W at its query points.
 
 Two gradient rules from the model definition are honored throughout:
 
-* stop-gradient — node positions enter the network input as constants;
-  position gradients flow only through the blend-weight distances;
-* frozen neighborhoods — KNN index sets are piecewise constant (refreshed
-  between optimization phases, never differentiated through).
+* stop-gradient — W is a constant of each step.  It is built from the
+  current centers and node geometry, but no gradient flows through it: the
+  canonical set takes the render gradients unchanged, and the node
+  positions and radii take none, so they keep their seeded values.  Node
+  positions enter the network input as constants too;
+* frozen neighborhoods — KNN index sets are piecewise constant (rebuilt
+  when densification changes the set, never differentiated through).
 """
 
 from __future__ import annotations
@@ -27,13 +33,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .errors import NumericalAbort, ValidationError
-from .gauss import RenderGradients
 from .volgrid import _axis_denoms, _read_container, _write_container
 
 _KNN_CHUNK = 4096
@@ -41,8 +47,8 @@ _KNN_CHUNK = 4096
 
 @dataclass
 class ControlNodeSet:
-    """Learnable sparse motion carriers: positions in the normalized cube
-    and log RBF radii."""
+    """Sparse motion carriers: positions in the normalized cube and log RBF
+    radii.  The fit keeps them at their seeded sampling."""
 
     positions: np.ndarray
     log_radii: np.ndarray
@@ -203,35 +209,25 @@ def knn_indices(queries, node_positions, k):
     return _knn_rows(tree, pos, queries, k)
 
 
-def _blend(queries, node_positions, log_radii, idx):
-    """Softmax weights of u = -d^2 / (2 o^2), built in place, plus the
-    offsets, squared distances and radii that motion_backward reads."""
+def blend_operator(points, nodes, idx):
+    """The blend as one (N, M) CSR matrix W: row i holds the softmax of
+    ``-d^2 / (2 o^2)`` over point i's neighbour nodes ``idx[i]``, in idx
+    order.  It equals ``w_hat / w_hat.sum()`` with
+    ``w_hat = exp(-d^2 / (2 o^2))`` wherever that sum is nonzero, and its
+    largest kernel weighs most where every kernel underflows.  ``W @ t6``
+    blends the rows of the (M, 6) node transforms; ``W.T @ g`` is its
+    adjoint."""
+    points = np.asarray(points, dtype=np.float64)
     weights = np.empty(idx.shape)
-    diff = queries[:, None, :] - np.take(node_positions, idx, axis=0)  # (Q, k, 3)
-    d2 = np.einsum("qki,qki->qk", diff, diff)
-    o = np.exp(np.take(log_radii, idx))
-    np.divide(d2, -2.0 * o * o, out=weights)
+    diff = points[:, None, :] - np.take(nodes.positions, idx, axis=0)  # (N, k, 3)
+    o = np.exp(np.take(nodes.log_radii, idx))
+    np.divide(np.einsum("qki,qki->qk", diff, diff), -2.0 * o * o, out=weights)
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=1, keepdims=True)
-    return weights, diff, d2, o
-
-
-def blend_weights(queries, node_positions, log_radii, idx):
-    """Normalized RBF weights of each query's neighbor nodes: the softmax of
-    ``-d^2 / (2 o^2)`` over the row, equal to ``w_hat / w_hat.sum()`` with
-    ``w_hat = exp(-d^2 / (2 o^2))`` wherever that sum is nonzero."""
-    weights, *_ = _blend(np.atleast_2d(np.asarray(queries, dtype=np.float64)),
-                         np.asarray(node_positions, dtype=np.float64),
-                         np.asarray(log_radii, dtype=np.float64), np.atleast_2d(idx))
-    return weights
-
-
-def blend_transforms(weights, idx, t6):
-    """Convex combination of the neighbours' rows of the (M, 6) node
-    transforms, channelwise: the blended translation and log-scale offset."""
-    mixed = np.einsum("qk,qkc->qc", weights, np.take(t6, idx, axis=0))
-    return mixed[:, :3], mixed[:, 3:]
+    n, k = idx.shape
+    return csr_array((weights.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)),
+                      shape=(n, nodes.count))
 
 
 def deform_gaussians(gaussians, delta, log_offset):
@@ -250,13 +246,11 @@ def deform_gaussians(gaussians, delta, log_offset):
     return out
 
 
-def _displacement_rows(tree, pos, log_radii, t6, q, k):
-    """The field's one kernel: the blended translation at the rows of q, from
-    their KNN rows, _blend's weights and the translation rows of the (M, 6)
-    node transforms ``t6``.  A non-finite row raises ValidationError."""
-    idx = _knn_rows(tree, pos, q, k)
-    weights, *_ = _blend(q, pos, log_radii, idx)
-    u = np.einsum("qk,qkc->qc", weights, np.take(t6[:, :3], idx, axis=0))
+def _displacement_rows(tree, nodes, t6, q, k):
+    """The field's one kernel: the blended translation at the rows of q,
+    ``blend_operator(q, ...) @ t6[:, :3]`` through their KNN rows.  A
+    non-finite row raises ValidationError."""
+    u = blend_operator(q, nodes, _knn_rows(tree, nodes.positions, q, k)) @ t6[:, :3]
     if not np.all(np.isfinite(u)):
         raise ValidationError("displacement field contains non-finite entries")
     return u
@@ -282,7 +276,7 @@ def grid_displacement(nodes, t6, k, dims, first=None):
     non-finite slice raises ValidationError; an error from ``first`` is
     raised ahead of any slice's.  The bits do not depend on the thread count.
     """
-    _, pos, tree = _knn_tree(np.empty((0, 3)), nodes.positions, k)
+    tree = _knn_tree(np.empty((0, 3)), nodes.positions, k)[2]
     n = math.prod(dims)
     out = np.empty((n, 3))
     errstate = dict(np.geterr(), call=np.geterrcall())
@@ -292,7 +286,7 @@ def grid_displacement(nodes, t6, k, dims, first=None):
         with np.errstate(**errstate):
             q = np.stack(np.unravel_index(np.arange(rows.start, rows.stop), dims),
                          axis=1) / _axis_denoms(dims)
-            out[rows] = _displacement_rows(tree, pos, nodes.log_radii, t6, q, k)
+            out[rows] = _displacement_rows(tree, nodes, t6, q, k)
 
     pool = ThreadPoolExecutor(max(_pool_size() - 1, 1))
     try:
@@ -320,41 +314,20 @@ def dense_displacement(queries, nodes, net, t, k):
     """
     queries, pos, tree = _knn_tree(queries, nodes.positions, k)
     t6 = node_transforms(net, pos, t)[0]
-    return _displacement_rows(tree, pos, nodes.log_radii, t6, queries, k)
+    return _displacement_rows(tree, nodes, t6, queries, k)
 
 
 # ---------------------------------------------------------------------------
 # Blend forward and adjoint used by the fitting loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MotionCache:
-    """What motion_backward reads of a motion_forward call."""
-
-    t6: np.ndarray
-    idx: np.ndarray
-    diff: np.ndarray
-    d2: np.ndarray
-    o: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass
-class MotionGradients:
-    node_transforms: np.ndarray
-    node_positions: np.ndarray
-    node_log_radii: np.ndarray
-    canonical: RenderGradients
-
-
 def motion_forward(gaussians, nodes, t6, idx):
-    """The blend's forward: deform the whole GaussianSet by the (M, 6) node
-    transforms ``t6`` through the given (frozen) KNN table; returns the
-    deformed set and the cache for motion_backward."""
-    weights, diff, d2, o = _blend(gaussians.centers, nodes.positions,
-                                  nodes.log_radii, idx)
-    return (deform_gaussians(gaussians, *blend_transforms(weights, idx, t6)),
-            MotionCache(t6, idx, diff, d2, o, weights))
+    """The blend's forward: deform the whole GaussianSet by ``W @ t6``, W the
+    blend_operator of its centers through the given (frozen) KNN table;
+    returns the deformed set and W, which motion_backward reads."""
+    w = blend_operator(gaussians.centers, nodes, idx)
+    b6 = w @ t6
+    return deform_gaussians(gaussians, b6[:, :3], b6[:, 3:]), w
 
 
 def apply_motion(gaussians, nodes, net, t, idx):
@@ -362,39 +335,12 @@ def apply_motion(gaussians, nodes, net, t, idx):
     return motion_forward(gaussians, nodes, node_transforms(net, nodes.positions, t)[0], idx)
 
 
-def _scatter_rows(idx, vals, m):
-    """Sum vals (N, k, ...) into m node rows by idx (N, k), one bincount per
-    column: in index order from zero, as np.add.at would, but faster."""
-    flat = idx.ravel()
-    vals = vals.reshape(flat.size, -1)
-    return np.stack([np.bincount(flat, vals[:, c], minlength=m)
-                     for c in range(vals.shape[1])], axis=1)
-
-
-def motion_backward(cache, nodes, render_grads):
-    """Adjoint of the blend: render gradients to the node positions/radii, the
-    canonical set and the (M, 6) d(loss)/d(t6), where it ends.
-
-    Node positions receive gradients only through the blend-weight
-    distances (the encoding input is stop-gradient); neighbor sets are
-    fixed.  Of the render gradients only the centers change: rotations,
-    log-scales and intensities pass through to the canonical set as they
-    are.
-    """
-    idx, weights, m = cache.idx, cache.weights, nodes.count
-    # per Gaussian (N, 6): the blended rows add to the centers and log-scales
-    g_b6 = np.concatenate([render_grads.centers, render_grads.log_scales], axis=1)
-    # node transforms accumulate w_ij * gB_i
-    g_t6 = _scatter_rows(idx, weights[:, :, None] * g_b6[:, None, :], m)
-    # blend-weight path through the softmax of u = -d2 / (2 o^2)
-    g_w = np.einsum("qc,qkc->qk", g_b6, np.take(cache.t6, idx, axis=0))
-    g_u = weights * (g_w - np.einsum("qk,qk->q", g_w, weights)[:, None])
-    g_d2 = -g_u / (2.0 * cache.o ** 2)
-    g_diff = 2.0 * g_d2[:, :, None] * cache.diff
-    g_node_pos = _scatter_rows(idx, -g_diff, m)
-    g_log_radii = _scatter_rows(idx, g_u * cache.d2 / cache.o ** 2, m)[:, 0]
-    canonical = replace(render_grads, centers=render_grads.centers + g_diff.sum(axis=1))
-    return MotionGradients(g_t6, g_node_pos, g_log_radii, canonical)
+def motion_backward(w, render_grads):
+    """Adjoint of the blend: ``W.T @ [centers | log_scales]`` of the render
+    gradients, the (M, 6) d(loss)/d(t6) where it ends.  W is held fixed
+    (stop-gradient), so the render gradients are the canonical set's as
+    they are and the node geometry gets none."""
+    return w.T @ np.concatenate([render_grads.centers, render_grads.log_scales], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ and densification cadence.
 The optimization runs per instance against the instance's own frames.
 Stage 1 fits only the canonical Gaussians to the reference (ED) frame;
 stage 2 round-robins over all frames, deforming the canonical set through
-the motion model before rendering.  Control-node parameters stay frozen
-until their scheduled unfreeze iteration.  Five parameter groups carry
-their own learning rates; the position-like groups follow a geometric
-decay curve, the rest stay constant.
+the motion model before rendering.  The control nodes keep their seeded
+sampling: the blend is a constant of each step (motion's stop-gradient),
+so no gradient reaches them.  Four parameter groups carry their own
+learning rates; the positions follow a geometric decay curve, the rest
+stay constant.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ class AdamState:
 
 @dataclass
 class FitSchedule:
-    """Iteration plan; defaults match the full-scale recipe."""
+    """Iteration plan; defaults match the full-scale recipe.
+    ``node_unfreeze_at`` is checked but has no effect: the nodes never
+    learn."""
 
     total_iters: int = 20000
     canonical_only_until: int = 1000
@@ -106,22 +109,21 @@ class FitSchedule:
             raise ValidationError("densify interval/start must be >= 1")
 
 
-# initial learning rates of the five groups (the full-scale recipe)
+# initial learning rates of the four groups (the full-scale recipe)
 DEFAULT_LEARNING_RATES = {
     "positions": 1e-4,
     "intensity": 5e-3,
     "rotscale": 1e-4,
-    "nodes": 1e-4,
     "network": 1e-6,
 }
 # the groups whose rate decays geometrically; the others stay constant
-DECAYING = ("positions", "nodes")
+DECAYING = ("positions",)
 # the rate every decaying group reaches at the last iteration
 LR_DECAY_END = 1e-7
 
 
 def learning_rates(overrides=None):
-    """Initial rate of each of the five groups: the full-scale recipe with
+    """Initial rate of each of the four groups: the full-scale recipe with
     ``overrides`` (the run config's per-group values) merged in."""
     lrs = dict(DEFAULT_LEARNING_RATES)
     if overrides:
@@ -248,9 +250,11 @@ def fit(sequence, mask, config, inspect_hook=None):
     canonical Gaussians against the ED frame.  Stage 2 round-robins over
     frames, rendering the deformed set and backpropagating the L1 loss
     through rendering and then motion; stage 1 takes the same render, L1
-    and render-adjoint step on the canonical set itself.  Node
-    positions/radii unfreeze at ``node_unfreeze_at``; densification runs on its cadence with optimizer
-    state remapped across set changes.  The L1 target is each frame's array
+    and render-adjoint step on the canonical set itself.  The blend matrix
+    is held fixed in the adjoint, so the canonical set takes the render
+    gradients as they are and the nodes keep their seeded sampling.
+    Densification runs on its cadence with optimizer state remapped across
+    set changes.  The L1 target is each frame's array
     as the sequence holds it (float32 when read from disk): the float64
     render minus it upcasts exactly, so no float64 copy of the sequence is
     made.  ``inspect_hook(iteration, state)`` is called at the top of
@@ -294,20 +298,19 @@ def fit(sequence, mask, config, inspect_hook=None):
             if stage2:
                 fi = (it - sched.canonical_only_until) % len(frames)
                 t6, acts = node_transforms(net, nodes.positions, times[fi])
-                deformed, cache = motion_forward(g, nodes, t6, knn)
+                deformed, blend = motion_forward(g, nodes, t6, knn)
             else:
                 fi, deformed = sequence.ed_index, g
             rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier,
                                                        workspace)
             loss, lgrad = l1_loss(rendered, frames[fi])
-            canonical = rg = gauss.render_backward(deformed, dims, lgrad, rcache)
+            canonical = gauss.render_backward(deformed, dims, lgrad, rcache)
             # dropped once read, so one cache is alive and the next render
             # writes into the workspace's buffers
             del rendered, lgrad, rcache
             if stage2:
-                mg = motion_mod.motion_backward(cache, nodes, rg)
-                g_w, g_b = motion_mod.node_transforms_backward(net, acts, mg.node_transforms)
-                canonical = mg.canonical
+                g_w, g_b = motion_mod.node_transforms_backward(
+                    net, acts, motion_mod.motion_backward(blend, canonical))
             if not np.isfinite(loss):
                 raise NumericalAbort("non-finite loss")
             losses.append(loss)
@@ -328,13 +331,6 @@ def fit(sequence, mask, config, inspect_hook=None):
                 for li, (w, wg, b, bg) in enumerate(zip(net.weights, g_w, net.biases, g_b)):
                     net_updates.update({f"w{li}": (w, wg), f"b{li}": (b, bg)})
                 opts["network"].step(lr_at(it, "network", lrs["network"], sched), net_updates)
-                if it == sched.node_unfreeze_at:
-                    events.append([it, "nodes_unfrozen", "control points now learnable"])
-                    knn = knn_indices(g.centers, nodes.positions, config.k_neighbors)
-                if it >= sched.node_unfreeze_at:
-                    opts["nodes"].step(lr_at(it, "nodes", lrs["nodes"], sched),
-                                       {"positions": (nodes.positions, mg.node_positions),
-                                        "log_radii": (nodes.log_radii, mg.node_log_radii)})
         except NumericalAbort as e:
             raise NumericalAbort(f"{e} at iteration {it}", iteration=it) from None
 

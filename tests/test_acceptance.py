@@ -2,11 +2,10 @@
 of seconds on the real code path against the phantom's analytic field."""
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import lsqr
 
 from gausstrack.gauss import initialize_from_mask
-from gausstrack.motion import blend_transforms, blend_weights, init_control_nodes, knn_indices
+from gausstrack.motion import blend_operator, init_control_nodes, knn_indices
 from gausstrack.phantom import PhantomField, PhantomSpec, generate_phantom
 from gausstrack.volgrid import LABEL_MYO
 
@@ -23,7 +22,7 @@ def tracks(epe_mm, zero_mm):
 
 def test_rung_a_least_squares_node_translations_represent_the_es_field():
     # the blend can represent the motion: node translations solved by least
-    # squares through blend_weights at the Gaussian centers reproduce the
+    # squares through blend_operator at the Gaussian centers reproduce the
     # analytic ES displacement on the ED myocardium voxels
     spec = PhantomSpec(dims=DIMS, spacing=SPACING, frames=FRAMES, texture_seed=1)
     seq, ed_labels, _ = generate_phantom(spec)
@@ -33,12 +32,9 @@ def test_rung_a_least_squares_node_translations_represent_the_es_field():
     nodes = init_control_nodes(g.centers, NODE_BUDGET, seed=1)
 
     def blend(points):
-        idx = knn_indices(points, nodes.positions, K)
-        return blend_weights(points, nodes.positions, nodes.log_radii, idx), idx
+        return blend_operator(points, nodes, knn_indices(points, nodes.positions, K))
 
-    w, idx = blend(g.centers)
-    a = csr_matrix((w.ravel(), idx.ravel(), np.arange(0, w.size + 1, K)),
-                   shape=(g.count, nodes.count))
+    a = blend(g.centers)
     target = field.displacement_normalized(g.centers, t_es)
     translations = np.stack([lsqr(a, target[:, c], atol=1e-12, btol=1e-12)[0]
                              for c in range(3)], axis=1)
@@ -47,10 +43,10 @@ def test_rung_a_least_squares_node_translations_represent_the_es_field():
     extent = denoms * np.array(SPACING)
     myo = np.argwhere(ed_labels.labels == LABEL_MYO) / denoms
     u_true = field.displacement_normalized(myo, t_es)
-    w, idx = blend(myo)
+    w = blend(myo)
 
     def epe_mm(trans):
-        u = blend_transforms(w, idx, np.hstack([trans, np.zeros_like(trans)]))[0]
+        u = w @ trans
         return float(np.linalg.norm((u - u_true) * extent, axis=1).mean())
 
     zero = epe_mm(np.zeros_like(translations))

@@ -631,10 +631,11 @@ def test_a_grid_within_numpys_limit_but_too_large_for_memory_names_its_array(tmp
     dict(TINY_FIT, schedule=dict(TINY_FIT["schedule"], lr_decay_end=1e-7)),
     dict(TINY_FIT, densify={"split_factor": 1.6}),
     dict(TINY_FIT, densify={"size_threshold": 0.01}),
+    dict(TINY_FIT, learning_rates={"nodes": 1e-4}),
     # out of range, on the tiny fit so that a value the checks miss ends the
     # test quickly: each ran into a traceback, a late abort or an empty render
     dict(TINY_FIT, learning_rates={"positions": 0.0}),
-    dict(TINY_FIT, learning_rates={"nodes": -1e-4}),
+    dict(TINY_FIT, learning_rates={"positions": -1e-4}),
     dict(TINY_FIT, learning_rates={"network": 10 ** 400}),
     dict(TINY_FIT, network=dict(TINY_FIT["network"], hidden_width=0)),
     dict(TINY_FIT, seed=-1),

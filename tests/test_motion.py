@@ -15,8 +15,7 @@ from gausstrack.motion import (
     ControlNodeSet,
     DeformNet,
     apply_motion,
-    blend_transforms,
-    blend_weights,
+    blend_operator,
     deform_gaussians,
     dense_displacement,
     init_control_nodes,
@@ -207,28 +206,29 @@ def test_knn_k_too_large():
         knn_indices(pos, pos, k=5)
 
 
-# --- blend weights and transforms ---------------------------------------------
+# --- the blend operator ---------------------------------------------------------
 
 def test_single_neighbor_weight_is_one():
-    w = blend_weights(np.array([[0.3, 0.3, 0.3]]), np.array([[0.6, 0.6, 0.6]]),
-                      np.log([0.2]), np.array([[0]]))
-    assert np.allclose(w, [[1.0]])
+    w = blend_operator(np.array([[0.3, 0.3, 0.3]]),
+                       ControlNodeSet(np.array([[0.6, 0.6, 0.6]]), np.log([0.2])),
+                       np.array([[0]]))
+    assert w.shape == (1, 1) and np.allclose(w.toarray(), [[1.0]])
 
 
 def test_equidistant_equal_radii_weights():
     pos = np.array([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]])
-    w = blend_weights(np.array([[0.5, 0.5, 0.5]]), pos, np.log([0.2, 0.2]),
-                      np.array([[0, 1]]))
-    assert np.allclose(w, [[0.5, 0.5]])
+    w = blend_operator(np.array([[0.5, 0.5, 0.5]]), ControlNodeSet(pos, np.log([0.2, 0.2])),
+                       np.array([[0, 1]]))
+    assert np.allclose(w.toarray(), [[0.5, 0.5]])
 
 
 def test_blend_weight_formula():
     # distances (1, 2), radii (1, 1): w_hat = (e^-0.5, e^-2)
     pos = np.array([[1.0, 0, 0], [2.0, 0, 0]])
-    w = blend_weights(np.array([[0.0, 0, 0]]), pos, np.log([1.0, 1.0]),
-                      np.array([[0, 1]]))
+    w = blend_operator(np.array([[0.0, 0, 0]]), ControlNodeSet(pos, np.log([1.0, 1.0])),
+                       np.array([[0, 1]]))
     w_hat = np.array([np.exp(-0.5), np.exp(-2.0)])
-    assert np.allclose(w, (w_hat / w_hat.sum())[None, :], rtol=1e-14)
+    assert np.allclose(w.toarray(), (w_hat / w_hat.sum())[None, :], rtol=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,12 +241,16 @@ def test_blend_weights_equal_the_normalized_rbf_formula(seed, k):
     q, pos = rng.random((40, 3)), rng.random((8, 3))
     log_radii = np.log(rng.uniform(0.15, 1.0, 8))
     idx = np.stack([rng.choice(8, k, replace=False) for _ in range(40)])
-    w = blend_weights(q, pos, log_radii, idx)
+    w = blend_operator(q, ControlNodeSet(pos, log_radii), idx)
+    # one row per query, its k entries in idx order
+    assert w.shape == (40, 8)
+    assert np.array_equal(w.indptr, np.arange(0, 40 * k + 1, k))
+    assert np.array_equal(w.indices, idx.ravel())
     diff = q[:, None, :] - pos[idx]
     o = np.exp(log_radii[idx])
     w_hat = np.exp(-np.einsum("qki,qki->qk", diff, diff) / (2.0 * o * o))
     want = w_hat / w_hat.sum(axis=1, keepdims=True)
-    assert np.all(np.abs(w - want) <= 1e-14 * want)
+    assert np.all(np.abs(w.data.reshape(40, k) - want) <= 1e-14 * want)
 
 
 def test_blend_weight_underflow_keeps_the_largest_kernel():
@@ -255,21 +259,21 @@ def test_blend_weight_underflow_keeps_the_largest_kernel():
     nodes = ControlNodeSet(np.array([[50.0, 0, 0], [60.0, 0, 0], [70.0, 0, 0]]),
                            np.log([1e-4, 1e-4, 1e-4]))
     idx = np.array([[0, 1, 2]])
-    w = blend_weights(np.zeros((1, 3)), nodes.positions, nodes.log_radii, idx)
-    assert np.array_equal(w, [[1.0, 0.0, 0.0]])
+    w = blend_operator(np.zeros((1, 3)), nodes, idx)
+    assert np.array_equal(w.toarray(), [[1.0, 0.0, 0.0]])
     _, _, net, _ = tiny_scene(seed=2)
     g = GaussianSet([[0.5, 0.5, 0.5]], [[1.0, 0, 0, 0]], np.log([[0.1, 0.1, 0.1]]), [1.0])
     t6, acts = node_transforms(net, nodes.positions, 0.4)
-    deformed, cache = apply_motion(g, nodes, net, 0.4, idx)
+    deformed, w = apply_motion(g, nodes, net, 0.4, idx)
     assert np.array_equal(deformed.centers, g.centers + t6[:1, :3])
     rg = render_backward(deformed, DIMS, np.random.default_rng(1).normal(size=DIMS),
                          render_with_cache(deformed, DIMS, np.inf)[1])
-    mg = motion_backward(cache, nodes, rg)
-    g_w, g_b = node_transforms_backward(net, acts, mg.node_transforms)
-    for a in g_w + g_b + [mg.node_transforms, mg.node_positions, mg.node_log_radii,
-                          mg.canonical.centers]:
+    g_t6 = motion_backward(w, rg)
+    g_w, g_b = node_transforms_backward(net, acts, g_t6)
+    for a in g_w + g_b + [g_t6]:
         assert np.all(np.isfinite(a))
-    assert np.all(mg.node_log_radii == 0) and np.all(mg.node_positions == 0)
+    assert np.array_equal(g_t6[0], np.concatenate([rg.centers[0], rg.log_scales[0]]))
+    assert np.all(g_t6[1:] == 0)
 
 
 def test_blend_weights_normalized_and_scale_invariant():
@@ -277,47 +281,48 @@ def test_blend_weights_normalized_and_scale_invariant():
     q = rng.random((20, 3))
     pos = rng.random((10, 3))
     idx = knn_indices(q, pos, 4)
-    w = blend_weights(q, pos, np.log(rng.uniform(0.05, 0.3, 10)), idx)
-    assert np.all(w >= 0) and np.all(w <= 1)
-    assert np.max(np.abs(w.sum(axis=1) - 1)) < 1e-6
+    w = blend_operator(q, ControlNodeSet(pos, np.log(rng.uniform(0.05, 0.3, 10))), idx)
+    assert np.all(w.data >= 0) and np.all(w.data <= 1)
+    assert np.max(np.abs(w @ np.ones(10) - 1)) < 1e-6
+
+
+def blend_scene(seed, n=3, m=6, k=3):
+    rng = np.random.default_rng(seed)
+    q = rng.random((n, 3))
+    nodes = ControlNodeSet(rng.random((m, 3)), np.log(rng.uniform(0.1, 0.4, m)))
+    idx = knn_indices(q, nodes.positions, k)
+    return blend_operator(q, nodes, idx), idx, rng
 
 
 def test_blend_transforms_shared_transform():
-    t6 = np.tile([0.1, -0.2, 0.3, 2.0, 1.0, 0.5], (4, 1))
-    w = np.array([[0.25, 0.25, 0.25, 0.25]])
-    d, a = blend_transforms(w, np.array([[0, 1, 2, 3]]), t6)
-    assert np.allclose(d, [[0.1, -0.2, 0.3]]) and np.allclose(a, [[2, 1, 0.5]])
+    w, _, _ = blend_scene(3, m=4, k=4)
+    b6 = w @ np.tile([0.1, -0.2, 0.3, 2.0, 1.0, 0.5], (4, 1))
+    assert np.allclose(b6, [[0.1, -0.2, 0.3, 2.0, 1.0, 0.5]] * 3)
 
 
 def test_blend_transforms_selects_first_on_degenerate_weights():
+    # every kernel underflows: the row is all on its first (largest) kernel
     rng = np.random.default_rng(1)
     t6 = np.exp(rng.normal(size=(3, 6)))
-    d, a = blend_transforms(np.array([[1.0, 0.0]]), np.array([[2, 0]]), t6)
-    assert np.allclose(d, t6[2, :3]) and np.allclose(a, t6[2, 3:])
+    nodes = ControlNodeSet(np.array([[60.0, 0, 0], [70.0, 0, 0], [50.0, 0, 0]]),
+                           np.log([1e-4, 1e-4, 1e-4]))
+    w = blend_operator(np.zeros((1, 3)), nodes, np.array([[2, 0]]))
+    assert np.array_equal(w @ t6, t6[2:])
 
 
 def test_blend_transforms_matches_direct_sum():
-    rng = np.random.default_rng(5)
+    w, idx, rng = blend_scene(5)
     t6 = np.exp(rng.normal(size=(6, 6)))
-    idx = np.array([[0, 3, 5]])
-    w = rng.random((1, 3))
-    w /= w.sum()
-    d, a = blend_transforms(w, idx, t6)
-    want = sum(w[0, j] * t6[idx[0, j]] for j in range(3))
-    assert np.max(np.abs(np.concatenate([d[0], a[0]]) - want)) < 1e-12
+    weights = w.data.reshape(idx.shape)
+    want = np.stack([sum(weights[i, j] * t6[idx[i, j]] for j in range(3)) for i in range(3)])
+    assert np.max(np.abs(w @ t6 - want)) < 1e-12
 
 
 def test_blend_transforms_linear_in_transforms():
-    rng = np.random.default_rng(9)
-    t1 = rng.normal(size=(5, 6))
-    t2 = rng.normal(size=(5, 6))
-    mix = 2 * t1 + 3 * t2
-    idx = np.array([[1, 4], [0, 2]])
-    w = np.array([[0.3, 0.7], [0.9, 0.1]])
-    d, a = blend_transforms(w, idx, mix)
-    d1, a1 = blend_transforms(w, idx, t1)
-    d2, a2 = blend_transforms(w, idx, t2)
-    assert np.allclose(d, 2 * d1 + 3 * d2) and np.allclose(a, 2 * a1 + 3 * a2)
+    w, _, rng = blend_scene(9)
+    t1 = rng.normal(size=(6, 6))
+    t2 = rng.normal(size=(6, 6))
+    assert np.allclose(w @ (2 * t1 + 3 * t2), 2 * (w @ t1) + 3 * (w @ t2))
 
 
 # --- deform -------------------------------------------------------------------
@@ -390,7 +395,7 @@ def test_dense_displacement_concentrates_on_isolated_node():
 def test_dense_displacement_agrees_with_fit_path():
     g, nodes, net, k = tiny_scene(seed=7)
     idx = knn_indices(g.centers, nodes.positions, k)
-    deformed, cache = apply_motion(g, nodes, net, 0.6, idx)
+    deformed, _ = apply_motion(g, nodes, net, 0.6, idx)
     u = dense_displacement(g.centers, nodes, net, 0.6, k)
     assert np.max(np.abs((deformed.centers - g.centers) - u)) < 1e-14
 
@@ -435,11 +440,10 @@ def field_scene(n, seed=11):
 
 
 def public_field(q, nodes, net, t, k):
-    """The dense field through the public steps, all rows at once."""
-    idx = knn_indices(q, nodes.positions, k)
-    weights = blend_weights(q, nodes.positions, nodes.log_radii, idx)
-    delta, _ = blend_transforms(weights, idx, node_transforms(net, nodes.positions, t)[0])
-    return delta
+    """The dense field through the public steps, all rows at once: the
+    translation columns of the whole blend."""
+    w = blend_operator(q, nodes, knn_indices(q, nodes.positions, k))
+    return (w @ node_transforms(net, nodes.positions, t)[0])[:, :3]
 
 
 def counting_threads(monkeypatch):
@@ -769,24 +773,24 @@ def test_both_field_forms_run_under_the_callers_error_state(monkeypatch):
 DIMS = (6, 6, 6)
 
 
-def pipeline_loss(g, nodes, net, t, idx, upstream, encoded=None):
-    """The loss through the public steps; ``encoded`` (default: the live
-    node positions) are the positions the network input is encoded from."""
-    t6, _ = node_transforms(net, nodes.positions if encoded is None else encoded, t)
-    weights = blend_weights(g.centers, nodes.positions, nodes.log_radii, idx)
-    delta, alpha = blend_transforms(weights, idx, t6)
-    deformed = deform_gaussians(g, delta, alpha)
+def pipeline_loss(g, nodes, net, t, idx, upstream, w=None):
+    """The loss through the public steps, with the blend ``w`` (default: the
+    blend_operator of g's centers) held fixed: the stop-gradient forward."""
+    t6, _ = node_transforms(net, nodes.positions, t)
+    b6 = (blend_operator(g.centers, nodes, idx) if w is None else w) @ t6
+    deformed = deform_gaussians(g, b6[:, :3], b6[:, 3:])
     return float(np.sum(upstream * render_values(deformed, DIMS, np.inf)))
 
 
 def analytic_motion_grads(g, nodes, net, t, idx, upstream):
-    """The blend adjoint's gradients, then the network's (weights, biases)
-    from its node-transform gradient, as fit chains them."""
+    """The render gradients, which the canonical set takes as they are; the
+    blend adjoint's (M, 6) node-transform gradient; and the network's
+    (weights, biases) from it, as fit chains them."""
     t6, acts = node_transforms(net, nodes.positions, t)
-    deformed, cache = motion_forward(g, nodes, t6, idx)
+    deformed, w = motion_forward(g, nodes, t6, idx)
     rg = render_backward(deformed, DIMS, upstream, render_with_cache(deformed, DIMS, np.inf)[1])
-    mg = motion_backward(cache, nodes, rg)
-    return mg, node_transforms_backward(net, acts, mg.node_transforms)
+    g_t6 = motion_backward(w, rg)
+    return rg, g_t6, node_transforms_backward(net, acts, g_t6)
 
 
 def rel_err(a, b):
@@ -796,10 +800,9 @@ def rel_err(a, b):
 def test_motion_backward_zero_upstream():
     g, nodes, net, k = tiny_scene(seed=4)
     idx = knn_indices(g.centers, nodes.positions, k)
-    mg, (g_w, _) = analytic_motion_grads(g, nodes, net, 0.5, idx, np.zeros(DIMS))
+    rg, g_t6, (g_w, _) = analytic_motion_grads(g, nodes, net, 0.5, idx, np.zeros(DIMS))
     assert all(np.all(w == 0) for w in g_w)
-    assert np.all(mg.node_positions == 0) and np.all(mg.node_log_radii == 0)
-    assert np.all(mg.canonical.centers == 0)
+    assert np.all(g_t6 == 0) and np.all(rg.centers == 0)
 
 
 def test_network_gradients_match_fd():
@@ -807,7 +810,7 @@ def test_network_gradients_match_fd():
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(2).normal(size=DIMS)
     t = 0.35
-    _, (g_w, g_b) = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    *_, (g_w, g_b) = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     h = 1e-4
     for layer in range(len(net.weights)):
         fd = np.zeros_like(net.weights[layer])
@@ -841,12 +844,13 @@ def test_node_transform_gradients_match_fd():
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(8).normal(size=DIMS)
     t = 0.6
-    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    _, g_t6, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
     t6, _ = node_transforms(net, nodes.positions, t)
-    w = blend_weights(g.centers, nodes.positions, nodes.log_radii, idx)
+    w = blend_operator(g.centers, nodes, idx)
 
     def loss(t6):
-        deformed = deform_gaussians(g, *blend_transforms(w, idx, t6))
+        b6 = w @ t6
+        deformed = deform_gaussians(g, b6[:, :3], b6[:, 3:])
         return float(np.sum(upstream * render_values(deformed, DIMS, np.inf)))
 
     h = 1e-4
@@ -859,87 +863,23 @@ def test_node_transform_gradients_match_fd():
         lm = loss(t6)
         t6[i] = orig
         fd[i] = (lp - lm) / (2 * h)
-    assert mg.node_transforms.shape == (nodes.count, 6) and np.all(fd != 0)
-    assert rel_err(mg.node_transforms, fd) < 1e-4
-
-
-def test_node_position_gradients_match_fd_with_frozen_encodings():
-    g, nodes, net, k = tiny_scene(seed=13)
-    idx = knn_indices(g.centers, nodes.positions, k)
-    upstream = np.random.default_rng(3).normal(size=DIMS)
-    t = 0.7
-    frozen = nodes.positions.copy()
-    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
-    h = 1e-4
-    fd = np.zeros_like(nodes.positions)
-    it = np.nditer(fd, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        orig = nodes.positions[i]
-        nodes.positions[i] = orig + h
-        lp = pipeline_loss(g, nodes, net, t, idx, upstream, encoded=frozen)
-        nodes.positions[i] = orig - h
-        lm = pipeline_loss(g, nodes, net, t, idx, upstream, encoded=frozen)
-        nodes.positions[i] = orig
-        fd[i] = (lp - lm) / (2 * h)
-    assert rel_err(mg.node_positions, fd) < 1e-4
-
-
-def test_stop_gradient_excludes_encoding_path():
-    # finite differences with re-encoded inputs include the encoding term,
-    # so they must disagree with the analytic (stop-gradient) node gradient
-    g, nodes, net, k = tiny_scene(seed=13)
-    idx = knn_indices(g.centers, nodes.positions, k)
-    upstream = np.random.default_rng(3).normal(size=DIMS)
-    t = 0.7
-    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
-    h = 1e-4
-    fd_full = np.zeros_like(nodes.positions)
-    it = np.nditer(fd_full, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        orig = nodes.positions[i]
-        nodes.positions[i] = orig + h
-        lp = pipeline_loss(g, nodes, net, t, idx, upstream)  # re-encodes
-        nodes.positions[i] = orig - h
-        lm = pipeline_loss(g, nodes, net, t, idx, upstream)
-        nodes.positions[i] = orig
-        fd_full[i] = (lp - lm) / (2 * h)
-    assert rel_err(mg.node_positions, fd_full) > 1e-3
-
-
-def test_node_radius_gradients_match_fd():
-    g, nodes, net, k = tiny_scene(seed=17)
-    idx = knn_indices(g.centers, nodes.positions, k)
-    upstream = np.random.default_rng(5).normal(size=DIMS)
-    t = 0.25
-    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
-    h = 1e-4
-    fd = np.zeros_like(nodes.log_radii)
-    for j in range(fd.size):
-        orig = nodes.log_radii[j]
-        nodes.log_radii[j] = orig + h
-        lp = pipeline_loss(g, nodes, net, t, idx, upstream)
-        nodes.log_radii[j] = orig - h
-        lm = pipeline_loss(g, nodes, net, t, idx, upstream)
-        nodes.log_radii[j] = orig
-        fd[j] = (lp - lm) / (2 * h)
-    assert rel_err(mg.node_log_radii, fd) < 1e-4
+    assert g_t6.shape == (nodes.count, 6) and np.all(fd != 0)
+    assert rel_err(g_t6, fd) < 1e-4
 
 
 def test_canonical_gaussian_gradients_through_motion_match_fd():
+    # the blend is held fixed at the canonical centers (stop-gradient), so
+    # the canonical set's gradients are the render gradients as they are
     g, nodes, net, k = tiny_scene(seed=19)
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(6).normal(size=DIMS)
     t = 0.45
-    mg, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
-    # h below the acceptance default: the RBF weights are curved enough that
-    # 1e-4 steps leave ~2e-4 truncation residue (verified to shrink as h^2)
+    rg, _, _ = analytic_motion_grads(g, nodes, net, t, idx, upstream)
+    w = blend_operator(g.centers, nodes, idx)
+    # h below the acceptance default: the narrow kernels are curved enough
+    # that 1e-4 steps leave ~3e-3 truncation residue on a small entry
     h = 1e-5
-    for attr, grad in (("centers", mg.canonical.centers),
-                       ("log_scales", mg.canonical.log_scales),
-                       ("rotations", mg.canonical.rotations),
-                       ("intensities", mg.canonical.intensities)):
+    for attr in ("centers", "log_scales", "rotations", "intensities"):
         arr = getattr(g, attr)
         fd = np.zeros_like(arr)
         it = np.nditer(fd, flags=["multi_index"])
@@ -947,69 +887,53 @@ def test_canonical_gaussian_gradients_through_motion_match_fd():
             i = it.multi_index
             orig = arr[i]
             arr[i] = orig + h
-            lp = pipeline_loss(g, nodes, net, t, idx, upstream)
+            lp = pipeline_loss(g, nodes, net, t, idx, upstream, w)
             arr[i] = orig - h
-            lm = pipeline_loss(g, nodes, net, t, idx, upstream)
+            lm = pipeline_loss(g, nodes, net, t, idx, upstream, w)
             arr[i] = orig
             fd[i] = (lp - lm) / (2 * h)
-        assert rel_err(grad, fd) < 1e-4, attr
+        assert rel_err(getattr(rg, attr), fd) < 1e-4, attr
 
 
-def test_motion_scatters_equal_add_at_with_repeated_neighbours(monkeypatch):
+def test_motion_scatters_equal_add_at_with_repeated_neighbours():
     # 3 nodes, k = 3: every Gaussian lists every node, so each node row is
-    # hit 50 times; the scatters must add in np.add.at's order to the bit
+    # hit 50 times; W.T @ g must add in np.add.at's order to the bit
     g, nodes, net, k = tiny_scene(seed=5, n=50, m=3, k=3)
     idx = knn_indices(g.centers, nodes.positions, k)
     upstream = np.random.default_rng(6).normal(size=DIMS)
-    scatters = []
-
-    def add_at(idx, vals, m):
-        out = np.zeros((m,) + vals.shape[2:])
-        np.add.at(out, idx, vals)
-        scatters.append((idx, vals, m, out))
-        return out.reshape(m, -1)
-
-    got, got_net = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
-    monkeypatch.setattr(motion, "_scatter_rows", add_at)
-    ref, ref_net = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
-    # node transforms (6 columns), positions (3) and radii (1)
-    assert [v.shape[2:] for _, v, _, _ in scatters] == [(6,), (3,), ()]
-    monkeypatch.undo()
-    for i, v, m, out in scatters:
-        assert np.array_equal(motion._scatter_rows(i, v, m), out.reshape(m, -1))
-    assert np.array_equal(got.node_positions, ref.node_positions)
-    assert np.array_equal(got.node_log_radii, ref.node_log_radii)
-    for a, b in zip(got_net[0] + got_net[1], ref_net[0] + ref_net[1]):
-        assert np.array_equal(a, b)
+    rg, g_t6, _ = analytic_motion_grads(g, nodes, net, 0.45, idx, upstream)
+    weights = blend_operator(g.centers, nodes, idx).data.reshape(idx.shape)
+    g_b6 = np.concatenate([rg.centers, rg.log_scales], axis=1)
+    want = np.zeros((nodes.count, 6))
+    np.add.at(want, idx, weights[:, :, None] * g_b6[:, None, :])
+    assert g_t6.tobytes() == want.tobytes()
 
 
 def test_motion_backward_leaves_its_cache_and_inputs_as_they_were():
-    # the backward reads the one (M, 6) node-transform array of the forward;
-    # nothing it reads may change, so two calls on one cache agree to the byte
+    # the backward reads the forward's W, its cache; nothing it reads may
+    # change, so two calls on one cache agree to the byte
     g, nodes, net, k = tiny_scene(seed=23, n=12, m=5, k=3)
     idx = knn_indices(g.centers, nodes.positions, k)
     t6, acts = node_transforms(net, nodes.positions, 0.55)
-    deformed, cache = motion_forward(g, nodes, t6, idx)
+    deformed, w = motion_forward(g, nodes, t6, idx)
     rg = render_backward(deformed, DIMS, np.random.default_rng(7).normal(size=DIMS),
                          render_with_cache(deformed, DIMS, np.inf)[1])
 
     def read():
-        return [a.tobytes() for a in (cache.t6, cache.weights, cache.diff,
-                                      cache.d2, cache.o, cache.idx, *acts, rg.centers,
+        return [a.tobytes() for a in (w.data, w.indices, w.indptr, t6, *acts, rg.centers,
                                       rg.rotations, rg.log_scales, rg.intensities,
                                       nodes.positions, nodes.log_radii, *net.weights)]
 
-    def grads(mg):
-        g_t6 = mg.node_transforms.tobytes()
-        g_w, g_b = node_transforms_backward(net, acts, mg.node_transforms)
-        assert mg.node_transforms.tobytes() == g_t6
-        return [a.tobytes() for a in (*g_w, *g_b, mg.node_transforms, mg.node_positions,
-                                      mg.node_log_radii, mg.canonical.centers)]
+    def grads(g_t6):
+        before = g_t6.tobytes()
+        g_w, g_b = node_transforms_backward(net, acts, g_t6)
+        assert g_t6.tobytes() == before
+        return [a.tobytes() for a in (*g_w, *g_b, g_t6)]
 
     before = read()
-    first = grads(motion_backward(cache, nodes, rg))
+    first = grads(motion_backward(w, rg))
     assert read() == before
-    assert grads(motion_backward(cache, nodes, rg)) == first
+    assert grads(motion_backward(w, rg)) == first
     assert read() == before
 
 

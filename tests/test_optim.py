@@ -12,6 +12,7 @@ from scipy import ndimage
 from gausstrack.errors import NumericalAbort, ValidationError
 from gausstrack import gauss
 from gausstrack.gauss import DensifyConfig
+from gausstrack.motion import init_control_nodes
 from gausstrack.optim import (
     DECAYING,
     LR_DECAY_END,
@@ -139,10 +140,11 @@ def test_group_table_matches_recipe():
     assert lrs["network"] == pytest.approx(1e-6)
     assert lrs["positions"] == pytest.approx(1e-4)
     assert lrs["rotscale"] == pytest.approx(1e-4)
-    assert lrs["nodes"] == pytest.approx(1e-4)
+    # the nodes keep their seeded sampling: no group, and an unfreeze
+    # iteration that is still checked but has no effect
+    assert sorted(lrs) == ["intensity", "network", "positions", "rotscale"]
     assert FitSchedule().node_unfreeze_at == 5000
-    assert "positions" in DECAYING and "nodes" in DECAYING
-    assert "network" not in DECAYING
+    assert DECAYING == ("positions",)
 
 
 def test_schedule_validation():
@@ -171,6 +173,9 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
         FitConfig.from_dict({"not_a_key": 1})
     with pytest.raises(ValidationError, match="schedule"):
         FitConfig.from_dict({"schedule": {"bogus": 2}})
+    # the nodes no longer learn, so an older run's "nodes" rate is refused
+    with pytest.raises(ValidationError, match=r"unknown learning-rate groups: \['nodes'\]"):
+        FitConfig.from_dict({"learning_rates": {"nodes": 1e-4}})
 
 
 @pytest.mark.parametrize("make", [
@@ -263,34 +268,47 @@ def test_fit_smoke_and_loss_improves():
     assert np.mean(stage2[-20:]) < np.mean(stage2[:20])
     assert result.report.final_gaussians >= 64
     names = [e[1] for e in result.report.events]
-    assert "stage2_start" in names and "nodes_unfrozen" in names
+    assert "stage2_start" in names and "nodes_unfrozen" not in names
 
 
 def test_fit_stage1_purity_and_node_freeze():
     seq, mask = toy_problem()
     cfg = toy_config()
-    snaps = {}
+    first = gauss.initialize_from_mask(mask, seq.frames[seq.ed_index], cfg.n_init, cfg.seed)
+    seeded = init_control_nodes(first.centers, cfg.node_budget, cfg.seed + 1)
+    snaps, nodes = {}, []
 
     def hook(it, state):
+        nodes.append((state["nodes"].positions.tobytes(), state["nodes"].log_radii.tobytes()))
         if it in (0, 30, 60):
-            snaps[it] = {
-                "net": [w.copy() for w in state["net"].weights]
-                + [b.copy() for b in state["net"].biases],
-                "nodes_pos": state["nodes"].positions.copy(),
-                "nodes_rad": state["nodes"].log_radii.copy(),
-            }
+            snaps[it] = [w.copy() for w in state["net"].weights] \
+                + [b.copy() for b in state["net"].biases]
 
-    fit(seq, mask, cfg, inspect_hook=hook)
-    # no motion parameter moved during stage 1
-    for a, b in zip(snaps[0]["net"], snaps[30]["net"]):
+    result = fit(seq, mask, cfg, inspect_hook=hook)
+    # no network parameter moved during stage 1, and all of them may move
+    # in stage 2
+    for a, b in zip(snaps[0], snaps[30]):
         assert np.array_equal(a, b)
-    assert np.array_equal(snaps[0]["nodes_pos"], snaps[30]["nodes_pos"])
-    # nodes bit-identical while frozen (iteration 30 to 60), but the network
-    # must have moved during stage 2
-    assert np.array_equal(snaps[30]["nodes_pos"], snaps[60]["nodes_pos"])
-    assert np.array_equal(snaps[30]["nodes_rad"], snaps[60]["nodes_rad"])
-    assert any(not np.array_equal(a, b)
-               for a, b in zip(snaps[30]["net"], snaps[60]["net"]))
+    assert any(not np.array_equal(a, b) for a, b in zip(snaps[30], snaps[60]))
+    # the nodes at every iteration, and the fitted ones, are the seeded
+    # sampling to the byte
+    nodes.append((result.nodes.positions.tobytes(), result.nodes.log_radii.tobytes()))
+    assert len(nodes) == cfg.schedule.total_iters + 1
+    assert set(nodes) == {(seeded.positions.tobytes(), seeded.log_radii.tobytes())}
+
+
+def test_node_unfreeze_at_is_checked_but_changes_no_bit_of_the_fit():
+    seq, mask = toy_problem()
+    cfg = toy_config(total=70)
+    late = replace(cfg, schedule=replace(cfg.schedule, node_unfreeze_at=69))
+    with pytest.raises(ValidationError, match="node_unfreeze_at"):
+        replace(cfg.schedule, node_unfreeze_at=70)
+    a, b = fit(seq, mask, cfg), fit(seq, mask, late)
+    assert a.report.losses == b.report.losses and a.report.events == b.report.events
+    for name in ("centers", "rotations", "log_scales", "intensities"):
+        assert getattr(a.gaussians, name).tobytes() == getattr(b.gaussians, name).tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.net.weights + a.net.biases,
+                                                           b.net.weights + b.net.biases))
 
 
 def test_fit_deterministic_across_runs():
