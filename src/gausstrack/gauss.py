@@ -12,9 +12,10 @@ Gaussians of one support-box shape share its offsets o from the box middle:
 with b the middle minus the center, q = (b + o)^T P (b + o) is the product of
 [b^T P b, 2 P b, upper P with doubled off-diagonals] with the offset moments
 [1, o, o_i o_j].  The backward pass sums dL/dV against the same moments, so
-the forward cache holds exp(-q/2) (float64) and the voxel index (int64) per
-Gaussian-voxel pair, each chunk's reached offset moments, and per render
-the live Gaussians' b, P, R and unit quaternions.  Each box
+the forward cache holds exp(-q/2) (float64) and the voxel index (int32, so
+12 bytes a pair; int64 on a grid of 2^31 voxels or more) per Gaussian-voxel
+pair, each chunk's reached offset moments, and per render the live
+Gaussians' b, P, R and unit quaternions.  Each box
 shape's offsets and moments are built once per process (``_box_geometry``,
 read-only).  A shape's Gaussians run in cache-sized chunks (``_CHUNK_ELEMS``
 box pairs).  A chunk tests its box offsets against its cutoff spheres with
@@ -34,6 +35,7 @@ rotation) inside the one covariance build; gradients chain through that.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,16 +205,25 @@ def _support_boxes(centers, radii, dims):
     return lo, hi
 
 
+def _index_dtype(dims):
+    """Dtype of the renderer's flat voxel indices on a grid of ``dims``,
+    decided from the dims alone: int32, or int64 from 2^31 voxels on (a
+    16 GiB float64 volume), where an index can pass 2^31 - 1."""
+    return np.int32 if math.prod(dims) < 2 ** 31 else np.int64
+
+
 @functools.lru_cache(maxsize=256)
 def _box_geometry(bshape, dims):
     """Read-only geometry of one support-box shape on one grid: flat voxel
-    offsets (B,), per-axis offsets (n_i,) and the offset moments ``feats``
-    (B, 10) = [1, o, o_i o_j], o measured from the box middle."""
+    offsets (B,) of the grid's index dtype, per-axis offsets (n_i,) and the
+    offset moments ``feats`` (B, 10) = [1, o, o_i o_j], o measured from the
+    box middle."""
     denoms = _axis_denoms(dims)
     bshape = np.array(bshape)
     offs = np.stack(np.meshgrid(*[np.arange(n) for n in bshape],
                                 indexing="ij"), axis=-1).reshape(-1, 3)
-    flat_off = (offs[:, 0] * dims[1] + offs[:, 1]) * dims[2] + offs[:, 2]
+    flat_off = ((offs[:, 0] * dims[1] + offs[:, 1]) * dims[2]
+                + offs[:, 2]).astype(_index_dtype(dims))
     axes = tuple(np.arange(n) / denoms[i] for i, n in enumerate(bshape))
     o = offs / denoms - (bshape - 1) / 2 / denoms
     feats = np.concatenate([np.ones((len(o), 1)), o, o[:, _IU[0]] * o[:, _IU[1]]], axis=1)
@@ -235,28 +246,32 @@ def _blocked_matmul(a, b, out):
 
 class RenderWorkspace:
     """The buffers a cached render writes its cache into, kept across renders:
-    ``e`` (float64 exponentials) and ``flat`` (int64 voxel indices).  The
-    cache of a render on a workspace is views into them, so it is valid
+    ``e`` (float64 exponentials) and ``flat`` (voxel indices of the grid's
+    index dtype, int32 below 2^31 voxels), one block of 12 bytes a pair
+    with int32.
+    The cache of a render on a workspace is views into them, so it is valid
     until the next render on the same workspace.  A render that needs more
-    pairs than they hold replaces both with buffers of exactly its need;
-    one that needs no more writes into their first elements."""
+    pairs than they hold, or another index dtype, replaces both with buffers
+    of exactly its need; one that needs no more writes into their first
+    elements."""
 
     def __init__(self):
-        self.e, self.flat = np.empty(0), np.empty(0, dtype=np.int64)
+        self.e, self.flat = np.empty(0), np.empty(0, dtype=np.int32)
 
-    def take(self, pairs):
+    def take(self, pairs, index_dtype):
         """Views of the first ``pairs`` elements of both buffers."""
-        if pairs > self.e.size:
+        if pairs > self.e.size or self.flat.dtype != index_dtype:
             # dropped first, so a caller holding no old cache frees them
             # before the new ones are made.  One block holds both: glibc
             # hands the free heap top back once it exceeds twice the largest
-            # mapped block freed so far, so this block, freed at the end of
-            # a fit, stays in the heap for the next fit's buffers.  Two
-            # blocks of half the size raise that bound only to their own
-            # size, and are handed back and faulted in again.
+            # mapped block freed so far, and this block, the largest a fit
+            # frees, sets that bound, so what a fit frees at its end mostly
+            # stays in the heap for the next fit.  Two smaller blocks lower
+            # the bound, and more is handed back and faulted in again.
             self.e = self.flat = None
-            both = np.empty(2 * pairs)
-            self.e, self.flat = both[:pairs], both[pairs:].view(np.int64)
+            both = np.empty(pairs * (8 + np.dtype(index_dtype).itemsize), dtype=np.uint8)
+            self.e = both[:8 * pairs].view(np.float64)
+            self.flat = both[8 * pairs:].view(index_dtype)
         return self.e[:pairs], self.flat[:pairs]
 
 
@@ -296,7 +311,8 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier, workspace=None):
     coef = np.concatenate([-0.5 * np.einsum("gi,gi->g", base, Pb)[:, None], -Pb,
                            P[:, _IU[0], _IU[1]] * [-.5, -1, -1, -.5, -1, -.5]], 1)
     r2_max = radii[order] ** 2
-    flat_lo = (lo[:, 0] * dims[1] + lo[:, 1]) * dims[2] + lo[:, 2]
+    index_dtype = _index_dtype(dims)
+    flat_lo = ((lo[:, 0] * dims[1] + lo[:, 1]) * dims[2] + lo[:, 2]).astype(index_dtype)
     live = (order, base, P, R[order], tuple(a[order] for a in q))
     bounds = np.flatnonzero(np.any(np.diff(shape, axis=0) != 0, axis=1)) + 1
 
@@ -318,11 +334,11 @@ def _iter_support_chunks(gaussians, dims, cutoff_multiplier, workspace=None):
     tests = sphere_tests()
     if workspace is not None:
         tests = list(tests)
-        e_all, flat_all = workspace.take(sum(mask.size for *_, mask in tests))
+        e_all, flat_all = workspace.take(sum(mask.size for *_, mask in tests), index_dtype)
     at = 0
     for rows, offs, fc, mask in tests:
         if workspace is None:
-            e, flat = np.empty(mask.shape), np.empty(mask.shape, dtype=np.int64)
+            e, flat = np.empty(mask.shape), np.empty(mask.shape, dtype=index_dtype)
         else:
             e, flat = (a[at:at + mask.size].reshape(mask.shape) for a in (e_all, flat_all))
             at += mask.size
@@ -407,8 +423,13 @@ def render_backward(gaussians, dims, upstream, cache):
     up = upstream.ravel()
     # moments of dL/dV * exp term against [1, o, o_i o_j]
     m = np.empty((order.size, 10))
+    # the gather runs on intp indices, copied chunk by chunk into one buffer:
+    # np.take is slow with int32 ones, and up[flat] converts them itself
+    at = np.empty(max(flat.size for _, flat, *_ in cache), dtype=np.intp)
     for rows, flat, feats, e, _ in cache:
-        _blocked_matmul(up[flat] * e, feats, out=m[rows])
+        idx = at[:flat.size].reshape(flat.shape)
+        idx[...] = flat
+        _blocked_matmul(np.take(up, idx) * e, feats, out=m[rows])
     grads.intensities[order] += m[:, 0]
     m *= gaussians.intensities[order][:, None]          # now of dL/dV * G value
     s0, s1, s2 = m[:, 0], m[:, 1:4], m[:, _SYM]

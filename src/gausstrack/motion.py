@@ -209,6 +209,17 @@ def knn_indices(queries, node_positions, k):
     return _knn_rows(tree, pos, queries, k)
 
 
+def _over_columns(ufunc, a):
+    """``ufunc.reduce(a, axis=1)`` of an (n, k) array as k - 1 elementwise
+    steps over its columns, left to right; numpy reduces slowly along a short
+    axis.  The same bits as the reduction for a maximum, and for a sum of
+    fewer than 8 columns, which numpy too adds left to right."""
+    acc = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        ufunc(acc, a[:, j], out=acc)
+    return acc
+
+
 def blend_operator(points, nodes, idx):
     """The blend as one (N, M) CSR matrix W: row i holds the softmax of
     ``-d^2 / (2 o^2)`` over point i's neighbour nodes ``idx[i]``, in idx
@@ -222,9 +233,9 @@ def blend_operator(points, nodes, idx):
     diff = points[:, None, :] - np.take(nodes.positions, idx, axis=0)  # (N, k, 3)
     o = np.exp(np.take(nodes.log_radii, idx))
     np.divide(np.einsum("qki,qki->qk", diff, diff), -2.0 * o * o, out=weights)
-    weights -= weights.max(axis=1, keepdims=True)
+    weights -= _over_columns(np.maximum, weights)[:, None]
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=1, keepdims=True)
+    weights /= _over_columns(np.add, weights)[:, None]
     n, k = idx.shape
     return csr_array((weights.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)),
                       shape=(n, nodes.count))

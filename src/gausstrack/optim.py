@@ -28,12 +28,16 @@ from .motion import DeformNet, init_control_nodes, knn_indices, motion_forward, 
 from .volgrid import _check_kinds, _from_dict, _read_json, _write_json
 
 
-def l1_loss(rendered, target):
-    """Summed absolute error of two arrays and its gradient (sign, 0 at ties)."""
+def l1_loss(rendered, target, out=None):
+    """Summed absolute error of two arrays and its gradient (sign, 0 at ties).
+    ``out``, a float64 array of their shape (``rendered`` itself among
+    them), takes the difference and then its absolute value in place, so
+    the sign is the only other array made; the results are the same bits."""
     if rendered.shape != target.shape:
         raise ValidationError(f"geometry mismatch: {rendered.shape} vs {target.shape}")
-    diff = rendered - target
-    return float(np.abs(diff).sum()), np.sign(diff)
+    diff = np.subtract(rendered, target, out=out)
+    sign = np.sign(diff)
+    return float(np.abs(diff, out=diff).sum()), sign
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +307,14 @@ def fit(sequence, mask, config, inspect_hook=None):
                 fi, deformed = sequence.ed_index, g
             rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier,
                                                        workspace)
-            loss, lgrad = l1_loss(rendered, frames[fi])
+            # the difference is taken in the render's own buffer, which the
+            # backward does not read, so it is dropped before the backward
+            loss, lgrad = l1_loss(rendered, frames[fi], out=rendered)
+            del rendered
             canonical = gauss.render_backward(deformed, dims, lgrad, rcache)
             # dropped once read, so one cache is alive and the next render
             # writes into the workspace's buffers
-            del rendered, lgrad, rcache
+            del lgrad, rcache
             if stage2:
                 g_w, g_b = motion_mod.node_transforms_backward(
                     net, acts, motion_mod.motion_backward(blend, canonical))

@@ -307,9 +307,47 @@ def test_a_kept_workspace_renders_the_bits_of_fresh_buffers(monkeypatch, chunk_e
             assert np.shares_memory(workspace.e, kept[0]) != grows
             assert np.shares_memory(workspace.flat, kept[1]) != grows
         assert workspace.e.size == workspace.flat.size == max(needs)
+        # one block, 8 bytes of exponential and 4 of voxel index a pair
+        assert workspace.e.base is workspace.flat.base
+        assert workspace.e.base.nbytes == 12 * max(needs)
+        assert all(flat.dtype == np.int32 for _, flat, *_ in cache)
         kept = workspace.e, workspace.flat
     assert needs[0] == needs[1] == needs[-1] and needs[4] == 0
     assert needs[2] > needs[0] > needs[3] > 0
+
+
+def test_the_voxel_index_dtype_is_decided_from_the_dims_alone():
+    # int32 holds every index below 2^31 voxels; from there on, int64
+    grids = [(1024, 1024, 2047), (2 ** 31 - 1, 1, 1), (1024, 1024, 2048), (2 ** 31, 1, 1),
+             (100000, 100000, 100000)]
+    tracemalloc.start()
+    try:
+        got = [gauss_mod._index_dtype(dims) for dims in grids]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [np.int32, np.int32, np.int64, np.int64, np.int64]
+    assert peak < 4096
+
+
+def test_voxel_indices_past_2_31_are_int64_and_exact():
+    # a Gaussian at the far corner of a 2^31-voxel grid, so its indices
+    # reach 2^31 - 1; the chunks are made without the grid itself
+    dims = (2048, 1024, 1024)
+    g = GaussianSet([[0.999, 1.0, 0.998]], [[1.0, 0, 0, 0]], np.log([[1e-3, 2e-3, 1.5e-3]]),
+                    [1.0])
+    chunks = list(gauss_mod._iter_support_chunks(g, dims, gauss_mod.CUTOFF_MULTIPLIER))
+    assert gauss_mod._box_geometry((3, 3, 3), dims)[0].dtype == np.int64
+    assert all(flat.dtype == np.int64 for _, flat, *_ in chunks)
+    flat = np.concatenate([flat.ravel() for _, flat, *_ in chunks])
+    # every voxel inside the cutoff sphere, once, at its row-major index
+    near = np.stack(np.meshgrid(*[np.arange(d - 24, d) for d in dims], indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    radius = gauss_mod.CUTOFF_MULTIPLIER * 2e-3
+    d2 = ((near / (np.array(dims) - 1) - g.centers) ** 2).sum(axis=1)
+    want = np.ravel_multi_index(tuple(near[d2 <= radius ** 2].T), dims)
+    assert flat.max() == 2 ** 31 - 1 and want.size > 500
+    assert np.array_equal(np.sort(flat), np.sort(want))
 
 
 def _many_shapes_set():

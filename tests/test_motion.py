@@ -253,6 +253,39 @@ def test_blend_weights_equal_the_normalized_rbf_formula(seed, k):
     assert np.all(np.abs(w.data.reshape(40, k) - want) <= 1e-14 * want)
 
 
+def _axis_reduction_weights(points, nodes, idx):
+    """The blend weights with each row's maximum and sum as reductions along
+    axis 1 of the (n, k) array, in the operator's order of operations."""
+    diff = points[:, None, :] - nodes.positions[idx]
+    o = np.exp(nodes.log_radii[idx])
+    w = np.einsum("qki,qki->qk", diff, diff) / (-2.0 * o * o)
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 7])
+def test_blend_operator_equals_the_axis_reduction_form(k):
+    # the row maximum and sum go column by column: the same bits on random
+    # rows, on voxel centres with nodes on the voxel lattice (equal kernels
+    # within a row, as the seeded nodes give) and where every kernel underflows
+    rng = np.random.default_rng(k)
+    q = voxel_centers_normalized((9, 10, 11)).reshape(-1, 3)
+    cases = [(rng.random((500, 3)), rng.random((40, 3)), rng.uniform(0.05, 0.4, 40)),
+             (q, q[rng.choice(len(q), 60, replace=False)], np.full(60, 0.1)),
+             (rng.random((200, 3)), 50.0 + rng.random((30, 3)), rng.uniform(1e-4, 1e-3, 30))]
+    for points, pos, radii in cases:
+        nodes = ControlNodeSet(pos, np.log(radii))
+        idx = knn_indices(points, pos, k)
+        got = blend_operator(points, nodes, idx).data.reshape(idx.shape)
+        assert got.tobytes() == _axis_reduction_weights(points, nodes, idx).tobytes()
+    # the lattice rows hold ties, and the far rows all of their weight on one node
+    ties = _axis_reduction_weights(q, ControlNodeSet(cases[1][1], np.log(cases[1][2])),
+                                   knn_indices(q, cases[1][1], k))
+    assert k == 1 or np.any(ties[:, 0] == ties[:, 1])
+    assert np.all(got.max(axis=1) == 1.0)
+
+
 def test_blend_weight_underflow_keeps_the_largest_kernel():
     # every kernel underflows (exp(-1.25e11) == 0); the row still sums to 1,
     # all on the nearest node, and the adjoint stays finite

@@ -51,6 +51,22 @@ def test_l1_matches_direct_sum():
     assert np.array_equal(grad, np.sign(a - b))
 
 
+@pytest.mark.parametrize("target_dtype", [np.float32, np.float64])
+def test_l1_out_gives_the_loss_and_sign_of_a_fresh_difference(target_dtype):
+    rng = np.random.default_rng(2)
+    rendered = rng.normal(size=(9, 8, 7))
+    target = rng.normal(size=rendered.shape).astype(target_dtype)
+    rendered.flat[::5] = target.flat[::5]               # ties: sign 0
+    want_loss, want_sign = l1_loss(rendered, target)
+    # into the render's own buffer, as fit passes it, and into another one
+    own = rendered.copy()
+    for given, out in ((own, own), (rendered, np.empty_like(rendered))):
+        loss, sign = l1_loss(given, target, out=out)
+        assert loss == want_loss and sign.tobytes() == want_sign.tobytes()
+        assert out.tobytes() == np.abs(rendered - target).tobytes()
+    assert np.count_nonzero(want_sign == 0) == -(-rendered.size // 5)
+
+
 def test_l1_geometry_mismatch():
     with pytest.raises(ValidationError, match="mismatch"):
         l1_loss(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
