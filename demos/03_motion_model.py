@@ -23,8 +23,10 @@ rng = np.random.default_rng(1)
 # Sinusoidal encoding lifts coordinates/time into multi-frequency features.
 print("gamma(0.5, L=2) =", positional_encoding(0.5, 2))
 
-nodes = ControlNodeSet(positions=rng.random((64, 3)),
-                       log_radii=np.log(np.full(64, 0.15)))
+# 64 nodes that share one RBF radius, 0.15 of the normalized cube; the set
+# is frozen and its positions are read-only
+nodes = ControlNodeSet(positions=rng.random((64, 3)), log_radius=np.log(0.15))
+print("nodes:", nodes.count, " shared radius:", round(float(np.exp(nodes.log_radius)), 3))
 net = DeformNet.create(l_space=6, l_time=4, hidden_width=32, hidden_depth=3, seed=0)
 
 # One (M, 6) array per time: translation, then per-axis log-scale offset.

@@ -141,10 +141,7 @@ def cmd_eval(args):
     truth = volgrid.load_volume(args.truth)
     if not isinstance(truth, volgrid.LabelVolume):
         raise ValidationError(f"{args.truth}: truth mask must be a u8 label volume")
-    report = metrics.evaluate_run(
-        g, nodes, net, sequence, truth, k=config.k_neighbors,
-        cutoff_multiplier=config.cutoff_multiplier,
-        occupancy_floor=config.occupancy_floor)
+    report = metrics.evaluate_run(g, nodes, net, sequence, truth, k=config.k_neighbors)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_json(), encoding="utf-8")
@@ -156,7 +153,7 @@ def cmd_render(args):
     g, nodes, net, grid, config = _load_fitted(args.fitted)
     idx = motion.knn_indices(g.centers, nodes.positions, config.k_neighbors)
     deformed, _ = motion.apply_motion(g, nodes, net, args.time, idx)
-    values = gauss.render_values(deformed, grid.dims, config.cutoff_multiplier)
+    values = gauss.render_values(deformed, grid.dims)
     volgrid.save_volume(volgrid.VoxelVolume(grid.dims, grid.spacing, values), args.out)
     return EXIT_OK
 
@@ -182,8 +179,13 @@ def cmd_export_field(args):
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a validation failure; subparsers share the class
+        raise ValidationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gausstrack",
         description="4D motion tracking with deformable Gaussian volumes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,9 +226,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # failures surface as an exit code and one stderr line, so numpy's
         # floating-point warnings (overflow on the way to a NumericalAbort)
         # are not printed

@@ -32,6 +32,9 @@ DATA_RANGE = 1.0
 # Wang et al.'s SSIM: Gaussian window (width, sigma) and stabilizers K1, K2
 SSIM_WINDOW, SSIM_SIGMA, SSIM_K1, SSIM_K2 = 7, 1.5, 0.01, 0.03
 _JACOBIAN_PLANES = 4  # interior x-planes per slab of jacobian_stats
+# the label floor over each class's interior occupancy (warp_labels): 0.5 is
+# the half-maximum crossing, a uniformly filled body's surface at any density
+OCCUPANCY_FLOOR = 0.5
 
 
 @dataclass
@@ -59,7 +62,8 @@ class MetricReport:
 # Label propagation
 # ---------------------------------------------------------------------------
 
-def warp_labels(gaussians, nodes, net, t, grid, k, cutoff_multiplier, occupancy_floor):
+def warp_labels(gaussians, nodes, net, t, grid, k,
+                cutoff_multiplier=gauss_mod.CUTOFF_MULTIPLIER, occupancy_floor=OCCUPANCY_FLOOR):
     """Deform the labeled Gaussians to time ``t`` and rasterize a label map.
 
     Per class, a unit-intensity occupancy volume is rendered from that
@@ -67,12 +71,10 @@ def warp_labels(gaussians, nodes, net, t, grid, k, cutoff_multiplier, occupancy_
     winning occupancy clears the floor (ties resolve to the lower label id),
     otherwise background.
 
-    Raw occupancies scale with the local Gaussian density, so the floor is
-    applied relative to the median total occupancy sampled at the deformed
-    centers (clamped to at least 1, so an everywhere-faint set still maps to
-    background).  The run config's default floor, 0.5, puts the decision
-    surface at the half-maximum crossing — the surface of a uniformly filled
-    body — whether the set has one Gaussian per voxel or one per ten.
+    Raw occupancies scale with the local Gaussian density, so the floor,
+    OCCUPANCY_FLOOR, is applied relative to the median total occupancy
+    sampled at the deformed centers (clamped to at least 1, so an
+    everywhere-faint set still maps to background).
     """
     idx = motion_mod.knn_indices(gaussians.centers, nodes.positions, k)
     deformed, _ = motion_mod.apply_motion(gaussians, nodes, net, t, idx)
@@ -245,8 +247,8 @@ def jacobian_stats(vectors):
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_run(gaussians, nodes, net, sequence, truth_es, k, cutoff_multiplier,
-                 occupancy_floor):
+def evaluate_run(gaussians, nodes, net, sequence, truth_es, k,
+                 cutoff_multiplier=gauss_mod.CUTOFF_MULTIPLIER, occupancy_floor=OCCUPANCY_FLOOR):
     """Score a fitted state at the ES frame.
 
     Runs the network once, for the ES node transforms, and hands them to

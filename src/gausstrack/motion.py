@@ -7,11 +7,11 @@ returns one (M, 6) array, translation then per-axis log-scale offset;
 zero rows are the identity.  The blend is one sparse linear map of those
 rows: ``blend_operator`` builds the (N, M) CSR matrix W whose row i holds
 point i's weights on its k nearest nodes, normalized RBF kernels
-``exp(-d^2 / (2 o^2))``.  Each row is a softmax over the neighbours of
-``u_j = -d_j^2 / (2 o_j^2)``, shifted by the row maximum, so every row
-sums to 1 and its largest kernel weighs most even where every kernel
-underflows.  The blended rows are ``W @ t6`` and their adjoint is
-``W.T @ g``.  Each layer's forward sits beside its adjoint:
+``exp(-d^2 / (2 o^2))`` of the one radius o the nodes share.  Each row is
+a softmax over the neighbours of ``u_j = -d_j^2 / (2 o^2)``, shifted by
+the row maximum, so every row sums to 1 and its largest kernel weighs most
+even where every kernel underflows.  The blended rows are ``W @ t6`` and
+their adjoint is ``W.T @ g``.  Each layer's forward sits beside its adjoint:
 ``node_transforms``/``node_transforms_backward`` for the MLP and
 ``motion_forward``/``motion_backward`` for the blend, which starts from and
 ends at the (M, 6) node transforms; ``apply_motion`` composes the forwards.
@@ -22,8 +22,8 @@ Two gradient rules from the model definition are honored throughout:
 * stop-gradient — W is a constant of each step.  It is built from the
   current centers and node geometry, but no gradient flows through it: the
   canonical set takes the render gradients unchanged, and the node
-  positions and radii take none, so they keep their seeded values.  Node
-  positions enter the network input as constants too;
+  positions and their shared radius take none, so they keep their seeded
+  values.  Node positions enter the network input as constants too;
 * frozen neighborhoods — KNN index sets are piecewise constant (rebuilt
   when densification changes the set, never differentiated through).
 """
@@ -45,22 +45,25 @@ from .volgrid import _axis_denoms, _read_container, _write_container
 _KNN_CHUNK = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlNodeSet:
-    """Sparse motion carriers: positions in the normalized cube and log RBF
-    radii.  The fit keeps them at their seeded sampling."""
+    """Sparse motion carriers: read-only (M, 3) positions in the normalized
+    cube and the one log RBF radius they share, kept at their seeding."""
 
     positions: np.ndarray
-    log_radii: np.ndarray
+    log_radius: float
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.log_radii = np.asarray(self.log_radii, dtype=np.float64)
-        m = self.positions.shape[0]
-        if m < 1:
-            raise ValidationError("need at least one control node")
-        if self.positions.shape != (m, 3) or self.log_radii.shape != (m,):
-            raise ValidationError("inconsistent ControlNodeSet shapes")
+        positions = np.array(self.positions, dtype=np.float64)
+        log_radius = np.asarray(self.log_radius, dtype=np.float64)
+        if positions.shape[1:] != (3,) or not positions.size or log_radius.shape != ():
+            raise ValidationError("inconsistent ControlNodeSet shapes: need at least one "
+                                  "control node, (M, 3) positions and one radius")
+        if not (np.all(np.isfinite(positions)) and np.isfinite(log_radius)):
+            raise ValidationError("control node positions and radius must be finite")
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "log_radius", float(log_radius))
 
     @property
     def count(self):
@@ -120,10 +123,7 @@ class DeformNet:
 def node_transforms(net, positions, t):
     """Per-node transforms at time ``t`` as one (M, 6) array (translation,
     then per-axis log-scale offset), and the activations its adjoint reads.
-    The encoded positions and time are constants: the stop-gradient boundary.
-    Non-finite positions raise NumericalAbort before they are encoded."""
-    if not np.all(np.isfinite(positions)):
-        raise NumericalAbort("node positions must be finite")
+    The encoded positions and time are constants: the stop-gradient boundary."""
     m = positions.shape[0]
     t_enc = positional_encoding(np.float64(t), net.l_time)
     h = np.concatenate([positional_encoding(positions, net.l_space).reshape(m, -1),
@@ -231,7 +231,7 @@ def blend_operator(points, nodes, idx):
     points = np.asarray(points, dtype=np.float64)
     weights = np.empty(idx.shape)
     diff = points[:, None, :] - np.take(nodes.positions, idx, axis=0)  # (N, k, 3)
-    o = np.exp(np.take(nodes.log_radii, idx))
+    o = np.exp(nodes.log_radius)
     np.divide(np.einsum("qki,qki->qk", diff, diff), -2.0 * o * o, out=weights)
     weights -= _over_columns(np.maximum, weights)[:, None]
     np.exp(weights, out=weights)
@@ -360,8 +360,8 @@ def motion_backward(w, render_grads):
 
 def init_control_nodes(gaussian_centers, budget, seed):
     """Subsample Gaussian positions into the node budget (uniform, seeded)
-    and set radii to twice the mean nearest-node spacing so that supports
-    overlap from the start."""
+    and set the shared radius to twice the mean nearest-node spacing so that
+    supports overlap from the start."""
     centers = np.asarray(gaussian_centers, dtype=np.float64)
     n = centers.shape[0]
     if budget > n:
@@ -376,25 +376,23 @@ def init_control_nodes(gaussian_centers, budget, seed):
         nn = knn_indices(positions, positions, k=2)[:, 1]
         spacing = float(np.mean(np.linalg.norm(positions - positions[nn], axis=1)))
         spacing = max(spacing, 1e-6)
-    log_radii = np.full(budget, np.log(2.0 * spacing))
-    return ControlNodeSet(positions, log_radii)
+    return ControlNodeSet(positions, np.log(2.0 * spacing))
 
 
 def save_nodes(nodes, path):
-    """Same container as GaussianSet: json manifest + f32le payload."""
-    manifest = {"count": int(nodes.count), "fields": ["positions", "log_radii"],
+    """Json manifest + f32le payload: the positions, then the log radius."""
+    manifest = {"count": int(nodes.count), "fields": ["positions", "log_radius"],
                 "dtype": "f32le"}
     _write_container(path, ".njson", manifest,
-                     [nodes.positions.astype("<f4"), nodes.log_radii.astype("<f4")])
+                     [nodes.positions.astype("<f4"), np.array(nodes.log_radius, "<f4")])
 
 
 def _parse_nodes(manifest, payload):
-    n = manifest["count"]
-    return ControlNodeSet(payload.take("<f4", (n, 3)), payload.take("<f4", (n,)))
+    return ControlNodeSet(payload.take("<f4", (manifest["count"], 3)), payload.take("<f4", ()))
 
 
 def load_nodes(path):
-    required = {"count": "int", "fields": [["positions", "log_radii"]], "dtype": ["f32le"]}
+    required = {"count": "int", "fields": [["positions", "log_radius"]], "dtype": ["f32le"]}
     return _read_container(path, ".njson", required, _parse_nodes)
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NumericalAbort, ValidationError
-from . import gauss
+from . import gauss, metrics
 from .gauss import DensifyConfig, GaussianSet, densify_and_prune
 from . import motion as motion_mod
 from .motion import DeformNet, init_control_nodes, knn_indices, motion_forward, node_transforms
@@ -178,6 +178,10 @@ class FitConfig:
     """Everything a fit run needs; serializable to/from the run-config file.
     Defaults are the full-scale recipe values."""
 
+    # constants, not fields, for callers that read them off a config
+    cutoff_multiplier = gauss.CUTOFF_MULTIPLIER
+    occupancy_floor = metrics.OCCUPANCY_FLOOR
+
     schedule: FitSchedule = field(default_factory=FitSchedule)
     densify: DensifyConfig = field(default_factory=DensifyConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -185,8 +189,6 @@ class FitConfig:
     n_init: int = 4096
     node_budget: int = 2048
     k_neighbors: int = 4
-    cutoff_multiplier: float = gauss.CUTOFF_MULTIPLIER
-    occupancy_floor: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -197,10 +199,6 @@ class FitConfig:
                 "k_neighbors, node_budget and n_init must be ordered 1 <= k_neighbors <="
                 f" node_budget <= n_init, got {self.k_neighbors}, {self.node_budget}"
                 f" and {self.n_init}")
-        if not self.cutoff_multiplier > 0:
-            raise ValidationError(f"cutoff_multiplier must be > 0, got {self.cutoff_multiplier}")
-        if not 0 < self.occupancy_floor < 1:
-            raise ValidationError(f"occupancy_floor must be in (0, 1), got {self.occupancy_floor}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -262,7 +260,7 @@ def fit(sequence, mask, config, inspect_hook=None):
     as the sequence holds it (float32 when read from disk): the float64
     render minus it upcasts exactly, so no float64 copy of the sequence is
     made.  ``inspect_hook(iteration, state)`` is called at the top of
-    selected iterations for tests and tracing; it must not mutate the state.
+    every iteration for tests and tracing; it must not mutate the state.
     """
     sched = config.schedule
     if mask.dims != sequence.dims:
@@ -305,7 +303,7 @@ def fit(sequence, mask, config, inspect_hook=None):
                 deformed, blend = motion_forward(g, nodes, t6, knn)
             else:
                 fi, deformed = sequence.ed_index, g
-            rendered, rcache = gauss.render_with_cache(deformed, dims, config.cutoff_multiplier,
+            rendered, rcache = gauss.render_with_cache(deformed, dims, gauss.CUTOFF_MULTIPLIER,
                                                        workspace)
             # the difference is taken in the render's own buffer, which the
             # backward does not read, so it is dropped before the backward

@@ -258,8 +258,7 @@ def untrained_state_dir(tmp_path):
     gauss_mod.save_gaussians(g, out / "gaussians")
     motion_mod.save_nodes(nodes, out / "nodes")
     motion_mod.save_network(net, out / "network")
-    FitConfig(k_neighbors=4, cutoff_multiplier=3.0, occupancy_floor=0.5).save(
-        out / "config.json")
+    FitConfig(k_neighbors=4).save(out / "config.json")
     manifest = {
         "kind": "gausstrack-fit",
         "artifacts": {"gaussians": "gaussians.gjson", "nodes": "nodes.njson",
@@ -316,6 +315,19 @@ def _damage_state(state, what):
         (state / "config.json").write_text(json.dumps(config))
     elif what == "malformed config.json":
         (state / "config.json").write_text('{"n_init": 48,')
+    elif what == "config.json with the render cutoff and label floor":
+        # a fit directory written while the two were config fields
+        config = json.loads((state / "config.json").read_text())
+        config.update(cutoff_multiplier=3.0, occupancy_floor=0.5)
+        (state / "config.json").write_text(json.dumps(config))
+    elif what == "nodes.njson with one radius per node":
+        # the node container as it was before the nodes shared one radius
+        manifest = json.loads((state / "nodes.njson").read_text())
+        positions = np.frombuffer((state / "nodes.raw").read_bytes()[:-4], "<f4")
+        radii = np.full(manifest["count"], np.log(0.2), dtype="<f4")
+        (state / "nodes.raw").write_bytes(positions.tobytes() + radii.tobytes())
+        manifest["fields"] = ["positions", "log_radii"]
+        (state / "nodes.njson").write_text(json.dumps(manifest))
     elif what == "no run_manifest.json":
         (state / "run_manifest.json").unlink()
     else:
@@ -345,7 +357,8 @@ STATE_DAMAGE = ["truncated gaussians.raw", "nodes.njson without count",
                 "run manifest with a bad grid", "run manifest with a fractional grid",
                 "run manifest with a grid past numpy's array size limit",
                 "config.json with a string k_neighbors", "malformed config.json",
-                "no run_manifest.json"]
+                "no run_manifest.json", "config.json with the render cutoff and label floor",
+                "nodes.njson with one radius per node"]
 
 
 def _one_line_failure(capsys, argv, code=2):
@@ -367,38 +380,29 @@ def test_damaged_fit_directory_exits_2(tmp_path, capsys, what, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["export-field", "eval"])
+@pytest.mark.parametrize("command", ["export-field"])
 def test_collapsed_node_radii_exit_2_with_one_line_and_no_warning(
         tmp_path, capsys, monkeypatch, command):
-    # four nodes of zero radius at the far corner, while every Gaussian keeps
-    # a live neighbour: the weights of the voxels there are 0/0, computed in
-    # the second of two slices, on whichever thread takes it
+    # the shared radius is zero: the weights of every voxel are 0/0, computed
+    # in both slices, on whichever threads take them
     from gausstrack import motion as motion_mod
 
     monkeypatch.setattr(motion_mod, "_pool_size", lambda: 2)
     state = untrained_state_dir(tmp_path)
     nodes = motion_mod.load_nodes(state / "nodes")
-    motion_mod.save_nodes(motion_mod.ControlNodeSet(
-        np.concatenate([nodes.positions, np.ones((4, 3))]),
-        np.concatenate([nodes.log_radii, np.full(4, -1e30)])), state / "nodes")
+    motion_mod.save_nodes(replace(nodes, log_radius=-1e30), state / "nodes")
     manifest = json.loads((state / "run_manifest.json").read_text())
     manifest["grid"]["dims"] = [20, 20, 16]  # the phantom's: 6400 voxels
     (state / "run_manifest.json").write_text(json.dumps(manifest))
-    main(["phantom", "--spec", str(tiny_phantom_spec(tmp_path)), "--out", str(tmp_path / "ph")])
-    capsys.readouterr()
-    if command == "eval":
-        argv = ["eval", "--fitted", str(state), "--sequence", str(tmp_path / "ph" / "sequence"),
-                "--truth", str(tmp_path / "ph" / "ed_labels.vjson"),
-                "--out", str(tmp_path / "out.json")]
-    else:
-        argv = ["export-field", "--fitted", str(state), "--time", "0.5",
-                "--out", str(tmp_path / "out" / "u")]
+    argv = [command, "--fitted", str(state), "--time", "0.5",
+            "--out", str(tmp_path / "out" / "u")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         err = _one_line_failure(capsys, argv)
     assert "non-finite" in err
     assert "RuntimeWarning" not in err
     assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
@@ -409,8 +413,7 @@ def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
 
     state = untrained_state_dir(tmp_path)
     nodes = motion_mod.load_nodes(state / "nodes")
-    motion_mod.save_nodes(motion_mod.ControlNodeSet(
-        nodes.positions, np.full(nodes.count, -1e30)), state / "nodes")
+    motion_mod.save_nodes(replace(nodes, log_radius=-1e30), state / "nodes")
     manifest = json.loads((state / "run_manifest.json").read_text())
     manifest["grid"]["dims"] = [20, 20, 16]
     (state / "run_manifest.json").write_text(json.dumps(manifest))
@@ -427,11 +430,14 @@ def test_eval_with_every_node_radius_collapsed_exits_3_on_the_deformed_set(
 
 
 @pytest.mark.parametrize("command", ["export-field", "eval"])
-def test_an_infinite_node_exits_3_before_the_network_runs(tmp_path, capsys, monkeypatch,
+def test_an_infinite_node_exits_2_before_the_network_runs(tmp_path, capsys, monkeypatch,
                                                           command):
-    # the node container refuses non-finite payloads, so the loaded set is
-    # changed in memory
+    # the node container refuses non-finite payloads, so the loader is made
+    # to build a set with an infinite position, which the set refuses
     from gausstrack import motion as motion_mod
+
+    def network(*args):
+        pytest.fail("the network ran on a refused node set")
 
     state = untrained_state_dir(tmp_path)
     manifest = json.loads((state / "run_manifest.json").read_text())
@@ -442,11 +448,12 @@ def test_an_infinite_node_exits_3_before_the_network_runs(tmp_path, capsys, monk
     load_nodes = motion_mod.load_nodes
 
     def load_with_an_infinite_node(path):
-        nodes = load_nodes(path)
-        nodes.positions[0, 0] = np.inf
-        return nodes
+        positions = load_nodes(path).positions.copy()
+        positions[0, 0] = np.inf
+        return motion_mod.ControlNodeSet(positions, 0.0)
 
     monkeypatch.setattr(motion_mod, "load_nodes", load_with_an_infinite_node)
+    monkeypatch.setattr(motion_mod, "node_transforms", network)
     if command == "eval":
         argv = ["eval", "--fitted", str(state), "--sequence", str(tmp_path / "ph" / "sequence"),
                 "--truth", str(tmp_path / "ph" / "ed_labels.vjson"),
@@ -454,8 +461,8 @@ def test_an_infinite_node_exits_3_before_the_network_runs(tmp_path, capsys, monk
     else:
         argv = ["export-field", "--fitted", str(state), "--time", "0.5",
                 "--out", str(tmp_path / "out" / "u")]
-    err = _one_line_failure(capsys, argv, code=3)
-    assert "node positions must be finite" in err
+    err = _one_line_failure(capsys, argv)
+    assert "control node positions and radius must be finite" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -632,6 +639,8 @@ def test_a_grid_within_numpys_limit_but_too_large_for_memory_names_its_array(tmp
     dict(TINY_FIT, densify={"split_factor": 1.6}),
     dict(TINY_FIT, densify={"size_threshold": 0.01}),
     dict(TINY_FIT, learning_rates={"nodes": 1e-4}),
+    dict(TINY_FIT, cutoff_multiplier=3.0),
+    dict(TINY_FIT, occupancy_floor=0.5),
     # out of range, on the tiny fit so that a value the checks miss ends the
     # test quickly: each ran into a traceback, a late abort or an empty render
     dict(TINY_FIT, learning_rates={"positions": 0.0}),
@@ -641,6 +650,8 @@ def test_a_grid_within_numpys_limit_but_too_large_for_memory_names_its_array(tmp
     dict(TINY_FIT, seed=-1),
     dict(TINY_FIT, node_budget=-1),
     dict(TINY_FIT, n_init=-3, node_budget=-5),
+    # the render cutoff and the label floor are no settings at all now, so
+    # these are refused as unknown keys as well
     dict(TINY_FIT, cutoff_multiplier=0.0),
     dict(TINY_FIT, cutoff_multiplier=-3.0),
     dict(TINY_FIT, cutoff_multiplier=10 ** 400),
@@ -789,12 +800,47 @@ def test_phantom_overwrite_replaces_the_sequence_and_keeps_foreign_files(tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
-def test_removed_fit_flags_are_unknown(tmp_path, capsys):
+def test_removed_fit_flags_are_unknown(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     for flag in (["--workers", "2"], ["--non-deterministic"], ["--seed", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--sequence", "s", "--mask", "m", "--out", "o"] + flag)
-        assert exc.value.code == 2
-    capsys.readouterr()
+        err = _one_line_failure(capsys, ["fit", "--sequence", "s", "--mask", "m", "--out", "o"]
+                                + flag)
+        assert err.startswith("gausstrack: validation: unrecognized arguments: " + flag[0])
+    assert list(tmp_path.iterdir()) == []
+
+
+# each subcommand with every required flag but its first, and with all of them
+REQUIRED = {"phantom": ["--out", "o"],
+            "fit": ["--sequence", "s", "--mask", "m", "--out", "o"],
+            "eval": ["--fitted", "f", "--sequence", "s", "--truth", "t", "--out", "o"],
+            "render": ["--fitted", "f", "--time", "0.5", "--out", "o"],
+            "export-field": ["--fitted", "f", "--time", "0.5", "--out", "o"]}
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_argument_errors_exit_2_with_one_line_and_write_nothing(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    monkeypatch.chdir(tmp_path)
+    flags = REQUIRED[command]
+    cases = {"the following arguments are required: " + flags[0]: flags[2:],
+             "unrecognized arguments: --bogus 1": flags + ["--bogus", "1"]}
+    if "--time" in flags:
+        at = flags.index("--time") + 1
+        cases["argument --time: invalid float value: 'abc'"] = \
+            flags[:at] + ["abc"] + flags[at + 1:]
+    for message, argv in cases.items():
+        err = _one_line_failure(capsys, [command] + argv)
+        assert err == f"gausstrack: validation: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_subcommand_exits_2_and_help_still_exits_0(capsys):
+    err = _one_line_failure(capsys, [])
+    assert err == "gausstrack: validation: the following arguments are required: command\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gausstrack render")
 
 
 # --- a fit that aborts leaves no run directory behind -----------------------------

@@ -27,7 +27,7 @@ def sample_objects():
                     np.stack([1 + i, i / 3, -i / 4, 0.5 + 0 * i], axis=1),
                     np.stack([-2 - i / 9, -3 + i / 11, -2.5 + 0 * i], axis=1),
                     np.sin(i), (np.arange(n) % 3 + 1).astype(np.uint8))
-    nodes = ControlNodeSet(np.stack([i / 4, i / 6, 1 - i / 8], axis=1), -2 - i / 10)
+    nodes = ControlNodeSet(np.stack([i / 4, i / 6, 1 - i / 8], axis=1), -2.1)
     sizes = [6 + 2, 3, 6]
     net = DeformNet([np.arange(a * b).reshape(a, b) / (a * b) - 0.5
                      for a, b in zip(sizes, sizes[1:])],
@@ -48,8 +48,9 @@ PINNED = {
     "labels.vjson": "4a93bedde07068449023f79f9fe3671aad19e5c9f565e744b4c7678f9592b181",
     "network.raw": "620a9a5b28df13e554aae0c1d0bf8f3389a283305b3b3d7c299fdec6252a10af",
     "network.wjson": "9ac604926b79448206c8a8afad356d28c4a534cbe35a0da253b01cb2f80d2da7",
-    "nodes.njson": "a8a2ca0ca22e624bda0dfcfbbbb6bbf0f32a2fe04ee882cf70a567f31d71a8bd",
-    "nodes.raw": "5a6bc08360454694980d1672b4567e645c49ffa0472695cbf8b058730e03a137",
+    # the node container holds one radius (fields positions, log_radius)
+    "nodes.njson": "c39075ec092d1f292eb9d1f5a4f4a254203c31127de021946fb3d50aeee140e4",
+    "nodes.raw": "12ab71226b0bdac66bee4e963a90da3136bfa65b9a54e821d6107b06a0b60bca",
     "volume.raw": "dadc6546fc1fdf430bf1da166baf8904ef61b0ffc3060834a6e2d45cd8f66f67",
     "volume.vjson": "ec5f7d197e3783f51c2dd1d4848875330aa1745a9e693a648bd03f6b2055497a",
 }

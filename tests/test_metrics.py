@@ -8,9 +8,10 @@ import pytest
 from scipy import ndimage
 
 from gausstrack import motion
-from gausstrack.errors import NumericalAbort, ValidationError
-from gausstrack.gauss import GaussianSet, initialize_from_mask, render_values
+from gausstrack.errors import ValidationError
+from gausstrack.gauss import CUTOFF_MULTIPLIER, GaussianSet, initialize_from_mask, render_values
 from gausstrack.metrics import (
+    OCCUPANCY_FLOOR,
     SSIM_K1,
     SSIM_K2,
     SSIM_SIGMA,
@@ -34,10 +35,9 @@ from gausstrack.volgrid import (
     voxel_centers_normalized,
 )
 
-# the query settings of a default run config
-_RUN = FitConfig()
-QUERY = dict(k=_RUN.k_neighbors, cutoff_multiplier=_RUN.cutoff_multiplier,
-             occupancy_floor=_RUN.occupancy_floor)
+# a default run config's neighbour count, with the render and label constants
+QUERY = dict(k=FitConfig().k_neighbors, cutoff_multiplier=CUTOFF_MULTIPLIER,
+             occupancy_floor=OCCUPANCY_FLOOR)
 
 
 def labeled_cube_scene(dims=(16, 16, 16), seed=0):
@@ -88,7 +88,7 @@ def test_warp_labels_below_floor_is_background():
     centers = np.array([[0.5 / 7 + 1 / 14, 0.5, 0.5]]) + 0.0
     g = GaussianSet(centers, [[1, 0, 0, 0]], np.log(0.005) * np.ones((1, 3)),
                     [1.0], np.array([2], dtype=np.uint8))
-    nodes = ControlNodeSet(centers.copy(), np.log([0.2]))
+    nodes = ControlNodeSet(centers.copy(), np.log(0.2))
     net = DeformNet.create(l_space=2, l_time=2, hidden_width=4, hidden_depth=1, seed=0)
     grid = LabelVolume(dims, (1, 1, 1), np.zeros(dims, dtype=np.uint8))
     warped = warp_labels(g, nodes, net, 0.0, grid, **dict(QUERY, k=1))
@@ -403,17 +403,6 @@ def test_evaluate_run_identity_on_static_sequence():
     assert 0 < report.ssim <= 1.0
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_evaluate_run_refuses_a_non_finite_node_before_the_network_runs(bad):
-    # the network's encoding of inf would warn on sin, an error in this suite
-    mask, ref = labeled_cube_scene()
-    g, nodes, net = identity_state(mask, ref)
-    nodes.positions[0, 0] = bad
-    seq = Sequence4D([ref, ref, ref], [0.0, 0.5, 1.0], ed_index=0, es_index=2)
-    with pytest.raises(NumericalAbort, match="node positions must be finite"):
-        evaluate_run(g, nodes, net, seq, mask, **QUERY)
-
-
 def serial_report(g, nodes, net, seq, truth, k, cutoff_multiplier, occupancy_floor):
     """evaluate_run's report composed from the public steps, one at a time."""
     t_es = float(seq.times[seq.es_index])
@@ -443,6 +432,17 @@ def test_evaluate_run_report_is_byte_equal_to_the_serial_steps(monkeypatch, pool
     want = serial_report(g, nodes, net, seq, mask, **QUERY).to_json()
     monkeypatch.setattr(motion, "_pool_size", lambda: pool)
     assert evaluate_run(g, nodes, net, seq, mask, **QUERY).to_json() == want
+
+
+def test_the_render_cutoff_and_label_floor_default_to_the_constants():
+    mask, ref = labeled_cube_scene()
+    g, nodes, net = identity_state(mask, ref)
+    net.weights[-1] = 0.2 * np.random.default_rng(6).normal(size=net.weights[-1].shape)
+    seq = Sequence4D([ref, ref, ref], [0.0, 0.5, 1.0], ed_index=0, es_index=1)
+    assert evaluate_run(g, nodes, net, seq, mask, QUERY["k"]).to_json() == \
+        evaluate_run(g, nodes, net, seq, mask, **QUERY).to_json()
+    assert warp_labels(g, nodes, net, 0.5, mask, QUERY["k"]).labels.tobytes() == \
+        warp_labels(g, nodes, net, 0.5, mask, **QUERY).labels.tobytes()
 
 
 def test_evaluate_run_runs_the_network_once(monkeypatch):

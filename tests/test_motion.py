@@ -2,6 +2,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -42,8 +43,7 @@ def tiny_scene(seed=0, n=6, m=4, k=2, zero_head=False):
         np.log(rng.uniform(0.08, 0.2, (n, 3))),
         rng.uniform(0.3, 1.0, n),
     )
-    nodes = ControlNodeSet(0.2 + 0.6 * rng.random((m, 3)),
-                           np.log(rng.uniform(0.15, 0.4, m)))
+    nodes = ControlNodeSet(0.2 + 0.6 * rng.random((m, 3)), np.log(rng.uniform(0.15, 0.4)))
     net = DeformNet.create(l_space=2, l_time=2, hidden_width=8, hidden_depth=2,
                            seed=seed + 1)
     if not zero_head:
@@ -210,22 +210,22 @@ def test_knn_k_too_large():
 
 def test_single_neighbor_weight_is_one():
     w = blend_operator(np.array([[0.3, 0.3, 0.3]]),
-                       ControlNodeSet(np.array([[0.6, 0.6, 0.6]]), np.log([0.2])),
+                       ControlNodeSet(np.array([[0.6, 0.6, 0.6]]), np.log(0.2)),
                        np.array([[0]]))
     assert w.shape == (1, 1) and np.allclose(w.toarray(), [[1.0]])
 
 
 def test_equidistant_equal_radii_weights():
     pos = np.array([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]])
-    w = blend_operator(np.array([[0.5, 0.5, 0.5]]), ControlNodeSet(pos, np.log([0.2, 0.2])),
+    w = blend_operator(np.array([[0.5, 0.5, 0.5]]), ControlNodeSet(pos, np.log(0.2)),
                        np.array([[0, 1]]))
     assert np.allclose(w.toarray(), [[0.5, 0.5]])
 
 
 def test_blend_weight_formula():
-    # distances (1, 2), radii (1, 1): w_hat = (e^-0.5, e^-2)
+    # distances (1, 2), radius 1: w_hat = (e^-0.5, e^-2)
     pos = np.array([[1.0, 0, 0], [2.0, 0, 0]])
-    w = blend_operator(np.array([[0.0, 0, 0]]), ControlNodeSet(pos, np.log([1.0, 1.0])),
+    w = blend_operator(np.array([[0.0, 0, 0]]), ControlNodeSet(pos, 0.0),
                        np.array([[0, 1]]))
     w_hat = np.array([np.exp(-0.5), np.exp(-2.0)])
     assert np.allclose(w.toarray(), (w_hat / w_hat.sum())[None, :], rtol=1e-14)
@@ -234,20 +234,20 @@ def test_blend_weight_formula():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
 def test_blend_weights_equal_the_normalized_rbf_formula(seed, k):
-    # radii >= 0.15 in the unit cube keep every exponent above -67, far from
+    # a radius >= 0.15 in the unit cube keeps every exponent above -67, far from
     # underflow; shifting by the row maximum then rounds each exponent
     # difference to within 67 * 2^-53, so 1e-14 holds element by element
     rng = np.random.default_rng(seed)
     q, pos = rng.random((40, 3)), rng.random((8, 3))
-    log_radii = np.log(rng.uniform(0.15, 1.0, 8))
+    log_radius = np.log(rng.uniform(0.15, 1.0))
     idx = np.stack([rng.choice(8, k, replace=False) for _ in range(40)])
-    w = blend_operator(q, ControlNodeSet(pos, log_radii), idx)
+    w = blend_operator(q, ControlNodeSet(pos, log_radius), idx)
     # one row per query, its k entries in idx order
     assert w.shape == (40, 8)
     assert np.array_equal(w.indptr, np.arange(0, 40 * k + 1, k))
     assert np.array_equal(w.indices, idx.ravel())
     diff = q[:, None, :] - pos[idx]
-    o = np.exp(log_radii[idx])
+    o = np.exp(log_radius)
     w_hat = np.exp(-np.einsum("qki,qki->qk", diff, diff) / (2.0 * o * o))
     want = w_hat / w_hat.sum(axis=1, keepdims=True)
     assert np.all(np.abs(w.data.reshape(40, k) - want) <= 1e-14 * want)
@@ -255,9 +255,11 @@ def test_blend_weights_equal_the_normalized_rbf_formula(seed, k):
 
 def _axis_reduction_weights(points, nodes, idx):
     """The blend weights with each row's maximum and sum as reductions along
-    axis 1 of the (n, k) array, in the operator's order of operations."""
+    axis 1 of the (n, k) array, in the operator's order of operations, and
+    with one radius per neighbour, as the operator read them when every node
+    kept its own radius."""
     diff = points[:, None, :] - nodes.positions[idx]
-    o = np.exp(nodes.log_radii[idx])
+    o = np.exp(np.full(nodes.count, nodes.log_radius)[idx])
     w = np.einsum("qki,qki->qk", diff, diff) / (-2.0 * o * o)
     w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
@@ -266,19 +268,22 @@ def _axis_reduction_weights(points, nodes, idx):
 
 @pytest.mark.parametrize("k", [1, 2, 4, 7])
 def test_blend_operator_equals_the_axis_reduction_form(k):
-    # the row maximum and sum go column by column: the same bits on random
-    # rows, on voxel centres with nodes on the voxel lattice (equal kernels
-    # within a row, as the seeded nodes give) and where every kernel underflows
+    # the row maximum and sum go column by column, and the one shared radius
+    # is read once: the same bits on random rows, on voxel centres with nodes
+    # on the voxel lattice (equal kernels within a row, as the seeded nodes
+    # give) and where every kernel underflows
     rng = np.random.default_rng(k)
     q = voxel_centers_normalized((9, 10, 11)).reshape(-1, 3)
-    cases = [(rng.random((500, 3)), rng.random((40, 3)), rng.uniform(0.05, 0.4, 40)),
-             (q, q[rng.choice(len(q), 60, replace=False)], np.full(60, 0.1)),
-             (rng.random((200, 3)), 50.0 + rng.random((30, 3)), rng.uniform(1e-4, 1e-3, 30))]
-    for points, pos, radii in cases:
-        nodes = ControlNodeSet(pos, np.log(radii))
-        idx = knn_indices(points, pos, k)
-        got = blend_operator(points, nodes, idx).data.reshape(idx.shape)
-        assert got.tobytes() == _axis_reduction_weights(points, nodes, idx).tobytes()
+    cases = [(rng.random((500, 3)), rng.random((40, 3)), rng.uniform(0.05, 0.4)),
+             (q, q[rng.choice(len(q), 60, replace=False)], 0.1),
+             (rng.random((200, 3)), 50.0 + rng.random((30, 3)), rng.uniform(1e-4, 1e-3))]
+    for points, pos, radius in cases:
+        # a radius as the container holds it (float32) and as init computes it
+        for log_radius in (np.float32(np.log(radius)), np.log(radius)):
+            nodes = ControlNodeSet(pos, log_radius)
+            idx = knn_indices(points, pos, k)
+            got = blend_operator(points, nodes, idx).data.reshape(idx.shape)
+            assert got.tobytes() == _axis_reduction_weights(points, nodes, idx).tobytes()
     # the lattice rows hold ties, and the far rows all of their weight on one node
     ties = _axis_reduction_weights(q, ControlNodeSet(cases[1][1], np.log(cases[1][2])),
                                    knn_indices(q, cases[1][1], k))
@@ -289,8 +294,7 @@ def test_blend_operator_equals_the_axis_reduction_form(k):
 def test_blend_weight_underflow_keeps_the_largest_kernel():
     # every kernel underflows (exp(-1.25e11) == 0); the row still sums to 1,
     # all on the nearest node, and the adjoint stays finite
-    nodes = ControlNodeSet(np.array([[50.0, 0, 0], [60.0, 0, 0], [70.0, 0, 0]]),
-                           np.log([1e-4, 1e-4, 1e-4]))
+    nodes = ControlNodeSet(np.array([[50.0, 0, 0], [60.0, 0, 0], [70.0, 0, 0]]), np.log(1e-4))
     idx = np.array([[0, 1, 2]])
     w = blend_operator(np.zeros((1, 3)), nodes, idx)
     assert np.array_equal(w.toarray(), [[1.0, 0.0, 0.0]])
@@ -314,7 +318,7 @@ def test_blend_weights_normalized_and_scale_invariant():
     q = rng.random((20, 3))
     pos = rng.random((10, 3))
     idx = knn_indices(q, pos, 4)
-    w = blend_operator(q, ControlNodeSet(pos, np.log(rng.uniform(0.05, 0.3, 10))), idx)
+    w = blend_operator(q, ControlNodeSet(pos, np.log(rng.uniform(0.05, 0.3))), idx)
     assert np.all(w.data >= 0) and np.all(w.data <= 1)
     assert np.max(np.abs(w @ np.ones(10) - 1)) < 1e-6
 
@@ -322,7 +326,7 @@ def test_blend_weights_normalized_and_scale_invariant():
 def blend_scene(seed, n=3, m=6, k=3):
     rng = np.random.default_rng(seed)
     q = rng.random((n, 3))
-    nodes = ControlNodeSet(rng.random((m, 3)), np.log(rng.uniform(0.1, 0.4, m)))
+    nodes = ControlNodeSet(rng.random((m, 3)), np.log(rng.uniform(0.1, 0.4)))
     idx = knn_indices(q, nodes.positions, k)
     return blend_operator(q, nodes, idx), idx, rng
 
@@ -337,8 +341,7 @@ def test_blend_transforms_selects_first_on_degenerate_weights():
     # every kernel underflows: the row is all on its first (largest) kernel
     rng = np.random.default_rng(1)
     t6 = np.exp(rng.normal(size=(3, 6)))
-    nodes = ControlNodeSet(np.array([[60.0, 0, 0], [70.0, 0, 0], [50.0, 0, 0]]),
-                           np.log([1e-4, 1e-4, 1e-4]))
+    nodes = ControlNodeSet(np.array([[60.0, 0, 0], [70.0, 0, 0], [50.0, 0, 0]]), np.log(1e-4))
     w = blend_operator(np.zeros((1, 3)), nodes, np.array([[2, 0]]))
     assert np.array_equal(w @ t6, t6[2:])
 
@@ -415,9 +418,8 @@ def test_dense_displacement_zero_for_zero_head():
 
 
 def test_dense_displacement_concentrates_on_isolated_node():
-    # one node right at the query with a sane radius, others far with tiny radii
-    nodes = ControlNodeSet(np.array([[0.5, 0.5, 0.5], [5.0, 5, 5], [6.0, 6, 6]]),
-                           np.log([0.2, 1e-5, 1e-5]))
+    # one node right at the query, the others far beyond the radius
+    nodes = ControlNodeSet(np.array([[0.5, 0.5, 0.5], [5.0, 5, 5], [6.0, 6, 6]]), np.log(0.2))
     net = DeformNet.create(l_space=2, l_time=2, hidden_width=8, hidden_depth=2, seed=9)
     net.weights[-1] = np.random.default_rng(4).normal(size=net.weights[-1].shape)
     t6, _ = node_transforms(net, nodes.positions, 0.3)
@@ -466,7 +468,7 @@ def test_apply_motion_is_node_transforms_then_motion_forward():
 
 def field_scene(n, seed=11):
     rng = np.random.default_rng(seed)
-    nodes = ControlNodeSet(rng.random((40, 3)), np.log(rng.uniform(0.05, 0.3, 40)))
+    nodes = ControlNodeSet(rng.random((40, 3)), np.log(rng.uniform(0.05, 0.3)))
     net = DeformNet.create(l_space=2, l_time=2, hidden_width=8, hidden_depth=2, seed=seed)
     net.weights[-1] = 0.1 * rng.normal(size=net.weights[-1].shape)
     return rng.random((n, 3)), nodes, net
@@ -521,7 +523,7 @@ def test_lattice_ties_on_both_sides_of_a_chunk_boundary():
     want = np.lexsort((np.broadcast_to(np.arange(len(pos)), d2.shape), d2), axis=-1)
     for k in (1, 4, 8, 9):
         assert np.array_equal(knn_indices(q, pos, k), want[:, :k])
-    nodes = ControlNodeSet(pos, np.full(len(pos), np.log(0.3)))
+    nodes = ControlNodeSet(pos, np.log(0.3))
     _, _, net = field_scene(1)
     assert dense_displacement(q, nodes, net, 0.7, 8).tobytes() == \
         public_field(q, nodes, net, 0.7, 8).tobytes()
@@ -591,7 +593,7 @@ def test_near_ties_inside_the_margin_equal_the_full_sort(monkeypatch):
     pos = np.concatenate([np.array(near)[keep], rng.random((6, 3))])
     q = np.concatenate([[q0], rng.random((40, 3))])
     want = full_sort(q, pos)
-    nodes = ControlNodeSet(pos, np.full(len(pos), np.log(0.3)))
+    nodes = ControlNodeSet(pos, np.log(0.3))
     _, _, net = field_scene(1)
     resorted = counting_resorts(monkeypatch)
     for k in range(1, len(pos) + 1):
@@ -610,10 +612,6 @@ def test_dense_displacement_checks_inputs_before_any_row_runs(monkeypatch):
         with pytest.raises(ValidationError, match=f"k={k}"):
             dense_displacement(q, nodes, net, 0.3, k)
     q[C + 1, 1] = np.nan
-    with pytest.raises(NumericalAbort):
-        dense_displacement(q, nodes, net, 0.3, 4)
-    q[C + 1, 1] = 0.5
-    nodes.positions[3, 2] = np.inf
     with pytest.raises(NumericalAbort):
         dense_displacement(q, nodes, net, 0.3, 4)
     assert threads == []
@@ -651,9 +649,11 @@ def test_the_grid_form_checks_k_and_the_nodes_before_any_worker_starts(monkeypat
     for k in (0, nodes.count + 1):
         with pytest.raises(ValidationError, match=f"k={k}"):
             motion.grid_displacement(nodes, t6, k, (20, 20, 21))
-    nodes.positions[3, 2] = np.nan
-    with pytest.raises(NumericalAbort):
-        motion.grid_displacement(nodes, t6, 4, (20, 20, 21))
+    # a node set with a non-finite position is refused where it is built
+    bad = nodes.positions.copy()
+    bad[3, 2] = np.nan
+    with pytest.raises(ValidationError, match="must be finite"):
+        ControlNodeSet(bad, nodes.log_radius)
     assert threads == [] and pools == []
 
 
@@ -733,12 +733,12 @@ def test_grid_workers_held_in_the_front_slices_leave_the_back_ones_to_the_caller
 @pytest.mark.parametrize("pool", POOLS)
 def test_grid_displacement_raises_the_error_of_first_over_a_non_finite_slice(
         monkeypatch, pool):
-    # zero radii make every slice non-finite; first raises only once a worker
+    # a zero radius makes every slice non-finite; first raises only once a worker
     # has started its second slice, so its first slice has already failed
     monkeypatch.setattr(motion, "_pool_size", lambda: pool)
     dims = (20, 16, 128)  # ten slices, more than the workers
     _, nodes, net = field_scene(1)
-    nodes.log_radii[:] = -1e30
+    nodes = replace(nodes, log_radius=-1e30)
     second, caller = threading.Event(), threading.get_ident()
 
     def count(start):
@@ -761,11 +761,11 @@ def test_grid_displacement_raises_the_error_of_first_over_a_non_finite_slice(
 
 
 def test_both_field_forms_run_under_the_callers_error_state(monkeypatch):
-    # the points form runs on the calling thread: zero radii make every
+    # the points form runs on the calling thread: a zero radius makes every
     # kernel exponent d^2 / 0, division by zero, then -inf - (-inf) in the
     # softmax shift.  With the errors ignored, the NaN field is refused
     q, nodes, net = field_scene(2 * C)
-    nodes.log_radii[:] = -1e30
+    nodes = replace(nodes, log_radius=-1e30)
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
         dense_displacement(q, nodes, net, 0.3, 4)
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -955,7 +955,7 @@ def test_motion_backward_leaves_its_cache_and_inputs_as_they_were():
     def read():
         return [a.tobytes() for a in (w.data, w.indices, w.indptr, t6, *acts, rg.centers,
                                       rg.rotations, rg.log_scales, rg.intensities,
-                                      nodes.positions, nodes.log_radii, *net.weights)]
+                                      nodes.positions, *net.weights)]
 
     def grads(g_t6):
         before = g_t6.tobytes()
@@ -979,13 +979,13 @@ def test_init_control_nodes_deterministic_and_bounded():
     b = init_control_nodes(centers, 20, seed=5)
     assert np.array_equal(a.positions, b.positions)
     assert a.count == 20
-    assert np.all(np.exp(a.log_radii) > 0)
+    assert np.exp(a.log_radius) > 0 and a.log_radius == b.log_radius
     with pytest.raises(ValidationError, match="budget"):
         init_control_nodes(centers, 101, seed=0)
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: ControlNodeSet(np.zeros((0, 3)), np.zeros(0)), "at least one control node"),
+    (lambda: ControlNodeSet(np.zeros((0, 3)), 0.0), "at least one control node"),
     (lambda: ControlNodeSet(np.zeros((2, 3)), np.zeros(3)), "inconsistent ControlNodeSet shapes"),
     (lambda: positional_encoding(np.zeros(3), 0), "at least one frequency"),
     # l_space = l_time = 2 encode 16 inputs
@@ -1002,12 +1002,42 @@ def test_motion_guards_refuse_bad_arguments(call, match):
         call()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_node_set_refuses_non_finite_values_where_it_is_built(bad):
+    pos = np.random.default_rng(3).random((5, 3))
+    one_bad = pos.copy()
+    one_bad[2, 1] = bad
+    for positions, log_radius in ((one_bad, -1.5), (pos, bad)):
+        with pytest.raises(ValidationError, match="positions and radius must be finite"):
+            ControlNodeSet(positions, log_radius)
+
+
+def test_a_node_set_holds_read_only_float64_positions_and_one_radius():
+    pos = np.random.default_rng(4).random((5, 3))
+    for positions, log_radius in ((pos[:, :2], -1.5), (pos.ravel(), -1.5), (pos[None], -1.5),
+                                  (pos, np.full(5, -1.5)), (pos, [-1.5])):
+        with pytest.raises(ValidationError, match="inconsistent ControlNodeSet shapes"):
+            ControlNodeSet(positions, log_radius)
+    nodes = ControlNodeSet(pos.astype(np.float32), np.float32(-1.5))
+    assert nodes.positions.dtype == np.float64 and type(nodes.log_radius) is float
+    with pytest.raises(ValueError, match="read-only"):
+        nodes.positions[0, 0] = 0.5
+    with pytest.raises(FrozenInstanceError):
+        nodes.log_radius = 0.0
+    # the set keeps its own copy of the caller's array
+    nodes = ControlNodeSet(pos, -1.5)
+    pos[0, 0] = 7.0
+    assert nodes.positions[0, 0] != 7.0
+
+
 def test_nodes_round_trip(tmp_path):
     nodes = ControlNodeSet(np.random.default_rng(1).random((9, 3)),
-                           np.log(np.random.default_rng(2).uniform(0.1, 0.3, 9)))
+                           np.log(np.random.default_rng(2).uniform(0.1, 0.3)))
     save_nodes(nodes, tmp_path / "n")
     back = load_nodes(tmp_path / "n")
     assert back.count == 9
+    assert back.log_radius == float(np.float32(nodes.log_radius))
+    assert (tmp_path / "n.raw").stat().st_size == 4 * (9 * 3 + 1)
     save_nodes(back, tmp_path / "n2")
     assert (tmp_path / "n.raw").read_bytes() == (tmp_path / "n2.raw").read_bytes()
 
@@ -1021,7 +1051,7 @@ def test_network_round_trip(tmp_path):
     assert all(a.shape == b.shape for a, b in zip(back.weights, net.weights))
     save_network(back, tmp_path / "w2")
     assert (tmp_path / "w.raw").read_bytes() == (tmp_path / "w2.raw").read_bytes()
-    nodes = ControlNodeSet(np.random.default_rng(5).random((4, 3)), np.log([0.2] * 4))
+    nodes = ControlNodeSet(np.random.default_rng(5).random((4, 3)), np.log(0.2))
     a, _ = node_transforms(back, nodes.positions, 0.5)
     b, _ = node_transforms(load_network(tmp_path / "w2"), nodes.positions, 0.5)
     assert np.array_equal(a, b)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from gausstrack.errors import NumericalAbort, ValidationError
-from gausstrack import gauss
+from gausstrack import gauss, metrics
 from gausstrack.gauss import DensifyConfig
 from gausstrack.motion import init_control_nodes
 from gausstrack.optim import (
@@ -198,7 +198,7 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     lambda: FitConfig(learning_rates={"intensity": float("inf")}),
     lambda: FitConfig(learning_rates={"rotscale": -1e-4}),
     lambda: FitConfig(learning_rates={"positions": 0.0}),
-    lambda: FitConfig(cutoff_multiplier=float("nan")),
+    lambda: DensifyConfig(grad_threshold=float("nan")),
     lambda: FitConfig(seed=-1),
     lambda: NetworkConfig(hidden_width=0),
     lambda: NetworkConfig(l_space=0),
@@ -211,7 +211,7 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     lambda: FitConfig(node_budget=-5),
     # values of the wrong kind: each used to be built, or to raise OverflowError
     lambda: FitConfig(learning_rates={"network": 10**400}),
-    lambda: FitConfig(cutoff_multiplier=10**400),
+    lambda: DensifyConfig(grad_threshold=10**400),
     lambda: FitConfig(seed=0.5),
     lambda: FitConfig(k_neighbors=4.0),
     lambda: FitConfig(schedule={"total_iters": 40}),
@@ -226,6 +226,17 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
 def test_out_of_range_settings_are_refused_without_json(make):
     with pytest.raises(ValidationError, match="must be"):
         make()
+
+
+def test_the_render_cutoff_and_label_floor_are_constants_not_config_fields():
+    assert FitConfig.cutoff_multiplier == gauss.CUTOFF_MULTIPLIER == 3.0
+    assert FitConfig.occupancy_floor == metrics.OCCUPANCY_FLOOR == 0.5
+    assert not {"cutoff_multiplier", "occupancy_floor"} & set(FitConfig().to_dict())
+    for key, value in (("cutoff_multiplier", 3.0), ("occupancy_floor", 0.5)):
+        with pytest.raises(ValidationError, match=f"unknown config keys: \\['{key}'\\]"):
+            FitConfig.from_dict({key: value})
+        with pytest.raises(TypeError):
+            FitConfig(**{key: value})
 
 
 def test_a_constant_group_may_have_rate_zero():
@@ -295,7 +306,7 @@ def test_fit_stage1_purity_and_node_freeze():
     snaps, nodes = {}, []
 
     def hook(it, state):
-        nodes.append((state["nodes"].positions.tobytes(), state["nodes"].log_radii.tobytes()))
+        nodes.append((state["nodes"].positions.tobytes(), state["nodes"].log_radius))
         if it in (0, 30, 60):
             snaps[it] = [w.copy() for w in state["net"].weights] \
                 + [b.copy() for b in state["net"].biases]
@@ -308,9 +319,9 @@ def test_fit_stage1_purity_and_node_freeze():
     assert any(not np.array_equal(a, b) for a, b in zip(snaps[30], snaps[60]))
     # the nodes at every iteration, and the fitted ones, are the seeded
     # sampling to the byte
-    nodes.append((result.nodes.positions.tobytes(), result.nodes.log_radii.tobytes()))
+    nodes.append((result.nodes.positions.tobytes(), result.nodes.log_radius))
     assert len(nodes) == cfg.schedule.total_iters + 1
-    assert set(nodes) == {(seeded.positions.tobytes(), seeded.log_radii.tobytes())}
+    assert set(nodes) == {(seeded.positions.tobytes(), seeded.log_radius)}
 
 
 def test_node_unfreeze_at_is_checked_but_changes_no_bit_of_the_fit():
@@ -424,7 +435,7 @@ def test_fit_holds_one_render_cache_and_refits_the_same_bits(monkeypatch):
     for name in ("centers", "rotations", "log_scales", "intensities"):
         assert getattr(a.gaussians, name).tobytes() == getattr(b.gaussians, name).tobytes()
     assert a.nodes.positions.tobytes() == b.nodes.positions.tobytes()
-    assert a.nodes.log_radii.tobytes() == b.nodes.log_radii.tobytes()
+    assert a.nodes.log_radius == b.nodes.log_radius
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.net.weights + a.net.biases,
                                                            b.net.weights + b.net.biases))
 
